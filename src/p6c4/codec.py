@@ -140,15 +140,20 @@ def to_edge_list(g: Graph) -> dict:
 
 
 def read_graph_text(text: str) -> Graph:
-    """Parse a single graph from text: JSON edge list or one graph6 line."""
+    """Parse a single graph from text: JSON edge list or one graph6 line.
+
+    Blank lines and ``#`` comments are skipped; more than one graph6 line
+    is an error rather than a silent pick of the first.
+    """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return from_edge_list(json.loads(text))
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            return from_graph6(line)
-    raise ValueError("no graph found in input")
+    graphs = read_graph6_lines(text)
+    if not graphs:
+        raise ValueError("no graph found in input")
+    if len(graphs) > 1:
+        raise ValueError(f"expected one graph, found {len(graphs)} graph6 lines")
+    return graphs[0]
 
 
 def read_graph6_lines(text: str) -> list[Graph]:

@@ -6,11 +6,20 @@ design; inputs here are desk-scale.
 
 An :class:`Embedding` maps pattern vertices to host vertices and must
 preserve both edges and non-edges (induced copies throughout).
+
+:func:`find_induced_copy` is the one entry point for whole-graph pattern
+searches.  It classifies the pattern once (cached), sends a path or cycle
+labelled in path or ring order to :func:`find_induced_path` or
+:func:`find_induced_cycle`, and anything else to the generic matcher
+:func:`_match`.  All three return the same first embedding, so the
+dispatch changes no answer.  Answers are memoized on the host graph (see
+:class:`p6c4.graphs.Graph`), so repeating a search on one graph is free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, bits, mask_of
 
@@ -254,7 +263,34 @@ def has_clique(g: Graph, k: int) -> Embedding | None:
 
 
 def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
-    """First induced copy of ``pattern`` in ``g`` (lowest-index branching)."""
+    """First induced copy of ``pattern`` in ``g`` (lowest-index branching).
+
+    Dispatches on the pattern's shape: a path labelled 0-1-...-(t-1) goes to
+    :func:`find_induced_path`, a cycle labelled around its ring to
+    :func:`find_induced_cycle`, and any other pattern to :func:`_match`.
+    The answer is the generic matcher's in every case, and it is memoized
+    in ``g._found``, keyed by the pattern's labelled adjacency.
+    """
+    key = (pattern.n, pattern.adj)
+    memo = g._found
+    if memo is None:
+        memo = g._found = {}
+    elif key in memo:
+        return memo[key]
+    kind, size, in_order = _pattern_shape(pattern)
+    if in_order and kind == "path":
+        emb = find_induced_path(g, size)
+    elif in_order and kind == "cycle":
+        emb = find_induced_cycle(g, size)
+    else:
+        emb = _match(g, pattern)
+    memo[key] = emb
+    return emb
+
+
+def _match(g: Graph, pattern: Graph) -> Embedding | None:
+    """Generic matcher: assign pattern vertices 0, 1, ... to the lowest free
+    host vertex that keeps every edge and non-edge so far."""
     p = pattern.n
     if p == 0:
         return Embedding(0, ())
@@ -296,32 +332,29 @@ def is_free(
 ) -> tuple[bool, int | None, Embedding | None]:
     """Whether no pattern embeds; otherwise the first witness in list order."""
     for idx, pat in enumerate(patterns):
-        emb = _dispatch_find(g, pat)
+        emb = find_induced_copy(g, pat)
         if emb is not None:
             return False, idx, emb
     return True, None, None
 
 
-def _pattern_shape(pat: Graph) -> tuple[str, int]:
-    """Classify a pattern as ('path', t), ('cycle', l), or ('generic', n)."""
+@lru_cache(maxsize=64)
+def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
+    """Classify a pattern as ('path', t), ('cycle', l), or ('generic', n).
+
+    The third field says whether a path is labelled 0-1-...-(t-1) and a
+    cycle 0-1-...-(l-1)-0; only then do the specialized finders' embeddings
+    map pattern vertex ``i`` the way the generic matcher's do.
+    """
     n = pat.n
     degs = sorted(pat.degree(v) for v in range(n))
-    if n >= 2 and pat.is_connected() and degs == [1, 1] + [2] * (n - 2):
-        return "path", n
-    if n == 1:
-        return "path", 1
+    if n == 1 or (n >= 2 and pat.is_connected() and degs == [1, 1] + [2] * (n - 2)):
+        in_order = all(pat.adj[i] >> (i + 1) & 1 for i in range(n - 1))
+        return "path", n, in_order
     if n >= 3 and pat.is_connected() and degs == [2] * n:
-        return "cycle", n
-    return "generic", n
-
-
-def _dispatch_find(g: Graph, pat: Graph) -> Embedding | None:
-    kind, size = _pattern_shape(pat)
-    if kind == "path":
-        return find_induced_path(g, size)
-    if kind == "cycle":
-        return find_induced_cycle(g, size)
-    return find_induced_copy(g, pat)
+        in_order = all(pat.adj[i] >> ((i + 1) % n) & 1 for i in range(n))
+        return "cycle", n, in_order
+    return "generic", n, False
 
 
 # -- localized variants (used by the enumerator on freshly added vertices) --
@@ -414,7 +447,7 @@ def has_pattern_through(g: Graph, pat: Graph, w: int) -> bool:
     Specialized for paths/cycles; general patterns fall back to a matcher
     that pins one pattern vertex to ``w``.
     """
-    kind, size = _pattern_shape(pat)
+    kind, size, _ = _pattern_shape(pat)
     if kind == "path":
         return has_path_through(g, size, w)
     if kind == "cycle":

@@ -31,9 +31,16 @@ class Graph:
 
     Equality and hashing are *labelled* (same n, same adjacency rows);
     use :func:`p6c4.canon.is_isomorphic` for unlabelled comparison.
+
+    Two memo slots hang off each graph and take no part in equality or
+    hashing, which is sound because the graph never changes: ``_canon``
+    holds the canonical code and order once :mod:`p6c4.canon` has computed
+    them, and ``_found`` is :func:`p6c4.detect.find_induced_copy`'s answer
+    cache, a dict from ``(pattern.n, pattern.adj)`` to the first embedding
+    or ``None``.  Both start as ``None``.
     """
 
-    __slots__ = ("n", "adj", "_canon")
+    __slots__ = ("n", "adj", "_canon", "_found")
 
     def __init__(self, n: int, adj: tuple[int, ...], _checked: bool = False):
         if not _checked:
@@ -54,6 +61,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._canon = None
+        self._found = None
 
     # -- construction -----------------------------------------------------
 

@@ -54,6 +54,20 @@ def brute_induced_copy(g: Graph, pattern: Graph):
     return None
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` so each call's arguments are appended to the
+    returned list."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def brute_isomorphic(a: Graph, b: Graph) -> bool:
     if a.n != b.n or a.m != b.m:
         return False

@@ -280,6 +280,15 @@ def test_corrupt_graph_data_exit_code(tmp_path, capsys):
     assert code == 65
 
 
+def test_multi_graph_input_exit_code(tmp_path, capsys, caplog):
+    path = tmp_path / "two.g6"
+    path.write_text("C~\nCh\n")
+    for argv in (["color", "--k", "3"], ["detect", "--pattern", "P4"], ["props"]):
+        assert main([*argv, "--in", str(path)]) == 65
+    assert capsys.readouterr().out == ""
+    assert "found 2 graph6 lines" in caplog.text
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["color", "--in", "x.g6"])  # --k missing

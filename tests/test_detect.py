@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings
 
-from conftest import brute_induced_copy, graphs
+from conftest import brute_induced_copy, count_calls, graphs
 from p6c4 import detect, families
 from p6c4.graphs import Graph
 
@@ -93,16 +93,83 @@ def test_find_induced_copy_matches_oracle(g):
 
 
 @settings(max_examples=60)
-@given(graphs(max_n=6))
+@given(graphs(max_n=9))
 def test_specialized_finders_agree_with_generic(g):
-    for t in (3, 4, 5):
-        specialized = detect.find_induced_path(g, t)
-        generic = detect.find_induced_copy(g, families.path_graph(t))
-        assert (specialized is None) == (generic is None)
-    for l in (4, 5, 6):
-        specialized = detect.find_induced_cycle(g, l)
-        generic = detect.find_induced_copy(g, families.cycle_graph(l))
-        assert (specialized is None) == (generic is None)
+    """The finders the dispatcher uses return the generic matcher's first
+    embedding exactly, so dispatching changes no witness."""
+    for t in range(1, 8):
+        assert detect.find_induced_path(g, t) == detect._match(g, families.path_graph(t))
+    for l in range(3, 9):
+        assert detect.find_induced_cycle(g, l) == detect._match(g, families.cycle_graph(l))
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=7))
+def test_generic_matcher_matches_oracle(g):
+    for pattern in [
+        families.path_graph(4),
+        families.cycle_graph(4),
+        families.complete_graph(3),
+        families.cycle_graph(5),
+        families.wheel_graph(5),
+    ]:
+        emb = detect._match(g, pattern)
+        assert (emb is None) == (brute_induced_copy(g, pattern) is None)
+        if emb is not None:
+            assert detect.verify_embedding(g, pattern, emb)
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=8))
+def test_relabelled_paths_and_cycles_use_the_generic_matcher(g):
+    """A path or cycle pattern whose labels do not run along it still gets
+    an embedding of that labelling."""
+    for pattern in [
+        Graph.from_edges(4, [(0, 2), (2, 1), (1, 3)]),
+        Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]),
+    ]:
+        emb = detect.find_induced_copy(g, pattern)
+        assert emb == detect._match(g, pattern)
+        if emb is not None:
+            assert detect.verify_embedding(g, pattern, emb)
+
+
+# -- the per-graph memo ------------------------------------------------------------
+
+
+def test_repeated_search_hits_the_memo(monkeypatch):
+    calls = count_calls(monkeypatch, detect, "find_induced_path")
+    g = families.cycle_graph(8)
+    first = detect.find_induced_copy(g, families.path_graph(6))
+    second = detect.find_induced_copy(g, families.path_graph(6))
+    assert first == second and first is not None
+    assert len(calls) == 1
+    # is_free goes through the same memo
+    assert detect.is_free(g, [families.path_graph(6)]) == (False, 0, first)
+    assert len(calls) == 1
+    # a fresh but equal graph starts with an empty memo
+    detect.find_induced_copy(families.cycle_graph(8), families.path_graph(6))
+    assert len(calls) == 2
+
+
+def test_memo_keys_on_the_labelled_pattern():
+    g = families.petersen_graph()
+    assert g._found is None
+    detect.find_induced_copy(g, families.cycle_graph(5))
+    detect.find_induced_copy(g, Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]))
+    assert len(g._found) == 1  # equal patterns built separately share one entry
+    detect.find_induced_copy(g, families.path_graph(5))
+    detect.find_induced_copy(g, Graph.from_edges(5, [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]))
+    assert len(g._found) == 3  # same order, different adjacency: separate entries
+
+
+def test_memo_does_not_affect_equality_or_hashing():
+    a = families.petersen_graph()
+    b = families.petersen_graph()
+    detect.find_induced_copy(a, families.cycle_graph(5))
+    assert a._found and b._found is None
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
 
 
 def test_is_free_reports_first_hit():

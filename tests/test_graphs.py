@@ -156,6 +156,13 @@ def test_read_graph_text_sniffs_format():
     assert codec.read_graph_text("# comment\nCh\n") == g
 
 
+def test_read_graph_text_rejects_several_graphs():
+    with pytest.raises(ValueError, match="found 3 graph6 lines"):
+        codec.read_graph_text("C~\nCh\n# note\n\nD~{\n")
+    with pytest.raises(ValueError, match="no graph found"):
+        codec.read_graph_text("# only a comment\n\n")
+
+
 def test_read_graph6_lines():
     text = "C~\nCh\n# note\n\nD~{\n"
     gs = codec.read_graph6_lines(text)

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from conftest import count_calls
 from p6c4 import detect, families, structure
 from p6c4.enumeration import NiceWitness
 from p6c4.reductions import (
@@ -275,6 +276,15 @@ def test_cnf_gadget_freeness_verdicts():
         check_freeness("ghi", lg, 7, 6)  # host required
     with pytest.raises(ValueError):
         check_freeness("xor", lg, 7, 6)
+
+
+def test_cnf_freeness_sweep_searches_each_pattern_once(monkeypatch):
+    """The path verdict for l = 6, 8, 9 is one P7 search on the gadget."""
+    calls = count_calls(monkeypatch, detect, "find_induced_path")
+    lg = build_ghi(C7, C7_WITNESS, SatInstance(3, ((1, -2, 3), (2, 2, 3))))
+    for l in (6, 8, 9):
+        check_freeness("ghi", lg, 7, l, h=C7)
+    assert [t for g, t in calls if g is lg.graph] == [7]
 
 
 def test_nae_gadget_freeness_verdicts():
