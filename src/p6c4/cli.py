@@ -22,6 +22,23 @@ from . import codec, coloring, detect, enumeration, families, reductions, struct
 
 log = logging.getLogger("p6c4")
 
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is at that moment, so every
+    :func:`main` call logs to its own caller's standard error."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, _value):
+        pass
+
+
+_HANDLER = _StderrHandler()
+_HANDLER.setFormatter(logging.Formatter("%(message)s"))
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_OBSTRUCTED = 2
@@ -348,7 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
+    log.addHandler(_HANDLER)  # no-op once attached
+    log.setLevel(logging.INFO)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 from .graphs import Graph, bits, mask_of
 
@@ -60,25 +61,30 @@ def find_induced_path(g: Graph, t: int) -> Embedding | None:
         return Embedding(1, (0,))
     adj = g.adj
     for s in range(g.n):
-        found = _grow_path([s], 1 << s, 0, t, adj)
-        if found is not None:
-            return Embedding(t, tuple(found))
+        path = [s]
+        if _grow_path(path, 1 << s, 0, t, adj):
+            return Embedding(t, tuple(path))
     return None
 
 
 def _grow_path(
     path: list[int], pmask: int, earlier_nbrs: int, t: int, adj: tuple[int, ...]
-) -> list[int] | None:
-    """Extend a chordless path at its right end to total length t."""
+) -> bool:
+    """Extend the chordless ``path`` in place at its right end to length t;
+    on failure ``path`` is left as it came."""
     if len(path) == t:
-        return path
+        return True
     last = path[-1]
     allowed = adj[last] & ~pmask & ~earlier_nbrs
-    for u in bits(allowed):
-        res = _grow_path(path + [u], pmask | (1 << u), earlier_nbrs | adj[last], t, adj)
-        if res is not None:
-            return res
-    return None
+    earlier_nbrs |= adj[last]
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        path.append(low.bit_length() - 1)
+        if _grow_path(path, pmask | low, earlier_nbrs, t, adj):
+            return True
+        path.pop()
+    return False
 
 
 # -- induced cycles --------------------------------------------------------
@@ -93,33 +99,38 @@ def find_induced_cycle(g: Graph, l: int) -> Embedding | None:
     adj = g.adj
     for s in range(g.n):
         gt = ~((1 << (s + 1)) - 1)  # vertices > s, so s is the ring minimum
-        res = _grow_cycle([s], 1 << s, 0, l, adj, s, gt)
-        if res is not None:
-            return Embedding(l, tuple(res))
+        ring = [s]
+        if _grow_cycle(ring, 1 << s, 0, l, adj, s, gt):
+            return Embedding(l, tuple(ring))
     return None
 
 
-def _grow_cycle(path, pmask, mid_nbrs, l, adj, s, gt):
+def _grow_cycle(path, pmask, mid_nbrs, l, adj, s, gt) -> bool:
     """Chordless paths from s using vertices > s; close back to s at length l.
 
+    Grows ``path`` in place and leaves it as it came on failure.
     ``mid_nbrs`` holds neighbours of path[0..-2] except s's own (tracked so
     the closing vertex may touch s but nothing else before the end).
     """
     last = path[-1]
     if len(path) == l - 1:
         allowed = adj[last] & adj[s] & ~pmask & ~mid_nbrs & gt
-        for u in bits(allowed):
-            return path + [u]
-        return None
+        if allowed:
+            path.append((allowed & -allowed).bit_length() - 1)
+            return True
+        return False
     allowed = adj[last] & ~pmask & ~mid_nbrs & gt
     if len(path) >= 2:
         allowed &= ~adj[s]
-    for u in bits(allowed):
-        nxt = mid_nbrs | (adj[last] if len(path) >= 2 else 0)
-        res = _grow_cycle(path + [u], pmask | (1 << u), nxt, l, adj, s, gt)
-        if res is not None:
-            return res
-    return None
+        mid_nbrs |= adj[last]
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        path.append(low.bit_length() - 1)
+        if _grow_cycle(path, pmask | low, mid_nbrs, l, adj, s, gt):
+            return True
+        path.pop()
+    return False
 
 
 def find_all_induced_cycles(g: Graph, l: int) -> list[Embedding]:
@@ -289,42 +300,50 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
 
 
 def _match(g: Graph, pattern: Graph) -> Embedding | None:
-    """Generic matcher: assign pattern vertices 0, 1, ... to the lowest free
-    host vertex that keeps every edge and non-edge so far."""
+    """Generic matcher: the first copy :func:`iter_induced_copies` yields."""
+    return next(iter_induced_copies(g, pattern), None)
+
+
+def iter_induced_copies(g: Graph, pattern: Graph) -> Iterator[Embedding]:
+    """Every induced copy of ``pattern`` in ``g``, in ascending order of vmap.
+
+    Pattern vertices 0, 1, ... are assigned in turn, each to the free host
+    vertices that keep every edge and non-edge so far, lowest first; a host
+    vertex of smaller degree than the pattern vertex is never tried.
+    """
     p = pattern.n
     if p == 0:
-        return Embedding(0, ())
+        yield Embedding(0, ())
+        return
     if p > g.n:
-        return None
-    gdeg = [g.degree(v) for v in range(g.n)]
-    pdeg = [pattern.degree(i) for i in range(p)]
-    assign: list[int] = []
-    used = 0
-
-    def rec(i: int) -> bool:
-        nonlocal used
-        if i == p:
-            return True
-        allowed = g.full_mask() & ~used
+        return
+    adj, padj = g.adj, pattern.adj
+    fits = [
+        mask_of(v for v in range(g.n) if adj[v].bit_count() >= prow.bit_count())
+        for prow in padj
+    ]
+    assign = [0] * p
+    cand = [0] * p  # untried host vertices for each assigned position
+    cand[0] = fits[0]
+    i = 0
+    while i >= 0:
+        c = cand[i]
+        if not c:
+            i -= 1
+            continue
+        low = c & -c
+        cand[i] = c ^ low
+        assign[i] = low.bit_length() - 1
+        if i + 1 == p:
+            yield Embedding(p, tuple(assign))
+            continue
+        i += 1
+        allowed = fits[i]
+        prow = padj[i]
         for j in range(i):
-            if pattern.has_edge(j, i):
-                allowed &= g.adj[assign[j]]
-            else:
-                allowed &= ~g.adj[assign[j]]
-        for v in bits(allowed):
-            if gdeg[v] < pdeg[i]:
-                continue
-            assign.append(v)
-            used |= 1 << v
-            if rec(i + 1):
-                return True
-            assign.pop()
-            used &= ~(1 << v)
-        return False
-
-    if rec(0):
-        return Embedding(p, tuple(assign))
-    return None
+            u = assign[j]
+            allowed &= (adj[u] if prow >> j & 1 else ~adj[u]) & ~(1 << u)
+        cand[i] = allowed
 
 
 def is_free(

@@ -8,6 +8,16 @@ canonical code within each level.  Every graph in the target family is
 reachable this way — deleting any non-cut vertex of a connected family
 member leaves a smaller connected family member.
 
+Each parent is analysed once.  A table indexed by neighbourhood mask
+(:func:`_bad_masks`) marks the masks that put a forbidden pattern through
+the new vertex; it is built from the induced copies of each pattern minus
+one vertex in the parent, so it is exact for any pattern.  Masks are then
+walked in ascending order, and the parent's automorphisms (kept by
+:mod:`p6c4.canon`) skip every mask in the orbit of one already taken: its
+child is isomorphic to an earlier child of the same parent.  Only the
+remaining children are canonically labelled, and each level keeps the
+same labelled representatives as a walk over every mask would.
+
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
 (recorded, never extended) or properly contains one (hence no extension
@@ -17,13 +27,15 @@ can be minimal).
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, induced_subgraph, mask_of
 from . import canon, codec, coloring, detect, families, structure
 
 
@@ -59,22 +71,91 @@ def p6c4_config(**kw) -> SearchConfig:
     return SearchConfig(**kw)
 
 
-def _child_ok(child: Graph, forbidden: tuple[Graph, ...]) -> bool:
-    w = child.n - 1
-    return all(not detect.has_pattern_through(child, pat, w) for pat in forbidden)
+@lru_cache(maxsize=64)
+def _vertex_deleted(pat: Graph) -> tuple[tuple[Graph, int], ...]:
+    """``(H - x, N_H(x) as a mask of H - x)`` for one ``x`` per orbit of the
+    pattern's automorphisms (the other ``x`` give the same copies)."""
+    label = canon.orbits(pat.n, canon.automorphism_generators(pat))
+    out = []
+    for x in range(pat.n):
+        if label.index(label[x]) != x:
+            continue  # not the first vertex of its orbit
+        sub, keep = induced_subgraph(pat, [v for v in range(pat.n) if v != x])
+        nbrs = mask_of(i for i, v in enumerate(keep) if pat.has_edge(x, v))
+        out.append((sub, nbrs))
+    return tuple(out)
+
+
+def _bad_masks(parent: Graph, forbidden: tuple[Graph, ...]) -> bytearray:
+    """``bad[M]`` is 1 iff ``parent.add_vertex(M)`` has a forbidden pattern
+    through the new vertex ``w``.
+
+    Such a copy of H puts ``w`` on some pattern vertex ``x``; the rest is an
+    induced copy of ``H - x`` in the parent on a vertex set S, and ``w``
+    sees exactly the image R of ``N_H(x)`` inside S.  So the bad masks are
+    ``R | sub`` for every such (S, R) and every ``sub`` outside S.
+    """
+    full = parent.full_mask()
+    bad = bytearray(1 << parent.n)
+    pairs = set()
+    for pat in forbidden:
+        for sub, nbrs in _vertex_deleted(pat):
+            for emb in detect.iter_induced_copies(parent, sub):
+                vmap = emb.vmap
+                pairs.add(
+                    (mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs)))
+                )
+    for s_mask, r_mask in pairs:
+        rest = full & ~s_mask
+        sub = rest
+        while True:
+            bad[r_mask | sub] = 1
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return bad
 
 
 def _expand_parent(
     parent: Graph, forbidden: tuple[Graph, ...], connected_only: bool, early: bool
 ):
-    """All admissible one-vertex extensions of ``parent`` (with codes)."""
+    """All admissible one-vertex extensions of ``parent`` (with codes), one
+    per orbit of the parent's automorphisms on neighbourhood masks.
+
+    Masks are walked in ascending order.  The first free mask of an orbit
+    is kept and its whole orbit marked done: the later members give
+    children isomorphic to the kept one, which the level deduplication
+    would drop anyway, so skipping them changes no output.
+    """
+    n = parent.n
+    bad = _bad_masks(parent, forbidden) if early else bytearray(1 << n)
+    gens = canon.automorphism_generators(parent)
+    images = [_mask_images(s) for s in gens]
+    done = bytearray(1 << n)
     out = []
-    lo = 1 if connected_only else 0
-    for mask in range(lo, 1 << parent.n):
+    for mask in range(1 if connected_only else 0, 1 << n):
+        if bad[mask] or done[mask]:
+            continue
+        if images:
+            orbit = [mask]
+            done[mask] = 1
+            for m in orbit:
+                for img in images:
+                    if not done[img[m]]:
+                        done[img[m]] = 1
+                        orbit.append(img[m])
         child = parent.add_vertex(mask)
-        if not early or _child_ok(child, forbidden):
-            out.append((canon.canonical_code(child), child))
+        out.append((canon.canonical_code(child), child))
     return out
+
+
+def _mask_images(perm: tuple[int, ...]) -> list[int]:
+    """``img[M]`` is the image of vertex mask ``M`` under ``perm``."""
+    img = [0] * (1 << len(perm))
+    for m in range(1, len(img)):
+        low = m & -m
+        img[m] = img[m ^ low] | 1 << perm[low.bit_length() - 1]
+    return img
 
 
 def _expand_chunk(args: tuple[list[str], list[str], bool, bool]) -> list[tuple[bytes, str]]:
@@ -129,10 +210,10 @@ def _next_level(
 
 
 def _seeds(cfg: SearchConfig) -> list[Graph]:
-    k1 = Graph.from_edges(1, [])
-    if _child_ok(k1, cfg.forbidden):
-        return [k1]
-    return []
+    empty = Graph(0, ())
+    if _bad_masks(empty, cfg.forbidden)[0]:
+        return []
+    return [empty.add_vertex(0)]
 
 
 def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
@@ -159,8 +240,6 @@ def is_minimal_obstruction(g: Graph, k: int) -> bool:
     """Not k-colorable, but every proper induced subgraph is."""
     if coloring.k_color(g, k) is not None:
         return False
-    from .graphs import induced_subgraph
-
     for v in range(g.n):
         sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
         if coloring.k_color(sub, k) is None:
@@ -277,7 +356,16 @@ def _save_checkpoint(path, cfg, extendable, found, n, level_sizes) -> None:
         "obstructions": [codec.to_graph6(g) for _, g in found],
         "level_sizes": {str(k): v for k, v in level_sizes.items()},
     }
-    Path(path).write_text(json.dumps(payload))
+    # Write beside the target and rename over it, so a crash mid-write
+    # leaves the previous checkpoint intact.
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(json.dumps(payload))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _load_checkpoint(path, cfg):
@@ -323,8 +411,6 @@ def nice_check(h: Graph, k: int) -> NiceWitness | None:
     omega = len(detect.max_clique(h))
     if omega != k - 1:
         return None
-    from .graphs import induced_subgraph
-
     for a in range(h.n):
         for b in range(a + 1, h.n):
             if h.has_edge(a, b):

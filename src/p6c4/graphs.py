@@ -34,10 +34,11 @@ class Graph:
 
     Two memo slots hang off each graph and take no part in equality or
     hashing, which is sound because the graph never changes: ``_canon``
-    holds the canonical code and order once :mod:`p6c4.canon` has computed
-    them, and ``_found`` is :func:`p6c4.detect.find_induced_copy`'s answer
-    cache, a dict from ``(pattern.n, pattern.adj)`` to the first embedding
-    or ``None``.  Both start as ``None``.
+    holds the canonical code, the canonical order and the automorphism
+    generators once :mod:`p6c4.canon` has computed them, and ``_found`` is
+    :func:`p6c4.detect.find_induced_copy`'s answer cache, a dict from
+    ``(pattern.n, pattern.adj)`` to the first embedding or ``None``.  Both
+    start as ``None``.
     """
 
     __slots__ = ("n", "adj", "_canon", "_found")

@@ -44,14 +44,18 @@ def brute_k_color(g: Graph, k: int):
 
 def brute_induced_copy(g: Graph, pattern: Graph):
     """Injective-map enumeration; returns a vertex map or None."""
+    return next(brute_induced_copies(g, pattern), None)
+
+
+def brute_induced_copies(g: Graph, pattern: Graph):
+    """Every injective vertex map that is an induced copy of ``pattern``."""
     for combo in itertools.combinations(range(g.n), pattern.n):
         for perm in itertools.permutations(combo):
             if all(
                 g.has_edge(perm[a], perm[b]) == pattern.has_edge(a, b)
                 for a, b in itertools.combinations(range(pattern.n), 2)
             ):
-                return perm
-    return None
+                yield perm
 
 
 def count_calls(monkeypatch, module, name: str) -> list:

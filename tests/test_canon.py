@@ -97,3 +97,42 @@ def test_code_distinguishes_petersen_from_random_cubic():
         + [(i, 5 + i) for i in range(5)],
     )
     assert canon.canonical_code(pet) != canon.canonical_code(prism)
+
+
+def _group(n, gens):
+    """The permutation group ``gens`` generate, by closure."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        a = todo.pop()
+        for s in gens:
+            img = tuple(s[a[v]] for v in range(n))
+            if img not in group:
+                group.add(img)
+                todo.append(img)
+    return group
+
+
+def test_automorphism_generators_generate_the_automorphism_group():
+    """Each generator is an automorphism; on <= 5 vertices they generate all
+    of Aut(g), so orbit pruning in the enumerator loses nothing there."""
+    for n in range(6):
+        for g in all_graphs(n):
+            aut = {
+                p
+                for p in itertools.permutations(range(n))
+                if all(
+                    g.has_edge(p[u], p[v]) == g.has_edge(u, v)
+                    for u, v in itertools.combinations(range(n), 2)
+                )
+            }
+            gens = canon.automorphism_generators(g)
+            assert set(gens) <= aut
+            assert _group(n, gens) == aut
+
+
+def test_automorphism_generators_of_symmetric_graphs():
+    for g, order in [(families.petersen_graph(), 120), (families.cycle_graph(7), 14)]:
+        gens = canon.automorphism_generators(g)
+        assert all(g.relabel(s) == g for s in gens)
+        assert len(_group(g.n, gens)) == order

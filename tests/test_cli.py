@@ -320,3 +320,11 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"] == "colored"
+
+
+def test_successive_calls_each_log_to_the_current_stderr(tmp_path, capsys):
+    path = tmp_path / "two.g6"
+    path.write_text("C~\nCh\n")
+    for _ in range(2):
+        assert main(["color", "--k", "3", "--in", str(path)]) == 65
+        assert "found 2 graph6 lines" in capsys.readouterr().err

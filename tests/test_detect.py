@@ -4,7 +4,7 @@ import itertools
 
 from hypothesis import given, settings
 
-from conftest import brute_induced_copy, count_calls, graphs
+from conftest import brute_induced_copies, brute_induced_copy, count_calls, graphs
 from p6c4 import detect, families
 from p6c4.graphs import Graph
 
@@ -117,6 +117,28 @@ def test_generic_matcher_matches_oracle(g):
         assert (emb is None) == (brute_induced_copy(g, pattern) is None)
         if emb is not None:
             assert detect.verify_embedding(g, pattern, emb)
+
+
+@settings(max_examples=60)
+@given(graphs(max_n=7))
+def test_iter_induced_copies_yields_every_copy_in_order(g):
+    """All copies, each once, in ascending vmap order: the order the generic
+    matcher branches in, so its answer is the first."""
+    claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    for pattern in [
+        families.empty_graph(0),
+        families.empty_graph(2),
+        families.path_graph(4),
+        families.cycle_graph(4),
+        families.complete_graph(3),
+        families.wheel_graph(5),
+        claw,
+        Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)]),  # P1 + P4
+    ]:
+        copies = [emb.vmap for emb in detect.iter_induced_copies(g, pattern)]
+        assert copies == sorted(set(brute_induced_copies(g, pattern)))
+        first = next(detect.iter_induced_copies(g, pattern), None)
+        assert first == detect._match(g, pattern)
 
 
 @settings(max_examples=60)

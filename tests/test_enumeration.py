@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import itertools
+import json
 
 import pytest
 
 from conftest import all_graphs
-from p6c4 import canon, detect, families
+from p6c4 import canon, detect, enumeration, families
 from p6c4.enumeration import (
     NiceWitness,
     PruneFlags,
@@ -92,6 +94,57 @@ def test_config_validation():
         SearchConfig(k=0)
     with pytest.raises(ValueError):
         SearchConfig(workers=0)
+
+
+# -- child generation ------------------------------------------------------------
+
+
+FORBID_SETS = {
+    "P6,C4": P6C4,
+    "P6,C6": (families.path_graph(6), families.cycle_graph(6)),
+    "K3": (families.complete_graph(3),),
+    "W5": (families.wheel_graph(5),),
+    "claw": (families.pattern_by_name("g6:Cs"),),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORBID_SETS))
+def test_bad_mask_table_matches_has_pattern_through(name, small_free_family):
+    forbidden = FORBID_SETS[name]
+    for parent in small_free_family:
+        bad = enumeration._bad_masks(parent, forbidden)
+        assert len(bad) == 1 << parent.n
+        for mask in range(1 << parent.n):
+            child = parent.add_vertex(mask)
+            hit = any(detect.has_pattern_through(child, pat, parent.n) for pat in forbidden)
+            assert bad[mask] == hit, (parent.adj, mask)
+
+
+def _reference_expand(parent, forbidden, connected_only):
+    """Every mask, the localized checks, no orbit pruning."""
+    out = []
+    for mask in range(1 if connected_only else 0, 1 << parent.n):
+        child = parent.add_vertex(mask)
+        w = child.n - 1
+        if not any(detect.has_pattern_through(child, pat, w) for pat in forbidden):
+            out.append((canon.canonical_code(child), child))
+    return out
+
+
+def _first_occurrences(pairs) -> dict[bytes, tuple[int, ...]]:
+    first: dict[bytes, tuple[int, ...]] = {}
+    for code, child in pairs:
+        first.setdefault(code, child.adj)
+    return first
+
+
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_orbit_pruning_keeps_every_first_occurrence(connected_only):
+    cfg = SearchConfig(n_max=7, forbidden=P6C4, connected_only=connected_only)
+    for parent in enumerate_family(cfg):
+        new = enumeration._expand_parent(parent, P6C4, connected_only, True)
+        ref = _reference_expand(parent, P6C4, connected_only)
+        assert _first_occurrences(new) == _first_occurrences(ref)
 
 
 # -- minimal obstructions -------------------------------------------------------
@@ -191,6 +244,54 @@ def test_checkpoint_resume_matches_fresh_run(tmp_path):
     assert [canon.canonical_code(e.graph) for e in resumed.obstructions] == [
         canon.canonical_code(e.graph) for e in fresh.obstructions
     ]
+    assert resumed.level_sizes == fresh.level_sizes
+
+
+class _TornFile:
+    """A text file whose first write stores half the data, then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[: len(data) // 2])
+        self.f.flush()
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch):
+    ck = tmp_path / "ck.json"
+    cfg = p6c4_config(k=3, n_max=6)
+    real_save, real_open = enumeration._save_checkpoint, io.open
+    saves = []
+
+    def save(*args):
+        saves.append(args)
+        if len(saves) == 2:
+            monkeypatch.setattr(io, "open", lambda *a, **kw: _TornFile(real_open(*a, **kw)))
+        try:
+            real_save(*args)
+        finally:
+            monkeypatch.setattr(io, "open", real_open)
+
+    monkeypatch.setattr(enumeration, "_save_checkpoint", save)
+    with pytest.raises(OSError, match="disk full"):
+        enumerate_critical(cfg, checkpoint=ck)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+    assert json.loads(ck.read_text())["level"] == 2
+
+    messages = []
+    resumed = enumerate_critical(cfg, checkpoint=ck, log=messages.append)
+    assert any("resumed at level 2" in m for m in messages)
+    fresh = enumerate_critical(cfg)
+    assert [e.graph for e in resumed.obstructions] == [e.graph for e in fresh.obstructions]
     assert resumed.level_sizes == fresh.level_sizes
 
 
