@@ -5,7 +5,8 @@ JSON results go to ``--out`` or standard output; human-readable progress goes
 to standard error.  The ``color`` command's exit status encodes its
 certificate: 0 colored, 2 obstructed, 3 uncataloged obstruction, 4 input not
 (P6,C4)-free under ``--strict``.  Other commands exit 0 on success and 1 when
-a requested check fails; 64/65/66 flag usage, data, and file errors.
+a requested check fails; 64/65/66 flag usage, data, and file errors.  An input
+that exceeds Python's recursion limit also exits 65.
 """
 
 from __future__ import annotations
@@ -382,6 +383,11 @@ def main(argv=None) -> int:
         return EXIT_NOFILE
     except ValueError as exc:
         log.error("%s", exc)
+        return EXIT_DATA
+    except RecursionError:
+        # The recursive coloring search, and json of a very deep
+        # decomposition tree, run out of stack on some large inputs.
+        log.error("input too large: recursion limit exceeded")
         return EXIT_DATA
 
 

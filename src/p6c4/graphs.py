@@ -32,16 +32,18 @@ class Graph:
     Equality and hashing are *labelled* (same n, same adjacency rows);
     use :func:`p6c4.canon.is_isomorphic` for unlabelled comparison.
 
-    Two memo slots hang off each graph and take no part in equality or
+    Three memo slots hang off each graph and take no part in equality or
     hashing, which is sound because the graph never changes: ``_canon``
     holds the canonical code, the canonical order and the automorphism
-    generators once :mod:`p6c4.canon` has computed them, and ``_found`` is
+    generators once :mod:`p6c4.canon` has computed them; ``_found`` is
     :func:`p6c4.detect.find_induced_copy`'s answer cache, a dict from
-    ``(pattern.n, pattern.adj)`` to the first embedding or ``None``.  Both
-    start as ``None``.
+    ``(pattern.n, pattern.adj)`` to the first embedding or ``None``; and
+    ``_cutset`` is :func:`p6c4.structure.find_clique_cutset`'s answer.
+    ``_canon`` and ``_found`` start as ``None``; ``_cutset`` starts as
+    ``False``, because ``None`` there is an answer (no clique cutset).
     """
 
-    __slots__ = ("n", "adj", "_canon", "_found")
+    __slots__ = ("n", "adj", "_canon", "_found", "_cutset")
 
     def __init__(self, n: int, adj: tuple[int, ...], _checked: bool = False):
         if not _checked:
@@ -63,6 +65,7 @@ class Graph:
         self.adj = tuple(adj)
         self._canon = None
         self._found = None
+        self._cutset = False
 
     # -- construction -----------------------------------------------------
 
@@ -140,14 +143,16 @@ class Graph:
         rows = tuple((full & ~self.adj[v]) & ~(1 << v) for v in range(self.n))
         return Graph(self.n, rows, _checked=True)
 
-    def component_mask(self, start: int) -> int:
+    def component_mask(self, start: int, within: int = -1) -> int:
+        """The component of ``start`` in the subgraph induced by the vertex
+        mask ``within`` (default: every vertex); ``start`` must be in it."""
         seen = 1 << start
         frontier = seen
         while frontier:
             nxt = 0
             for v in bits(frontier):
                 nxt |= self.adj[v]
-            frontier = nxt & ~seen
+            frontier = nxt & within & ~seen
             seen |= frontier
         return seen
 

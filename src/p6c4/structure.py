@@ -6,9 +6,11 @@ of adjacency laws that hold in every connected (P6,C4)-free graph.  Each
 law is evaluated as a predicate with a replayable witness on violation,
 so the checker doubles as an audit tool on graphs *outside* the class.
 
-Clique cutsets are found by enumerating all minimal separators through
-repeated neighborhood deletion and keeping those that induce cliques;
-correctness-first, fine at desk scale.
+Clique cutsets come from one MCS-M minimal triangulation per graph: the
+minimal separators of a minimal triangulation that are cliques in the
+graph are exactly its clique minimal separators, and MCS-M lists at most
+n - 1 of them.  ``minimal_separators`` enumerates every minimal separator,
+which can take exponential time; it is kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -380,12 +382,17 @@ def is_dominating(g: Graph, s) -> bool:
 # -- clique cutsets ----------------------------------------------------------
 
 
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
 def minimal_separators(g: Graph) -> list[frozenset[int]]:
     """All minimal vertex separators of a connected graph.
 
     Uses the neighborhood-deletion closure; on a disconnected graph the
-    empty separator is not reported (callers that care about clique
-    cutsets handle that case before calling).
+    empty separator is not reported.  There can be exponentially many, so
+    the program itself never calls this: it is the oracle the tests hold
+    :func:`find_clique_cutset` and :func:`mcs_m_separators` to.
     """
     if g.n == 0:
         return []
@@ -429,13 +436,89 @@ def minimal_separators(g: Graph) -> list[frozenset[int]]:
     )
 
 
+def mcs_m_separators(g: Graph) -> list[int]:
+    """The minimal separators of an MCS-M minimal triangulation of ``g``.
+
+    ``g`` must be connected.  MCS-M (Berry, Blair, Heggernes & Peyton,
+    Algorithmica 39 (2004)) numbers the vertices from n down to 1, each
+    time taking the lowest unnumbered vertex of largest label.  Every
+    unnumbered vertex y reachable from it through unnumbered vertices of
+    labels below y's gets its label raised and the chosen vertex added to ``madj[y]``;
+    those additions are the edges of the triangulation H.  A vertex
+    chosen with a label no larger than the previous pick's is a
+    generator, and the ``madj`` sets of the generators are exactly the
+    minimal separators of H (Berry, Pogorelcnik & Simonet, Algorithms 3
+    (2010)).  Returns them as vertex masks, at most n - 1 of them, in the
+    order found; a separator may repeat.
+    """
+    adj = g.adj
+    n = g.n
+    label = [0] * n
+    buckets = [0] * (n + 1)  # buckets[l]: unnumbered vertices of label l
+    buckets[0] = unnumbered = g.full_mask()
+    madj = [0] * n
+    top = 0
+    prev = -1
+    seps: list[int] = []
+    for _ in range(n):
+        while not buckets[top]:
+            top -= 1
+        x = _lowest(buckets[top])
+        if top <= prev:
+            seps.append(madj[x])
+        prev = top
+        xbit = 1 << x
+        buckets[top] &= ~xbit
+        unnumbered &= ~xbit
+        # y is reached iff it neighbours x or a vertex of ``inner``, the
+        # part of {label < label(y)} that x reaches through that set.
+        near = adj[x] & unnumbered
+        inner = low = reach = 0
+        for lvl in range(top + 1):
+            here = buckets[lvl]
+            if here & ~near:  # grow ``inner`` only when it can reach more
+                new = near & low & ~inner
+                while new:
+                    inner |= new
+                    for v in bits(new):
+                        near |= adj[v]
+                    near &= unnumbered
+                    new = near & low & ~inner
+            reach |= near & here
+            low |= here
+        for y in bits(reach):
+            lvl = label[y]
+            label[y] = lvl + 1
+            ybit = 1 << y
+            buckets[lvl] &= ~ybit
+            buckets[lvl + 1] |= ybit
+            madj[y] |= xbit
+        top += 1  # a reached vertex may now outrank the rest
+    return seps
+
+
 def find_clique_cutset(g: Graph):
     """A clique whose removal disconnects ``g``, with the two sides.
 
     Returns ``(cutset, side, rest)`` as frozensets, or None.  For a
     disconnected graph the empty clique qualifies.  The cutset returned is
-    the first clique minimal separator in (size, lex) order.
+    the first clique minimal separator in (size, sorted vertices) order;
+    ``side`` is the component of ``g - cutset`` holding its lowest vertex.
+
+    The clique minimal separators of ``g`` are exactly the minimal
+    separators of any minimal triangulation that are cliques in ``g``
+    (Berry, Pogorelcnik & Simonet 2010), so one MCS-M pass
+    (:func:`mcs_m_separators`) yields them all, whatever its tie-breaks,
+    without enumerating the minimal separators of ``g`` itself.  The
+    answer is memoized in ``g._cutset``.
     """
+    memo = g._cutset
+    if memo is False:
+        memo = g._cutset = _clique_cutset(g)
+    return memo
+
+
+def _clique_cutset(g: Graph):
     if g.n == 0:
         return None
     comps = g.components()
@@ -443,24 +526,17 @@ def find_clique_cutset(g: Graph):
         side = comps[0]
         rest = frozenset(v for comp in comps[1:] for v in comp)
         return frozenset(), side, rest
-    for sep in minimal_separators(g):
-        smask = mask_of(sep)
-        if g.is_clique(smask):
-            remaining = g.full_mask() & ~smask
-            start = (remaining & -remaining).bit_length() - 1
-            comp = 0
-            frontier = 1 << start
-            comp = frontier
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= g.adj[v]
-                frontier = nxt & remaining & ~comp
-                comp |= frontier
-            side = frozenset(bits(comp))
-            rest = frozenset(bits(remaining & ~comp))
-            return sep, side, rest
-    return None
+    cliques = [m for m in set(mcs_m_separators(g)) if g.is_clique(m)]
+    if not cliques:
+        return None
+    smask = min(cliques, key=lambda m: (m.bit_count(), list(bits(m))))
+    remaining = g.full_mask() & ~smask
+    comp = g.component_mask(_lowest(remaining), remaining)
+    return (
+        frozenset(bits(smask)),
+        frozenset(bits(comp)),
+        frozenset(bits(remaining & ~comp)),
+    )
 
 
 @dataclass(frozen=True)
@@ -484,42 +560,59 @@ class CutsetNode:
 
 
 def decompose(g: Graph) -> CutsetNode:
-    """Recursive clique cutset decomposition down to atoms."""
+    """Clique cutset decomposition down to atoms.
 
-    def build(vset: tuple[int, ...]) -> CutsetNode:
+    Each piece is split along :func:`find_clique_cutset` of its induced
+    subgraph; its children are the components of the piece minus the
+    cutset, each with the cutset added back, in order of their lowest
+    vertex.  The pieces are walked with an explicit stack, so a deep tree
+    (a long path has depth n - 2) needs no recursion.
+    """
+
+    def split(vset: tuple[int, ...]):
+        """The cutset of a piece in host ids and its child pieces, or
+        ``(None, ())`` for an atom."""
         sub, vmap = induced_subgraph(g, vset)
         hit = find_clique_cutset(sub)
         if hit is None:
-            return CutsetNode(vset, None, ())
-        cut, _, _ = hit
-        cut_host = tuple(sorted(vmap[i] for i in cut))
-        cut_mask = mask_of(cut)
+            return None, ()
+        cut_mask = mask_of(hit[0])
         remaining = sub.full_mask() & ~cut_mask
-        children = []
+        pieces = []
         while remaining:
-            start = (remaining & -remaining).bit_length() - 1
-            comp = 1 << start
-            frontier = comp
-            while frontier:
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= sub.adj[v]
-                frontier = nxt & remaining & ~comp
-                comp |= frontier
-            child_vs = tuple(sorted(vmap[i] for i in bits(comp | cut_mask)))
-            children.append(build(child_vs))
+            comp = sub.component_mask(_lowest(remaining), remaining)
+            pieces.append(tuple([vmap[i] for i in bits(comp | cut_mask)]))
             remaining &= ~comp
-        return CutsetNode(vset, cut_host, tuple(children))
+        assert len(pieces) > 1, "clique cutset does not separate"
+        return tuple([vmap[i] for i in bits(cut_mask)]), pieces
 
-    return build(tuple(range(g.n)))
+    # One frame (vertices, cutset, child pieces, finished children) per
+    # piece whose subtree is still being built.
+    vset = tuple(range(g.n))
+    stack = [(vset, *split(vset), [])]
+    while True:
+        vset, cut, pieces, done = stack[-1]
+        if len(done) < len(pieces):
+            child = pieces[len(done)]
+            stack.append((child, *split(child), []))
+            continue
+        node = CutsetNode(vset, cut, tuple(done))
+        stack.pop()
+        if not stack:
+            return node
+        stack[-1][3].append(node)
 
 
 def atom_list(tree: CutsetNode) -> list[tuple[int, ...]]:
-    if not tree.children:
-        return [tree.vertices]
+    """The leaves of ``tree``, left to right."""
     out: list[tuple[int, ...]] = []
-    for ch in tree.children:
-        out.extend(atom_list(ch))
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if node.children:
+            todo.extend(reversed(node.children))
+        else:
+            out.append(node.vertices)
     return out
 
 

@@ -6,6 +6,7 @@ against something whose correctness is obvious.
 """
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -70,6 +71,15 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def stack_depth() -> int:
+    """Frames on the caller's stack; tests lower the recursion limit to this
+    plus a margin to show that code does not recurse per vertex."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 def brute_isomorphic(a: Graph, b: Graph) -> bool:

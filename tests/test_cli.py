@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from conftest import stack_depth
 from p6c4 import codec, coloring, detect, families
 from p6c4.cli import main
 from p6c4.graphs import Graph
@@ -132,6 +133,24 @@ def test_decompose_reports_atoms(tmp_path, capsys):
     assert code == 0
     assert sorted(map(tuple, payload["atoms"])) == [(0, 1, 2), (2, 3, 4)]
     assert payload["tree"]["cutset"] == [2]
+
+
+@pytest.mark.parametrize(
+    "argv", [["decompose"], ["color", "--k", "3"]], ids=["decompose", "color"]
+)
+def test_too_deep_for_the_recursion_limit_exits_65(tmp_path, capsys, argv):
+    # A 200-level decomposition tree is too deep for json, and the
+    # coloring search recurses once per vertex.
+    path = write_graph(tmp_path, families.path_graph(200))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 150)
+    try:
+        code = main(argv + ["--in", path])
+    finally:
+        sys.setrecursionlimit(limit)
+    captured = capsys.readouterr()
+    assert code == 65 and captured.out == ""
+    assert captured.err == "input too large: recursion limit exceeded\n"
 
 
 # -- enumerate ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ Each case in ``tests/data/golden/cases.json`` gives the arguments of one
 command (``{golden}`` stands for the data directory) and its exit status;
 ``<name>.out`` holds its expected standard output.  The corpus covers
 ``detect`` (named and ``g6:`` patterns, hits and misses), ``props
---all-c5``, ``color --certify --strict`` and ``reduce ghi|nae --check``.
+--all-c5``, ``color --certify --strict``, ``decompose`` and ``reduce
+ghi|nae --check``.
 Any change to the search code must reproduce these outputs exactly.
 
 To add a case, append it to ``cases.json`` without an ``exit`` key and run

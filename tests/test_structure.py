@@ -1,13 +1,16 @@
 """Five-cycle attachment laws, separators, decomposition, and recognition."""
 
 import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import all_graphs, graphs
-from p6c4 import canon, detect, families, structure
-from p6c4.graphs import Graph, induced_subgraph
+from conftest import all_graphs, count_calls, graphs, stack_depth
+from p6c4 import canon, detect, enumeration, families, structure
+from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
 
 
 def ring5(extra_n, extra_edges):
@@ -308,6 +311,139 @@ def test_decompose_covers_and_separates(g):
     for a in atoms:
         sub, _ = induced_subgraph(g, a)
         assert structure.find_clique_cutset(sub) is None
+
+
+def _reference_clique_cutset(g):
+    """find_clique_cutset as it was before MCS-M: the first clique among all
+    minimal separators of ``g``, in (size, sorted vertices) order."""
+    if g.n == 0:
+        return None
+    comps = g.components()
+    if len(comps) > 1:
+        return frozenset(), comps[0], frozenset().union(*comps[1:])
+    for sep in structure.minimal_separators(g):
+        if g.is_clique(mask_of(sep)):
+            rest, vmap = induced_subgraph(g, set(range(g.n)) - sep)
+            comp = next(c for c in rest.components() if 0 in c)
+            side = frozenset(vmap[i] for i in comp)
+            return sep, side, frozenset(vmap) - side
+    return None
+
+
+@pytest.fixture(scope="module")
+def family8():
+    """All connected (P6,C4)-free graphs with at most 8 vertices."""
+    cfg = enumeration.SearchConfig(
+        n_max=8, forbidden=(families.path_graph(6), families.cycle_graph(4))
+    )
+    return list(enumeration.enumerate_family(cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(min_n=0, max_n=12))
+def test_find_clique_cutset_matches_reference(g):
+    assert structure.find_clique_cutset(g) == _reference_clique_cutset(g)
+
+
+def test_find_clique_cutset_matches_reference_on_family8(family8):
+    assert len(family8) == 2036
+    for g in family8:
+        assert structure.find_clique_cutset(g) == _reference_clique_cutset(g)
+
+
+def _relabelled_candidates(g, perm):
+    """MCS-M's candidates on ``g`` relabelled by ``perm``, mapped back to
+    the vertex ids of ``g``."""
+    back = []
+    for m in structure.mcs_m_separators(g.relabel(perm)):
+        back.append(mask_of(v for v in range(g.n) if m >> perm[v] & 1))
+    return back
+
+
+# The clique candidates must not depend on how MCS-M breaks ties, even
+# though the triangulation, and so the full candidate list, does.  MCS-M
+# always takes the lowest vertex on ties, so relabelling the graph is what
+# changes the tie-breaks.
+@settings(max_examples=120, deadline=None)
+@given(graphs(min_n=1, max_n=10), st.integers(0, 2**32))
+def test_mcs_m_separators_are_minimal_separators(g, seed):
+    assume(g.is_connected())
+    seps = {mask_of(s) for s in structure.minimal_separators(g)}
+    cliques = {m for m in seps if g.is_clique(m)}
+    rng = random.Random(seed)
+    perms = [tuple(range(g.n)), tuple(reversed(range(g.n)))]
+    perms += [tuple(rng.sample(range(g.n), g.n)) for _ in range(3)]
+    for perm in perms:
+        found = _relabelled_candidates(g, perm)
+        assert len(found) < max(g.n, 1)
+        assert set(found) <= seps
+        assert {m for m in found if g.is_clique(m)} == cliques
+
+
+def test_mcs_m_separators_examples():
+    # A clique raises every label: no generator, no separator.
+    assert structure.mcs_m_separators(families.complete_graph(5)) == []
+    # A path's minimal separators are its inner vertices.
+    found = structure.mcs_m_separators(families.path_graph(6))
+    assert sorted(found) == [1 << v for v in range(1, 5)]
+    # C5 triangulates into a fan; its two chords' ends separate.
+    assert all(m.bit_count() == 2 for m in structure.mcs_m_separators(families.cycle_graph(5)))
+
+
+def test_cutset_memo_second_call_runs_no_search(monkeypatch):
+    calls = count_calls(monkeypatch, structure, "_clique_cutset")
+    bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (3, 4)])
+    first = structure.find_clique_cutset(bowtie)
+    assert structure.find_clique_cutset(bowtie) is first
+    assert len(calls) == 1
+    # a fresh but equal graph starts with an empty memo
+    structure.find_clique_cutset(Graph(bowtie.n, bowtie.adj))
+    assert len(calls) == 2
+
+
+def test_cutset_memo_keeps_a_none_answer(monkeypatch):
+    calls = count_calls(monkeypatch, structure, "_clique_cutset")
+    g = families.petersen_graph()
+    assert g._cutset is False
+    assert structure.find_clique_cutset(g) is None
+    assert g._cutset is None
+    assert structure.find_clique_cutset(g) is None
+    assert len(calls) == 1
+
+
+def test_cutset_memo_does_not_affect_equality_or_hashing():
+    a = families.path_graph(4)
+    b = families.path_graph(4)
+    structure.find_clique_cutset(a)
+    assert a._cutset and b._cutset is False
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+def test_induced_subgraphs_start_without_a_cutset_memo():
+    g = families.path_graph(5)
+    structure.find_clique_cutset(g)
+    sub, _ = induced_subgraph(g, range(g.n))
+    assert sub == g and sub._cutset is False
+    assert structure.find_clique_cutset(sub) == g._cutset
+
+
+def test_decompose_deep_path_needs_no_recursion():
+    n = 300
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)  # far below the tree depth
+    try:
+        tree = structure.decompose(families.path_graph(n))
+        atoms = structure.atom_list(tree)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert atoms == [(v, v + 1) for v in range(n - 1)]
+    depth, node = 0, tree
+    while node.children:
+        assert node.cutset == (depth + 1,)
+        assert [ch.vertices[0] for ch in node.children] == [depth, depth + 1]
+        depth, node = depth + 1, node.children[1]
+    assert depth == n - 2
 
 
 def test_decompose_tree_shape():
