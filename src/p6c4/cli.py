@@ -208,17 +208,7 @@ def cmd_enumerate(args) -> int:
         lines = [codec.to_graph6(e.graph) for e in run.obstructions]
         manifest["count"] = len(lines)
         manifest["level_sizes"] = run.level_sizes
-        manifest["entries"] = [
-            {
-                "id": e.id,
-                "k": e.k,
-                "n": e.graph.n,
-                "line": codec.to_graph6(e.graph),
-                "provenance": e.provenance,
-                "verified": e.verified,
-            }
-            for e in run.obstructions
-        ]
+        manifest["entries"] = [coloring.manifest_entry(e) for e in run.obstructions]
     else:  # nice
         results = enumeration.find_nice_critical(k, args.max_n, forbidden, workers)
         lines = [codec.to_graph6(g) for g, _ in results]

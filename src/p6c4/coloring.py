@@ -175,19 +175,21 @@ def catalog_save(entries: list[ObstructionEntry], path: str | Path, n_max: int |
     manifest = {
         "k": entries[0].k if entries else None,
         "n_max_searched": n_max,
-        "entries": [
-            {
-                "id": e.id,
-                "k": e.k,
-                "n": e.graph.n,
-                "line": codec.to_graph6(e.graph),
-                "provenance": e.provenance,
-                "verified": e.verified,
-            }
-            for e in entries
-        ],
+        "entries": [manifest_entry(e) for e in entries],
     }
     path.with_suffix(".json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def manifest_entry(e: ObstructionEntry) -> dict:
+    """The manifest record of one entry, shared by catalogs and ``enumerate``."""
+    return {
+        "id": e.id,
+        "k": e.k,
+        "n": e.graph.n,
+        "line": codec.to_graph6(e.graph),
+        "provenance": e.provenance,
+        "verified": e.verified,
+    }
 
 
 def catalog_load(path: str | Path) -> list[ObstructionEntry]:
@@ -333,28 +335,36 @@ def certify_color(
     return Certificate("colored", k, coloring=coloring)
 
 
-def _color_tree(g: Graph, node, k: int) -> dict[int, int] | tuple[int, ...]:
+def _color_tree(g: Graph, tree, k: int) -> dict[int, int] | tuple[int, ...]:
     """Color a cutset-tree bottom-up, permuting child palettes to agree on cuts.
 
     Returns the merged assignment, or the vertex tuple of the first atom
-    that is not k-colorable.
+    that is not k-colorable.  The tree is walked with an explicit stack of
+    ``[node, merged children, next child]`` frames, so a deep tree needs
+    no recursion.
     """
-    if not node.children:
-        sub, vmap = induced_subgraph(g, node.vertices)
-        col = k_color(sub, k)
-        if col is None:
-            return node.vertices
-        return {vmap[i]: col.assignment[i] for i in range(sub.n)}
-    result: dict[int, int] = {}
-    cut = node.cutset or ()
-    for child in node.children:
-        part = _color_tree(g, child, k)
-        if isinstance(part, tuple):
+    stack: list[list] = [[tree, {}, 0]]
+    while True:
+        frame = stack[-1]
+        node, part, i = frame
+        if i < len(node.children):
+            frame[2] = i + 1
+            stack.append([node.children[i], {}, 0])
+            continue
+        if not node.children:
+            sub, vmap = induced_subgraph(g, node.vertices)
+            col = k_color(sub, k)
+            if col is None:
+                return node.vertices
+            part = {vmap[u]: col.assignment[u] for u in range(sub.n)}
+        stack.pop()
+        if not stack:
             return part
+        parent, result = stack[-1][:2]
         if not result:
             result.update(part)
             continue
-        perm = {part[v]: result[v] for v in cut}
+        perm = {part[v]: result[v] for v in parent.cutset or ()}
         free_targets = [c for c in range(1, k + 1) if c not in perm.values()]
         for c in range(1, k + 1):
             if c not in perm:
@@ -364,4 +374,3 @@ def _color_tree(g: Graph, node, k: int) -> dict[int, int] | tuple[int, ...]:
                 assert result[v] == perm[c], "children disagree on the cutset"
             else:
                 result[v] = perm[c]
-    return result

@@ -7,6 +7,11 @@ design; inputs here are desk-scale.
 An :class:`Embedding` maps pattern vertices to host vertices and must
 preserve both edges and non-edges (induced copies throughout).
 
+There is one search per shape: :func:`_grow_path` for induced paths,
+the iterative :func:`_iter_cycles` for induced cycles (it lists every
+ring; :func:`find_induced_cycle` takes the first), and the iterative
+:func:`iter_induced_copies` for any other pattern.
+
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
 labelled in path or ring order to :func:`find_induced_path` or
@@ -14,6 +19,10 @@ labelled in path or ring order to :func:`find_induced_path` or
 :func:`_match`.  All three return the same first embedding, so the
 dispatch changes no answer.  Answers are memoized on the host graph (see
 :class:`p6c4.graphs.Graph`), so repeating a search on one graph is free.
+
+:func:`has_pattern_through` (a copy using a given vertex) is the test
+oracle for the enumerator's per-parent neighbourhood tables; the program
+itself does not call it.
 """
 
 from __future__ import annotations
@@ -90,76 +99,54 @@ def _grow_path(
 # -- induced cycles --------------------------------------------------------
 
 
-def find_induced_cycle(g: Graph, l: int) -> Embedding | None:
-    """First induced cycle on ``l`` vertices, as a C_l embedding in ring order."""
+def _iter_cycles(g: Graph, l: int) -> Iterator[tuple[int, ...]]:
+    """Every induced C_l as a ring from its minimum vertex, in both
+    directions, in ascending order.
+
+    From each start s, the ring grows as a chordless path on vertices above
+    s, lowest candidate first; its inner vertices miss s, and the last one
+    closes back to s.  ``block[i]`` holds the vertices no later position
+    may use once ``ring[i]`` is placed: the ring so far, the vertices up to
+    s, and the neighbours of ``ring[1..i-1]``.
+    """
     if l < 3:
         raise ValueError("l must be at least 3")
-    if l > g.n:
-        return None
     adj = g.adj
-    for s in range(g.n):
-        gt = ~((1 << (s + 1)) - 1)  # vertices > s, so s is the ring minimum
-        ring = [s]
-        if _grow_cycle(ring, 1 << s, 0, l, adj, s, gt):
-            return Embedding(l, tuple(ring))
-    return None
+    ring = [0] * l
+    block = [0] * l
+    cand = [0] * l  # untried vertices for each placed position
+    for s in range(g.n - l + 1):  # the ring minimum has l - 1 vertices above it
+        ns = adj[s]
+        ring[0] = s
+        block[0] = (2 << s) - 1
+        cand[1] = ns & ~block[0]
+        i = 1
+        while i:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            v = ring[i] = low.bit_length() - 1
+            if i == l - 1:
+                yield tuple(ring)
+                continue
+            block[i] = block[i - 1] | low | (adj[ring[i - 1]] if i > 1 else 0)
+            allowed = adj[v] & ~block[i]
+            i += 1
+            cand[i] = allowed & ns if i == l - 1 else allowed & ~ns
 
 
-def _grow_cycle(path, pmask, mid_nbrs, l, adj, s, gt) -> bool:
-    """Chordless paths from s using vertices > s; close back to s at length l.
-
-    Grows ``path`` in place and leaves it as it came on failure.
-    ``mid_nbrs`` holds neighbours of path[0..-2] except s's own (tracked so
-    the closing vertex may touch s but nothing else before the end).
-    """
-    last = path[-1]
-    if len(path) == l - 1:
-        allowed = adj[last] & adj[s] & ~pmask & ~mid_nbrs & gt
-        if allowed:
-            path.append((allowed & -allowed).bit_length() - 1)
-            return True
-        return False
-    allowed = adj[last] & ~pmask & ~mid_nbrs & gt
-    if len(path) >= 2:
-        allowed &= ~adj[s]
-        mid_nbrs |= adj[last]
-    while allowed:
-        low = allowed & -allowed
-        allowed ^= low
-        path.append(low.bit_length() - 1)
-        if _grow_cycle(path, pmask | low, mid_nbrs, l, adj, s, gt):
-            return True
-        path.pop()
-    return False
+def find_induced_cycle(g: Graph, l: int) -> Embedding | None:
+    """First induced cycle on ``l`` vertices, as a C_l embedding in ring order."""
+    ring = next(_iter_cycles(g, l), None)
+    return None if ring is None else Embedding(l, ring)
 
 
 def find_all_induced_cycles(g: Graph, l: int) -> list[Embedding]:
     """Every induced C_l, one embedding per cycle (canonical ring order)."""
-    if l < 3:
-        raise ValueError("l must be at least 3")
-    out: list[Embedding] = []
-    adj = g.adj
-
-    def grow(path, pmask, mid_nbrs, s, gt):
-        last = path[-1]
-        if len(path) == l - 1:
-            allowed = adj[last] & adj[s] & ~pmask & ~mid_nbrs & gt
-            for u in bits(allowed):
-                ring = path + [u]
-                if ring[1] < ring[-1]:  # fix direction: one embedding per cycle
-                    out.append(Embedding(l, tuple(ring)))
-            return
-        allowed = adj[last] & ~pmask & ~mid_nbrs & gt
-        if len(path) >= 2:
-            allowed &= ~adj[s]
-        for u in bits(allowed):
-            nxt = mid_nbrs | (adj[last] if len(path) >= 2 else 0)
-            grow(path + [u], pmask | (1 << u), nxt, s, gt)
-
-    for s in range(g.n):
-        gt = ~((1 << (s + 1)) - 1)
-        grow([s], 1 << s, 0, s, gt)
-    return out
+    return [Embedding(l, ring) for ring in _iter_cycles(g, l) if ring[1] < ring[-1]]
 
 
 def find_hole(g: Graph) -> Embedding | None:
@@ -376,133 +363,7 @@ def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
     return "generic", n, False
 
 
-# -- localized variants (used by the enumerator on freshly added vertices) --
-
-
-def has_c4_through(g: Graph, w: int) -> bool:
-    """Is there an induced C4 containing vertex ``w``?"""
-    adj = g.adj
-    nw = adj[w]
-    outside = g.full_mask() & ~nw & ~(1 << w)
-    nbrs = list(bits(nw))
-    for ai in range(len(nbrs)):
-        a = nbrs[ai]
-        for ci in range(ai + 1, len(nbrs)):
-            c = nbrs[ci]
-            if adj[a] >> c & 1:
-                continue
-            if adj[a] & adj[c] & outside:
-                return True
-    return False
-
-
-def has_path_through(g: Graph, t: int, w: int) -> bool:
-    """Is there an induced P_t containing vertex ``w``?
-
-    A P_t through ``w`` splits into two chordless arms meeting at ``w``;
-    arms are mutually non-adjacent apart from their shared endpoint.
-    """
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    if t > g.n:
-        return False
-    if t == 1:
-        return True
-    adj = g.adj
-
-    def grow_left(path, pmask, earlier, r, rmask, rblock):
-        if len(path) - 1 == r:
-            return True
-        last = path[-1]
-        allowed = adj[last] & ~pmask & ~earlier & ~rmask & ~rblock
-        for u in bits(allowed):
-            if grow_left(path + [u], pmask | (1 << u), earlier | adj[last], r, rmask, rblock):
-                return True
-        return False
-
-    def grow_right(path, pmask, earlier, m):
-        if len(path) - 1 == m:
-            r = t - 1 - m
-            if r == 0:
-                return True
-            rblock = 0
-            for x in path[1:]:
-                rblock |= adj[x]
-            return grow_left([w], 1 << w, 0, r, pmask & ~(1 << w), rblock)
-        last = path[-1]
-        allowed = adj[last] & ~pmask & ~earlier
-        for u in bits(allowed):
-            if grow_right(path + [u], pmask | (1 << u), earlier | adj[last], m):
-                return True
-        return False
-
-    return any(grow_right([w], 1 << w, 0, m) for m in range(t - 1, -1, -1))
-
-
-def has_cycle_through(g: Graph, l: int, w: int) -> bool:
-    """Is there an induced C_l containing vertex ``w``?"""
-    adj = g.adj
-    full = g.full_mask()
-
-    def grow(path, pmask, mid_nbrs):
-        last = path[-1]
-        if len(path) == l - 1:
-            return bool(adj[last] & adj[w] & ~pmask & ~mid_nbrs & full)
-        allowed = adj[last] & ~pmask & ~mid_nbrs
-        if len(path) >= 2:
-            allowed &= ~adj[w]
-        for u in bits(allowed):
-            nxt = mid_nbrs | (adj[last] if len(path) >= 2 else 0)
-            if grow(path + [u], pmask | (1 << u), nxt):
-                return True
-        return False
-
-    return grow([w], 1 << w, 0)
-
-
 def has_pattern_through(g: Graph, pat: Graph, w: int) -> bool:
-    """Is there an induced copy of ``pat`` using vertex ``w``?
-
-    Specialized for paths/cycles; general patterns fall back to a matcher
-    that pins one pattern vertex to ``w``.
-    """
-    kind, size, _ = _pattern_shape(pat)
-    if kind == "path":
-        return has_path_through(g, size, w)
-    if kind == "cycle":
-        return has_cycle_through(g, size, w)
-    for anchor in range(pat.n):
-        if _find_copy_pinned(g, pat, anchor, w):
-            return True
-    return False
-
-
-def _find_copy_pinned(g: Graph, pat: Graph, anchor: int, w: int) -> bool:
-    p = pat.n
-    order = [anchor] + [i for i in range(p) if i != anchor]
-    assign: dict[int, int] = {}
-    used = 0
-
-    def rec(idx: int) -> bool:
-        nonlocal used
-        if idx == p:
-            return True
-        i = order[idx]
-        allowed = g.full_mask() & ~used
-        if idx == 0:
-            allowed &= 1 << w
-        for j in assign:
-            if pat.has_edge(j, i):
-                allowed &= g.adj[assign[j]]
-            else:
-                allowed &= ~g.adj[assign[j]]
-        for v in bits(allowed):
-            assign[i] = v
-            used |= 1 << v
-            if rec(idx + 1):
-                return True
-            del assign[i]
-            used &= ~(1 << v)
-        return False
-
-    return rec(0)
+    """Is there an induced copy of ``pat`` using vertex ``w``?  A test oracle
+    for the enumerator's per-parent tables of forbidden neighbourhoods."""
+    return any(w in e.vmap for e in iter_induced_copies(g, pat))

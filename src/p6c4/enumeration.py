@@ -238,13 +238,7 @@ def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
 
 def is_minimal_obstruction(g: Graph, k: int) -> bool:
     """Not k-colorable, but every proper induced subgraph is."""
-    if coloring.k_color(g, k) is not None:
-        return False
-    for v in range(g.n):
-        sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
-        if coloring.k_color(sub, k) is None:
-            return False
-    return True
+    return coloring.k_color(g, k) is None and coloring._deletions_colorable(g, k)
 
 
 @dataclass

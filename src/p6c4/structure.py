@@ -662,34 +662,6 @@ def _base_quotients() -> list[tuple[Graph, tuple[int, ...]]]:
     return list(seen.values())
 
 
-def _embeds_with_capacity(qg: Graph, a: tuple[int, ...], qb: Graph, b: tuple[int, ...]) -> bool:
-    """Is there an isomorphism qg -> qb with a[v] >= b[image(v)] classwise?"""
-    if qg.n != qb.n:
-        return False
-    assign: dict[int, int] = {}
-    used = 0
-
-    def rec(i: int) -> bool:
-        nonlocal used
-        if i == qg.n:
-            return True
-        for j in range(qb.n):
-            if used >> j & 1 or a[i] < b[j]:
-                continue
-            ok = all(qg.has_edge(i2, i) == qb.has_edge(assign[i2], j) for i2 in assign)
-            if not ok:
-                continue
-            assign[i] = j
-            used |= 1 << j
-            if rec(i + 1):
-                return True
-            del assign[i]
-            used &= ~(1 << j)
-        return False
-
-    return rec(0)
-
-
 def is_specific(g: Graph) -> bool:
     """Is ``g`` a clique blow-up of the Petersen-plus-universal base?
 
@@ -697,7 +669,9 @@ def is_specific(g: Graph) -> bool:
     cliques are joined completely iff the base vertices are adjacent.
     Recognition goes through true-twin quotients: ``g`` is such a blow-up
     iff its quotient matches the quotient of some induced subgraph of the
-    base with classwise capacity to spare.
+    base with classwise capacity to spare: an isomorphism (an induced copy
+    of one in the other, equal order) sending each class of ``g`` to a
+    base class no larger.
     """
     if g.n == 0:
         return True
@@ -706,8 +680,9 @@ def is_specific(g: Graph) -> bool:
     for qb, b in _base_quotients():
         if qb.n != qg.n or canon.canonical_code(qb) != qcode:
             continue
-        if _embeds_with_capacity(qg, a, qb, b):
-            return True
+        for e in detect.iter_induced_copies(qb, qg):
+            if all(a[i] >= b[j] for i, j in enumerate(e.vmap)):
+                return True
     return False
 
 

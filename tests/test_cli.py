@@ -180,6 +180,11 @@ def test_enumerate_critical_writes_files_idempotently(tmp_path, capsys):
     assert manifest["n_max_searched"] == 6
     assert {e["n"] for e in manifest["entries"]} == {4, 6}
     assert out.read_text().count("\n") == 2
+    # the same entry records, key order included, as a saved catalog
+    saved = tmp_path / "saved.g6"
+    coloring.catalog_save(coloring.catalog_load(out), saved)
+    saved_entries = json.loads(saved.with_suffix(".json").read_text())["entries"]
+    assert json.dumps(saved_entries) == json.dumps(manifest["entries"])
     capsys.readouterr()
 
 

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_k_color, graphs
+from conftest import brute_k_color, graphs, stack_depth
 from p6c4 import canon, detect, families
 from p6c4.coloring import (
     Coloring,
@@ -253,6 +254,17 @@ def test_certify_color_strict_mode_refuses_non_free_input():
 def test_certify_color_non_strict_colors_anyway():
     cert = certify_color(families.cycle_graph(4), 3, catalog=[], strict=False)
     assert cert.result == "colored"
+
+
+def test_certify_deep_tree_needs_no_recursion():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)  # far below the tree depth
+    try:
+        cert = certify_color(families.path_graph(300), 3, catalog=[], strict=False)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.result == "colored"
+    assert verify_coloring(families.path_graph(300), cert.coloring) == (True, None)
 
 
 def test_certify_color_rejects_unsupported_k():

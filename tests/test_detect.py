@@ -1,10 +1,16 @@
 """Induced-subgraph detection against injective-map enumeration oracles."""
 
-import itertools
+import sys
 
 from hypothesis import given, settings
 
-from conftest import brute_induced_copies, brute_induced_copy, count_calls, graphs
+from conftest import (
+    brute_induced_copies,
+    brute_induced_copy,
+    count_calls,
+    graphs,
+    stack_depth,
+)
 from p6c4 import detect, families
 from p6c4.graphs import Graph
 
@@ -44,6 +50,41 @@ def test_find_all_induced_cycles_one_per_cycle():
     assert len(six) == 10
     w5 = families.wheel_graph(5)
     assert len(detect.find_all_induced_cycles(w5, 5)) == 1
+
+
+def _ring_from_min(vmap):
+    """A cycle's ring read from its minimum towards the smaller neighbour."""
+    i = vmap.index(min(vmap))
+    ring = vmap[i:] + vmap[:i]
+    return ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs(max_n=8))
+def test_cycle_searches_match_brute_force(g):
+    """Every induced C_l once, in ascending ring order; the first search
+    returns the first of them."""
+    for l in range(3, 9):
+        brute = brute_induced_copies(g, families.cycle_graph(l))
+        expected = sorted({_ring_from_min(vmap) for vmap in brute})
+        rings = [emb.vmap for emb in detect.find_all_induced_cycles(g, l)]
+        assert rings == expected
+        first = detect.find_induced_cycle(g, l)
+        assert (first and first.vmap) == (expected[0] if expected else None)
+
+
+def test_long_cycle_search_needs_no_recursion():
+    n = 1100
+    g = families.cycle_graph(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)  # far below the cycle length
+    try:
+        first = detect.find_induced_cycle(g, n)
+        every = detect.find_all_induced_cycles(g, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert first.vmap == tuple(range(n))
+    assert every == [first]
 
 
 def test_find_hole_smallest_first():
@@ -213,20 +254,21 @@ def test_localized_checks_match_global_difference(g):
 
     w = g.n - 1
     rest, _ = induced_subgraph(g, set(range(g.n)) - {w})
-    for pattern, through in [
-        (families.cycle_graph(4), lambda h: detect.has_c4_through(h, w)),
-        (families.path_graph(4), lambda h: detect.has_path_through(h, 4, w)),
-        (families.path_graph(6), lambda h: detect.has_path_through(h, 6, w)),
-        (families.cycle_graph(5), lambda h: detect.has_cycle_through(h, 5, w)),
+    for pattern in [
+        families.cycle_graph(4),
+        families.path_graph(4),
+        families.path_graph(6),
+        families.cycle_graph(5),
     ]:
+        through = detect.has_pattern_through(g, pattern, w)
         whole = detect.find_induced_copy(g, pattern) is not None
         without = detect.find_induced_copy(rest, pattern) is not None
         if whole and not without:
-            assert through(g)
+            assert through
         if not whole:
-            assert not through(g)
+            assert not through
         # localized hit always implies a global copy
-        if through(g):
+        if through:
             assert whole
 
 
@@ -237,23 +279,9 @@ def test_has_pattern_through_generic(g):
     for pattern in [families.complete_graph(3), families.wheel_graph(5)]:
         hit = detect.has_pattern_through(g, pattern, w)
         emb = detect.find_induced_copy(g, pattern)
-        copies_through_w = _any_copy_through(g, pattern, w)
-        assert hit == copies_through_w
+        assert hit == any(w in vmap for vmap in brute_induced_copies(g, pattern))
         if hit:
             assert emb is not None
-
-
-def _any_copy_through(g, pattern, w):
-    for combo in itertools.combinations(range(g.n), pattern.n):
-        if w not in combo:
-            continue
-        for perm in itertools.permutations(combo):
-            if all(
-                g.has_edge(perm[a], perm[b]) == pattern.has_edge(a, b)
-                for a, b in itertools.combinations(range(pattern.n), 2)
-            ):
-                return True
-    return False
 
 
 def test_verify_embedding_rejects_bad_maps():
