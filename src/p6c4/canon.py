@@ -1,13 +1,42 @@
 """Canonical labelling via colour refinement and individualization.
 
 ``canonical_code(g)`` returns bytes such that two graphs get the same code
-iff they are isomorphic.  The search refines the vertex partition to a
-stable colouring, then branches on the first non-singleton colour class,
-taking the minimum adjacency code over all discrete refinements.  Leaves
-with equal codes yield automorphisms; their orbits prune sibling branches
-(classic individualization-refinement, sized for graphs up to a few dozen
-vertices).  The automorphisms found on the way generate a subgroup of
-Aut(g); :func:`automorphism_generators` hands them out.
+iff they are isomorphic.  The search refines an ordered partition of the
+vertices into cells until it is stable, then branches on the first cell
+with more than one vertex, individualizing each of its vertices in turn,
+and takes the minimum adjacency code over all discrete refinements.
+Leaves with equal codes yield automorphisms; their orbits prune sibling
+branches (classic individualization-refinement, sized for graphs up to a
+few dozen vertices).  The automorphisms found on the way generate a
+subgroup of Aut(g); :func:`automorphism_generators` hands them out.
+
+Refinement splits cells in the manner of McKay & Piperno, "Practical graph
+isomorphism, II" (J. Symbolic Comput. 60, 2014).  A partition is two
+lists: ``cells[o]`` is the ascending vertex list of the cell that starts at
+position ``o`` of the ordered partition, and ``cls[v]`` is that start for
+``v``'s cell.  Cell ids thus order like the cells, and splitting one cell
+changes no other cell's id.  A round splits cells by their vertices'
+sorted tuples of neighbour cell ids, the pieces taking the cell's place in
+ascending tuple order.
+
+A round re-splits only the cells with a neighbour in a piece split off in
+the previous round, leaving out the largest piece of each split cell.  No
+other cell can split: its vertices agreed on the number of neighbours in
+every old cell (that is why they share a cell), they still agree on every
+cell that did not split, and the count into the left-out piece is the
+count into its old cell minus the counts into the other pieces.
+
+The colourings are exactly those of the plain rule, which ranks every
+vertex in every round by (own colour, sorted neighbour colours) and
+renumbers the colours 0, 1, ...  (``tests/test_canon.py`` keeps it as the
+reference).  Because the own colour sorts first, a vertex's new colour is
+its cell's place plus the rank of its tuple within the cell, which is what
+splitting in place gives, and cell starts order like the dense colours,
+so sorted tuples compare the same way under either.  The first round from
+the single cell ranks by degree.  Individualizing ``v`` (colour ``2c - 1``
+against ``2c`` for the rest of its cell) splits its cell into ``[v]``
+followed by the rest, after which only the cells next to ``v`` can split.
+So the search tree, codes, orders and generators are the plain rule's.
 """
 
 from __future__ import annotations
@@ -15,22 +44,53 @@ from __future__ import annotations
 from .graphs import Graph, bits
 
 
-def _refine(nbrs: list[list[int]], colors: list[int]) -> list[int]:
-    """Stable colouring: rank (own colour, sorted neighbour colours) until
-    no class splits.  The result uses the colours 0, 1, ... in rank order.
+def _split(
+    cls: list[int],
+    cells: list[list[int]],
+    o: int,
+    pieces: list[list[int]],
+    moved: list[int],
+) -> None:
+    """Put ``pieces`` in place of the cell at ``o``, in order, and append to
+    ``moved`` the vertices of every piece but the largest (the first
+    largest on ties)."""
+    big = max(pieces, key=len)
+    for i, piece in enumerate(pieces):
+        cells[o] = piece
+        if i:
+            for v in piece:
+                cls[v] = o
+        if piece is not big:
+            moved.extend(piece)
+        o += len(piece)
+
+
+def _refine(
+    nbrs: list[list[int]], cls: list[int], cells: list[list[int]], moved: list[int]
+) -> None:
+    """Refine the partition in place until it is stable.
+
+    ``moved`` holds the vertices of the pieces split off last (all but one
+    piece per split cell).  Each round re-splits only the cells next to
+    them, computing every key from the partition as the round found it,
+    and then collects the new pieces for the next round.
     """
-    while True:
-        sigs = [
-            (c, tuple(sorted([colors[u] for u in nb]))) for c, nb in zip(colors, nbrs)
-        ]
-        ranked = sorted(set(sigs))
-        rank = {s: i for i, s in enumerate(ranked)}
-        new = [rank[s] for s in sigs]
-        if len(ranked) == len(set(colors)):
-            # No class split, so ``new`` is a monotone relabelling of
-            # ``colors`` and another round would return ``new`` unchanged.
-            return new
-        colors = new
+    while moved:
+        todo = {cls[u] for v in moved for u in nbrs[v]}
+        splits = []
+        for o in todo:
+            cell = cells[o]
+            if len(cell) == 1:
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                key = tuple(sorted([cls[u] for u in nbrs[v]]))
+                groups.setdefault(key, []).append(v)
+            if len(groups) > 1:
+                splits.append((o, [groups[k] for k in sorted(groups)]))
+        moved = []
+        for o, pieces in splits:
+            _split(cls, cells, o, pieces, moved)
 
 
 def _code_under(n: int, adj: tuple[int, ...], order: list[int]) -> bytes:
@@ -73,13 +133,16 @@ def _canonical(
     best_order: list[int] | None = None
     gens: list[tuple[int, ...]] = []
 
-    def rec(colors: list[int], path: tuple[int, ...]) -> None:
+    def rec(
+        cls: list[int], cells: list[list[int]], moved: list[int], path: tuple[int, ...]
+    ) -> None:
         nonlocal best_code, best_order
-        colors = _refine(nbrs, colors)  # colours 0..k-1, k = class count
-        if max(colors) == n - 1:
-            order = [0] * n
-            for v, c in enumerate(colors):
-                order[c] = v
+        _refine(nbrs, cls, cells, moved)
+        o = 0
+        while o < n and len(cells[o]) == 1:
+            o += 1
+        if o == n:
+            order = [cell[0] for cell in cells]
             code = _code_under(n, adj, order)
             if best_code is None or code < best_code:
                 best_code, best_order = code, order
@@ -89,11 +152,7 @@ def _canonical(
                     aut[best_order[i]] = order[i]
                 gens.append(tuple(aut))
             return
-        size = [0] * n
-        for c in colors:
-            size[c] += 1
-        target = next(c for c in range(n) if size[c] > 1)
-        cell = [v for v, c in enumerate(colors) if c == target]
+        cell = cells[o]  # the first cell with more than one vertex
         branched: list[int] = []
         known, orbit = 0, None
         for v in cell:
@@ -106,11 +165,20 @@ def _canonical(
                 if any(orbit[v] == orbit[u] for u in branched):
                     continue
             branched.append(v)
-            child = [2 * c for c in colors]
-            child[v] = 2 * colors[v] - 1
-            rec(child, path + (v,))
+            # Individualize v: its cell becomes [v] followed by the rest.
+            child_cls, child_cells = cls[:], cells[:]
+            rest = [u for u in cell if u != v]
+            child_cells[o], child_cells[o + 1] = [v], rest
+            for u in rest:
+                child_cls[u] = o + 1
+            rec(child_cls, child_cells, [v], path + (v,))
 
-    rec([0] * n, ())
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    cls, cells, moved = [0] * n, [[]] * n, []  # _split fills every cell start
+    _split(cls, cells, 0, [by_degree[d] for d in sorted(by_degree)], moved)
+    rec(cls, cells, moved, ())
     assert best_code is not None and best_order is not None
     return best_code, tuple(best_order), tuple(gens)
 

@@ -7,10 +7,11 @@ design; inputs here are desk-scale.
 An :class:`Embedding` maps pattern vertices to host vertices and must
 preserve both edges and non-edges (induced copies throughout).
 
-There is one search per shape: :func:`_grow_path` for induced paths,
-the iterative :func:`_iter_cycles` for induced cycles (it lists every
-ring; :func:`find_induced_cycle` takes the first), and the iterative
-:func:`iter_induced_copies` for any other pattern.
+There is one search per shape, each an explicit loop over per-position
+candidate masks (no recursion, so long patterns are fine):
+:func:`find_induced_path` for induced paths, :func:`_iter_cycles` for
+induced cycles (it lists every ring; :func:`find_induced_cycle` takes the
+first), and :func:`iter_induced_copies` for any other pattern.
 
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
@@ -61,7 +62,13 @@ def verify_embedding(g: Graph, pattern: Graph, emb: Embedding) -> bool:
 
 
 def find_induced_path(g: Graph, t: int) -> Embedding | None:
-    """First induced path on ``t`` vertices, as a P_t embedding in path order."""
+    """First induced path on ``t`` vertices, as a P_t embedding in path order.
+
+    From each start s in turn, the path grows at its right end, lowest
+    candidate first.  ``block[i]`` holds the vertices no later position may
+    use once ``path[i]`` is placed: the path so far and the neighbours of
+    ``path[0..i-1]``.
+    """
     if t < 1:
         raise ValueError("t must be at least 1")
     if t > g.n:
@@ -69,31 +76,28 @@ def find_induced_path(g: Graph, t: int) -> Embedding | None:
     if t == 1:
         return Embedding(1, (0,))
     adj = g.adj
+    path = [0] * t
+    block = [0] * t
+    cand = [0] * t  # untried vertices for each placed position
     for s in range(g.n):
-        path = [s]
-        if _grow_path(path, 1 << s, 0, t, adj):
-            return Embedding(t, tuple(path))
+        path[0] = s
+        block[0] = 1 << s
+        cand[1] = adj[s]
+        i = 1
+        while i:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            v = path[i] = low.bit_length() - 1
+            if i == t - 1:
+                return Embedding(t, tuple(path))
+            block[i] = block[i - 1] | low | adj[path[i - 1]]
+            i += 1
+            cand[i] = adj[v] & ~block[i - 1]
     return None
-
-
-def _grow_path(
-    path: list[int], pmask: int, earlier_nbrs: int, t: int, adj: tuple[int, ...]
-) -> bool:
-    """Extend the chordless ``path`` in place at its right end to length t;
-    on failure ``path`` is left as it came."""
-    if len(path) == t:
-        return True
-    last = path[-1]
-    allowed = adj[last] & ~pmask & ~earlier_nbrs
-    earlier_nbrs |= adj[last]
-    while allowed:
-        low = allowed & -allowed
-        allowed ^= low
-        path.append(low.bit_length() - 1)
-        if _grow_path(path, pmask | low, earlier_nbrs, t, adj):
-            return True
-        path.pop()
-    return False
 
 
 # -- induced cycles --------------------------------------------------------

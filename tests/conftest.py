@@ -111,3 +111,14 @@ def small_free_family():
         n_max=6, forbidden=(families.path_graph(6), families.cycle_graph(4))
     )
     return list(enumeration.enumerate_family(cfg))
+
+
+@pytest.fixture(scope="session")
+def family8():
+    """All connected (P6,C4)-free graphs with at most 8 vertices."""
+    from p6c4 import enumeration, families
+
+    cfg = enumeration.SearchConfig(
+        n_max=8, forbidden=(families.path_graph(6), families.cycle_graph(4))
+    )
+    return list(enumeration.enumerate_family(cfg))

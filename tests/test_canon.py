@@ -2,12 +2,18 @@
 
 import itertools
 import random
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import all_graphs, brute_isomorphic, graphs
-from p6c4 import canon, families
-from p6c4.graphs import Graph
+from p6c4 import canon, codec, families
+from p6c4.enumeration import enumerate_family, p6c4_config
+from p6c4.graphs import Graph, bits
+
+GOLDEN_CANON = Path(__file__).parent / "data" / "golden" / "canon-family-n7.txt"
 
 
 def test_code_is_permutation_invariant():
@@ -136,3 +142,202 @@ def test_automorphism_generators_of_symmetric_graphs():
         gens = canon.automorphism_generators(g)
         assert all(g.relabel(s) == g for s in gens)
         assert len(_group(g.n, gens)) == order
+
+
+# -- reference refinement --------------------------------------------------
+
+
+def _reference_refine(nbrs, colors):
+    """The plain rule: rank every vertex by (own colour, sorted neighbour
+    colours) each round, until no class splits."""
+    while True:
+        sigs = [
+            (c, tuple(sorted([colors[u] for u in nb]))) for c, nb in zip(colors, nbrs)
+        ]
+        ranked = sorted(set(sigs))
+        rank = {s: i for i, s in enumerate(ranked)}
+        new = [rank[s] for s in sigs]
+        if len(ranked) == len(set(colors)):
+            return new
+        colors = new
+
+
+def _reference_canonical(g):
+    """``canon._canonical`` with every class re-ranked in every round: the
+    reference for the cell refinement and the ablation of its skipping the
+    classes that cannot split."""
+    n, adj = g.n, g.adj
+    if n == 0:
+        return b"\x00\x00\x00\x00", (), ()
+    nbrs = [list(bits(row)) for row in adj]
+    best_code = best_order = None
+    gens = []
+
+    def rec(colors, path):
+        nonlocal best_code, best_order
+        colors = _reference_refine(nbrs, colors)
+        if max(colors) == n - 1:
+            order = [0] * n
+            for v, c in enumerate(colors):
+                order[c] = v
+            code = canon._code_under(n, adj, order)
+            if best_code is None or code < best_code:
+                best_code, best_order = code, order
+            elif code == best_code:
+                aut = [0] * n
+                for i in range(n):
+                    aut[best_order[i]] = order[i]
+                gens.append(tuple(aut))
+            return
+        size = [0] * n
+        for c in colors:
+            size[c] += 1
+        target = next(c for c in range(n) if size[c] > 1)
+        cell = [v for v, c in enumerate(colors) if c == target]
+        branched = []
+        known, orbit = 0, None
+        for v in cell:
+            if branched and gens:
+                if len(gens) != known:
+                    known = len(gens)
+                    orbit = canon.orbits(n, [s for s in gens if all(s[w] == w for w in path)])
+                if any(orbit[v] == orbit[u] for u in branched):
+                    continue
+            branched.append(v)
+            child = [2 * c for c in colors]
+            child[v] = 2 * colors[v] - 1
+            rec(child, path + (v,))
+
+    rec([0] * n, ())
+    return best_code, tuple(best_order), tuple(gens)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=16))
+def test_cell_refinement_matches_reference(g):
+    assert canon._canonical(g) == _reference_canonical(g)
+
+
+def test_cell_refinement_matches_reference_on_family8(family8):
+    assert len(family8) == 2036
+    for g in family8:
+        assert canon._canonical(g) == _reference_canonical(g)
+
+
+def _named_graphs():
+    yield families.petersen_graph()
+    yield Graph.from_edges(6, [(i, j) for i in range(3) for j in (3, 4, 5)])  # K_{3,3}
+    rng = random.Random(17)
+    base = families.specific_base()
+    for sizes in [(1,) * base.n, (2,) + (1,) * (base.n - 1)]:
+        yield families.blowup(base, sizes)
+    for _ in range(6):
+        yield families.blowup(base, [rng.randint(0, 2) for _ in range(base.n)])
+    yield families.empty_graph(0)
+    for n in range(1, 13):
+        yield families.path_graph(n)
+        yield families.complete_graph(n)
+        yield families.empty_graph(n)
+        if n >= 3:
+            yield families.cycle_graph(n)
+
+
+def test_cell_refinement_matches_reference_on_named_graphs():
+    for g in _named_graphs():
+        assert canon._canonical(g) == _reference_canonical(g), g
+
+
+# -- networkx oracle -------------------------------------------------------
+
+
+def _to_nx(nx, g):
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    return gx
+
+
+def _flip(g, u, v):
+    adj = list(g.adj)
+    adj[u] ^= 1 << v
+    adj[v] ^= 1 << u
+    return Graph(g.n, tuple(adj))
+
+
+def _oracle_hosts(rng):
+    for n in range(10, 41, 3):
+        for p in (0.15, 0.5):
+            yield Graph.from_edges(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+        yield Graph.from_edges(n, [(i, (i + j) % n) for i in range(n) for j in (1, 3)])
+    yield families.petersen_graph()
+    yield families.blowup(families.cycle_graph(5), (2, 3, 2, 3, 2))
+    yield families.blowup(families.specific_base(), (2,) + (1,) * 10)
+
+
+def test_canon_agrees_with_networkx_isomorphism():
+    """On n = 10..40, beyond the brute-force oracles: a random relabelling
+    keeps the code; flipping one pair of ``g`` and flipping another pair of
+    the same kind (half the time its image under an automorphism found)
+    give equal codes exactly when networkx finds the results isomorphic;
+    and every generator preserves adjacency."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(23)
+    agree = differ = 0
+    for g in _oracle_hosts(rng):
+        n = g.n
+        code = canon.canonical_code(g)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        assert canon.canonical_code(g.relabel(perm)) == code
+        gens = canon.automorphism_generators(g)
+        assert all(g.relabel(s) == g for s in gens)
+        for _ in range(4):
+            u, v = rng.sample(range(n), 2)
+            if gens and rng.random() < 0.5:
+                x, y = u, v
+                for _ in range(3):
+                    s = rng.choice(gens)
+                    x, y = s[x], s[y]
+            else:
+                x, y = rng.choice(
+                    [(a, b) for a, b in itertools.combinations(range(n), 2)
+                     if g.has_edge(a, b) == g.has_edge(u, v)]
+                )
+            h1, h2 = _flip(g, u, v), _flip(g, x, y)
+            same = nx.is_isomorphic(_to_nx(nx, h1), _to_nx(nx, h2))
+            assert (canon.canonical_code(h1) == canon.canonical_code(h2)) == same
+            agree += same
+            differ += not same
+    assert agree and differ  # both outcomes were exercised
+
+
+# -- golden file -----------------------------------------------------------
+
+
+def _render_canon_golden() -> bytes:
+    """One line per (P6,C4)-free family member with n <= 7, decoded afresh
+    from graph6: the graph6 line, the canonical code in hex, the canonical
+    order, and the automorphism generators in the order the search found
+    them (``;`` between generators, ``-`` when there are none)."""
+    lines = []
+    for member in enumerate_family(p6c4_config(n_max=7)):
+        line = codec.to_graph6(member)
+        g = codec.from_graph6(line)
+        order = ",".join(map(str, canon.canonical_order(g)))
+        gens = ";".join(",".join(map(str, s)) for s in canon.automorphism_generators(g))
+        lines.append(f"{line} {canon.canonical_code(g).hex()} {order} {gens or '-'}\n")
+    return "".join(lines).encode()
+
+
+def test_canon_matches_golden():
+    """Codes, orders and generators are pinned byte for byte, so a change
+    to the search cannot alter them silently.  To record the file again,
+    run ``PYTHONPATH=src python3 tests/test_canon.py``."""
+    assert _render_canon_golden() == GOLDEN_CANON.read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_CANON.write_bytes(_render_canon_golden())
+    print(f"recorded {GOLDEN_CANON.name}", file=sys.stderr)

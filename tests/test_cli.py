@@ -109,6 +109,14 @@ def test_detect_accepts_raw_graph6_patterns(tmp_path, capsys):
     assert code == 0 and payload["free"] is False
 
 
+def test_detect_long_path_pattern_needs_no_recursion(tmp_path, capsys):
+    g = families.path_graph(1100)
+    path = write_graph(tmp_path, g)
+    pattern = f"g6:{codec.to_graph6(g)}"
+    code, payload = run_cli(capsys, "detect", "--pattern", pattern, "--in", path)
+    assert code == 0 and payload["free"] is False
+
+
 def test_props_reports_ring_properties(tmp_path, capsys):
     path = write_graph(tmp_path, families.wheel_graph(5))
     code, payload = run_cli(capsys, "props", "--in", path)

@@ -87,6 +87,20 @@ def test_long_cycle_search_needs_no_recursion():
     assert every == [first]
 
 
+def test_long_path_search_needs_no_recursion():
+    n = 1100
+    g = families.path_graph(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)  # far below the path length
+    try:
+        whole = detect.find_induced_path(g, n)
+        found = detect.find_induced_copy(g, families.path_graph(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert whole.vmap == tuple(range(n))
+    assert found == whole
+
+
 def test_find_hole_smallest_first():
     g = families.cycle_graph(6)
     emb = detect.find_hole(g)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, count_calls, graphs, stack_depth
-from p6c4 import canon, detect, enumeration, families, structure
+from p6c4 import canon, detect, families, structure
 from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
 
 
@@ -328,15 +328,6 @@ def _reference_clique_cutset(g):
             side = frozenset(vmap[i] for i in comp)
             return sep, side, frozenset(vmap) - side
     return None
-
-
-@pytest.fixture(scope="module")
-def family8():
-    """All connected (P6,C4)-free graphs with at most 8 vertices."""
-    cfg = enumeration.SearchConfig(
-        n_max=8, forbidden=(families.path_graph(6), families.cycle_graph(4))
-    )
-    return list(enumeration.enumerate_family(cfg))
 
 
 @settings(max_examples=200, deadline=None)
