@@ -26,6 +26,7 @@ can be minimal).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -405,17 +406,19 @@ def nice_check(h: Graph, k: int) -> NiceWitness | None:
     omega = len(detect.max_clique(h))
     if omega != k - 1:
         return None
-    for a in range(h.n):
-        for b in range(a + 1, h.n):
-            if h.has_edge(a, b):
-                continue
-            for c in range(b + 1, h.n):
-                if h.has_edge(a, c) or h.has_edge(b, c):
-                    continue
-                rest, _ = induced_subgraph(h, set(range(h.n)) - {a, b, c})
-                if len(detect.max_clique(rest)) == omega:
-                    return NiceWitness((a, b, c), omega)
+    for triple in itertools.combinations(range(h.n), 3):
+        if is_nice_triple(h, triple, omega):
+            return NiceWitness(triple, omega)
     return None
+
+
+def is_nice_triple(h: Graph, triple: tuple[int, int, int], omega: int) -> bool:
+    """Is ``triple`` independent in ``h`` with omega(h - triple) == omega?"""
+    tmask = mask_of(triple)
+    if not h.is_independent(tmask):
+        return False
+    rest, _ = induced_subgraph(h, bits(h.full_mask() & ~tmask))
+    return len(detect.max_clique(rest)) == omega
 
 
 def find_nice_critical(

@@ -1,10 +1,11 @@
 """Structure around induced five-cycles, clique cutsets, and decomposition.
 
 Vertices outside a fixed induced C5 are classified by how many ring
-vertices they see; the refined buckets (attachment sets) drive a family
-of adjacency laws that hold in every connected (P6,C4)-free graph.  Each
-law is evaluated as a predicate with a replayable witness on violation,
-so the checker doubles as an audit tool on graphs *outside* the class.
+vertices they see; the refined buckets (attachment sets, kept as vertex
+masks like every other vertex set in the package) drive a family of
+adjacency laws that hold in every connected (P6,C4)-free graph.  Each law
+is evaluated as a predicate with a replayable witness on violation, so the
+checker doubles as an audit tool on graphs *outside* the class.
 
 Clique cutsets come from one MCS-M minimal triangulation per graph: the
 minimal separators of a minimal triangulation that are cliques in the
@@ -56,55 +57,52 @@ def find_all_c5(g: Graph) -> list[C5Embedding]:
 class SPartition:
     """Vertices off the ring, bucketed by their ring neighborhoods.
 
-    ``s[p]`` holds vertices with exactly p ring neighbors.  ``s1_at[i]``
-    refines s[1] by the neighbor ``v_i``; ``s2_at[i]`` holds vertices
-    whose two ring neighbors are the consecutive pair ``v_i, v_{i+1}``;
-    ``s3_at[i]`` holds vertices seeing exactly ``v_{i-1}, v_i, v_{i+1}``.
-    In a C4-free host every s[2] / s[3] vertex lands in such a bucket;
-    on arbitrary graphs the buckets may undercover (the count partition
-    ``s`` itself is always total).
+    Every bucket is a vertex mask (bit v set iff v is in it).  ``s[p]``
+    holds the vertices with exactly p ring neighbors.  ``s1_at[i]`` refines
+    s[1] by the neighbor ``v_i``; ``s2_at[i]`` holds vertices whose two
+    ring neighbors are the consecutive pair ``v_i, v_{i+1}``; ``s3_at[i]``
+    holds vertices seeing exactly ``v_{i-1}, v_i, v_{i+1}``.  In a C4-free
+    host every s[2] / s[3] vertex lands in such a bucket; on arbitrary
+    graphs the buckets may undercover (the count partition ``s`` itself is
+    always total).
     """
 
     ring: tuple[int, ...]
-    s: tuple[frozenset[int], ...]  # index 0..5 by ring-neighbor count
-    s1_at: tuple[frozenset[int], ...]
-    s2_at: tuple[frozenset[int], ...]
-    s3_at: tuple[frozenset[int], ...]
+    s: tuple[int, ...]  # index 0..5 by ring-neighbor count
+    s1_at: tuple[int, ...]
+    s2_at: tuple[int, ...]
+    s3_at: tuple[int, ...]
+
+
+# (size, i) of the refined bucket for each 5-bit mask of ring positions:
+# {i}, the consecutive pair {i, i+1} and the consecutive triple
+# {i-1, i, i+1}.  The other masks have no refined bucket.
+_BUCKET = {
+    sum(1 << (i + d) % 5 for d in run): (len(run), i)
+    for i in range(5)
+    for run in ((0,), (0, 1), (-1, 0, 1))
+}
 
 
 def classify(g: Graph, c: C5Embedding) -> SPartition:
+    """The S-partition of ``g`` around ``c``, every bucket a vertex mask.
+
+    Each vertex off the ring gets the 5-bit mask of the ring positions it
+    sees; its bit count picks its ``s`` bucket and :data:`_BUCKET` its
+    refined one, if any.
+    """
     c.validate(g)
     ring = c.ring
-    buckets: list[set[int]] = [set() for _ in range(6)]
-    s1 = [set() for _ in range(5)]
-    s2 = [set() for _ in range(5)]
-    s3 = [set() for _ in range(5)]
-    ring_set = set(ring)
-    for v in range(g.n):
-        if v in ring_set:
-            continue
-        hits = [i for i in range(5) if g.has_edge(v, ring[i])]
-        buckets[len(hits)].add(v)
-        if len(hits) == 1:
-            s1[hits[0]].add(v)
-        elif len(hits) == 2:
-            i, j = hits
-            if (j - i) % 5 == 1:
-                s2[i].add(v)
-            elif (i - j) % 5 == 1:
-                s2[j].add(v)
-        elif len(hits) == 3:
-            for i in range(5):
-                if set(hits) == {(i - 1) % 5, i, (i + 1) % 5}:
-                    s3[i].add(v)
-                    break
-    return SPartition(
-        ring,
-        tuple(frozenset(b) for b in buckets),
-        tuple(frozenset(x) for x in s1),
-        tuple(frozenset(x) for x in s2),
-        tuple(frozenset(x) for x in s3),
-    )
+    s = [0] * 6
+    at = [None, [0] * 5, [0] * 5, [0] * 5]  # at[size][i]: s1_at, s2_at, s3_at
+    for v in bits(g.full_mask() & ~mask_of(ring)):
+        row = g.adj[v]
+        seen = sum(1 << i for i, r in enumerate(ring) if row >> r & 1)
+        s[seen.bit_count()] |= 1 << v
+        if seen in _BUCKET:
+            size, i = _BUCKET[seen]
+            at[size][i] |= 1 << v
+    return SPartition(ring, tuple(s), tuple(at[1]), tuple(at[2]), tuple(at[3]))
 
 
 # -- adjacency-law checks ----------------------------------------------------
@@ -130,25 +128,31 @@ class Verdict:
         return out
 
 
-def _missing_edge(g: Graph, a: frozenset[int], b: frozenset[int]):
-    """A non-adjacent pair (x, y) with x in a, y in b, if any (x != y)."""
-    for x in sorted(a):
-        for y in sorted(b):
-            if x != y and not g.has_edge(x, y):
-                return x, y
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def _missing_edge(g: Graph, a: int, b: int):
+    """A non-adjacent pair (x, y) with x in mask a, y in mask b (x != y):
+    the lowest x that has one, with its lowest y; None if there is none."""
+    for x in bits(a):
+        miss = b & ~g.adj[x] & ~(1 << x)
+        if miss:
+            return x, _lowest(miss)
     return None
 
 
-def _present_edge(g: Graph, a: frozenset[int], b: frozenset[int]):
-    """An adjacent pair (x, y) with x in a, y in b, if any."""
-    for x in sorted(a):
-        for y in sorted(b):
-            if x != y and g.has_edge(x, y):
-                return x, y
+def _present_edge(g: Graph, a: int, b: int):
+    """An adjacent pair (x, y) with x in mask a, y in mask b: the lowest x
+    that has one, with its lowest y; None if there is none."""
+    for x in bits(a):
+        hit = b & g.adj[x]
+        if hit:
+            return x, _lowest(hit)
     return None
 
 
-def _clique_defect(g: Graph, a: frozenset[int]):
+def _clique_defect(g: Graph, a: int):
     return _missing_edge(g, a, a)
 
 
@@ -165,115 +169,96 @@ def check_properties(g: Graph, c: C5Embedding, p: SPartition | None = None) -> d
     out: dict[str, Verdict] = {}
 
     # P0: s[5] and each s3(i) are cliques; s[4] is empty.
-    w = _clique_defect(g, p.s[5])
-    if w is None and p.s[4]:
-        w = (min(p.s[4]),)
-    if w is None:
-        for i in range(5):
-            w = _clique_defect(g, s3[i])
-            if w is not None:
-                break
-    out["P0"] = Verdict(VIOLATED, w) if w else Verdict(HOLDS)
+    out["P0"] = _first_violation(
+        [_clique_defect(g, p.s[5])],
+        [(_lowest(p.s[4]),)] if p.s[4] else [],
+        (_clique_defect(g, m) for m in s3),
+    )
 
     # P1: s1(i) complete to s1(i+2), anti-complete to s1(i+1);
     #     if s1(i) and s1(i+2) both nonempty, both are cliques.
     out["P1"] = _first_violation(
-        [
-            lambda i=i: _missing_edge(g, s1[i], s1[(i + 2) % 5])
+        (_missing_edge(g, s1[i], s1[(i + 2) % 5]) for i in range(5)),
+        (_present_edge(g, s1[i], s1[(i + 1) % 5]) for i in range(5)),
+        (
+            _clique_defect(g, s1[i]) or _clique_defect(g, s1[(i + 2) % 5])
             for i in range(5)
-        ]
-        + [lambda i=i: _present_edge(g, s1[i], s1[(i + 1) % 5]) for i in range(5)]
-        + [
-            lambda i=i: (
-                (_clique_defect(g, s1[i]) or _clique_defect(g, s1[(i + 2) % 5]))
-                if s1[i] and s1[(i + 2) % 5]
-                else None
-            )
-            for i in range(5)
-        ]
+            if s1[i] and s1[(i + 2) % 5]
+        ),
     )
 
     # P2: s2(i) complete to s2(i+1), anti-complete to s2(i+2);
     #     if s2(i) and s2(i+1) both nonempty, both are cliques.
     out["P2"] = _first_violation(
-        [lambda i=i: _missing_edge(g, s2[i], s2[(i + 1) % 5]) for i in range(5)]
-        + [lambda i=i: _present_edge(g, s2[i], s2[(i + 2) % 5]) for i in range(5)]
-        + [
-            lambda i=i: (
-                (_clique_defect(g, s2[i]) or _clique_defect(g, s2[(i + 1) % 5]))
-                if s2[i] and s2[(i + 1) % 5]
-                else None
-            )
+        (_missing_edge(g, s2[i], s2[(i + 1) % 5]) for i in range(5)),
+        (_present_edge(g, s2[i], s2[(i + 2) % 5]) for i in range(5)),
+        (
+            _clique_defect(g, s2[i]) or _clique_defect(g, s2[(i + 1) % 5])
             for i in range(5)
-        ]
+            if s2[i] and s2[(i + 1) % 5]
+        ),
     )
 
     # P3: s3(i) anti-complete to s3(i+2).
     out["P3"] = _first_violation(
-        [lambda i=i: _present_edge(g, s3[i], s3[(i + 2) % 5]) for i in range(5)]
+        _present_edge(g, s3[i], s3[(i + 2) % 5]) for i in range(5)
     )
 
     # P4: s1(i) anti-complete to s2(j) unless j == i+2; a vertex of s2(i+2)
     #     with a neighbor in s1(i) is universal inside s2(i+2).
-    def p4_check(i, j):
-        if j == (i + 2) % 5:
-            return None
-        return _present_edge(g, s1[i], s2[j])
-
-    def p4_universal(i):
-        tgt = s2[(i + 2) % 5]
-        for y in sorted(tgt):
-            if any(g.has_edge(y, x) for x in s1[i]):
-                for z in sorted(tgt - {y}):
-                    if not g.has_edge(y, z):
-                        return y, z
-        return None
+    def touching(a: int, b: int) -> int:
+        """The vertices of mask a with a neighbor in mask b."""
+        return mask_of(x for x in bits(a) if g.adj[x] & b)
 
     out["P4"] = _first_violation(
-        [lambda i=i, j=j: p4_check(i, j) for i in range(5) for j in range(5)]
-        + [lambda i=i: p4_universal(i) for i in range(5)]
+        (
+            _present_edge(g, s1[i], s2[j])
+            for i in range(5)
+            for j in range(5)
+            if j != (i + 2) % 5
+        ),
+        (
+            _missing_edge(g, touching(s2[(i + 2) % 5], s1[i]), s2[(i + 2) % 5])
+            for i in range(5)
+        ),
     )
 
     # P5: s1(i) anti-complete to s3(i+2).
     out["P5"] = _first_violation(
-        [lambda i=i: _present_edge(g, s1[i], s3[(i + 2) % 5]) for i in range(5)]
+        _present_edge(g, s1[i], s3[(i + 2) % 5]) for i in range(5)
     )
 
     # P6: s2(i+2) anti-complete to s3(i).
     out["P6"] = _first_violation(
-        [lambda i=i: _present_edge(g, s2[(i + 2) % 5], s3[i]) for i in range(5)]
+        _present_edge(g, s2[(i + 2) % 5], s3[i]) for i in range(5)
     )
 
     # P7: one of s1(i), s2(i+3) is empty, and one of s1(i), s2(i+1) is empty.
-    def p7(i):
-        for j in ((i + 3) % 5, (i + 1) % 5):
-            if s1[i] and s2[j]:
-                return (min(s1[i]), min(s2[j]))
-        return None
-
-    out["P7"] = _first_violation([lambda i=i: p7(i) for i in range(5)])
+    out["P7"] = _first_violation(
+        (_lowest(s1[i]), _lowest(s2[j]))
+        for i in range(5)
+        for j in ((i + 3) % 5, (i + 1) % 5)
+        if s1[i] and s2[j]
+    )
 
     # P8: one of s2(i-1), s2(i), s2(i+2) is empty.
-    def p8(i):
-        trio = (s2[(i - 1) % 5], s2[i], s2[(i + 2) % 5])
-        if all(trio):
-            return tuple(min(t) for t in trio)
-        return None
-
-    out["P8"] = _first_violation([lambda i=i: p8(i) for i in range(5)])
+    trios = ((s2[(i - 1) % 5], s2[i], s2[(i + 2) % 5]) for i in range(5))
+    out["P8"] = _first_violation(
+        tuple(_lowest(t) for t in trio) for trio in trios if all(trio)
+    )
 
     # P9: s1(i-1) and s1(i+1) nonempty => s2 empty;
     #     s1(i) and s1(i+1) nonempty => s2 == s2(i).
     def p9(i):
         if s1[(i - 1) % 5] and s1[(i + 1) % 5] and p.s[2]:
-            return (min(s1[(i - 1) % 5]), min(s1[(i + 1) % 5]), min(p.s[2]))
+            return (_lowest(s1[(i - 1) % 5]), _lowest(s1[(i + 1) % 5]), _lowest(p.s[2]))
         if s1[i] and s1[(i + 1) % 5]:
-            stray = p.s[2] - s2[i]
+            stray = p.s[2] & ~s2[i]
             if stray:
-                return (min(s1[i]), min(s1[(i + 1) % 5]), min(stray))
+                return (_lowest(s1[i]), _lowest(s1[(i + 1) % 5]), _lowest(stray))
         return None
 
-    out["P9"] = _first_violation([lambda i=i: p9(i) for i in range(5)])
+    out["P9"] = _first_violation(p9(i) for i in range(5))
 
     # P10: for x in s3(i), if s2(i+1) and s2(i+3) are both nonempty then x is
     #      complete or anti-complete to their union; complete forces both
@@ -283,84 +268,81 @@ def check_properties(g: Graph, c: C5Embedding, p: SPartition | None = None) -> d
         if not (a and b):
             return None
         union = a | b
-        for x in sorted(s3[i]):
-            nbrs = [y for y in sorted(union) if g.has_edge(x, y)]
-            if nbrs and len(nbrs) != len(union):
-                miss = next(y for y in sorted(union) if not g.has_edge(x, y))
-                return (x, nbrs[0], miss)
-            if nbrs:
-                if s2[(i + 2) % 5]:
-                    return (x, nbrs[0], min(s2[(i + 2) % 5]))
-                defect = _clique_defect(g, a) or _clique_defect(g, b)
-                if defect:
-                    return (x,) + defect
+        for x in bits(s3[i]):
+            nbrs = union & g.adj[x]
+            if not nbrs:
+                continue
+            if nbrs != union:
+                return (x, _lowest(nbrs), _lowest(union & ~nbrs))
+            if s2[(i + 2) % 5]:
+                return (x, _lowest(nbrs), _lowest(s2[(i + 2) % 5]))
+            defect = _clique_defect(g, a) or _clique_defect(g, b)
+            if defect:
+                return (x,) + defect
         return None
 
-    out["P10"] = _first_violation([lambda i=i: p10(i) for i in range(5)])
+    out["P10"] = _first_violation(p10(i) for i in range(5))
 
     # P11: s1(i) not anti-complete to s2(i+2) => s1 == s1(i).
     def p11(i):
         hit = _present_edge(g, s1[i], s2[(i + 2) % 5])
-        if hit is not None:
-            stray = p.s[1] - s1[i]
-            if stray:
-                return hit + (min(stray),)
+        stray = p.s[1] & ~s1[i]
+        if hit is not None and stray:
+            return hit + (_lowest(stray),)
         return None
 
-    out["P11"] = _first_violation([lambda i=i: p11(i) for i in range(5)])
+    out["P11"] = _first_violation(p11(i) for i in range(5))
 
     # P12 (host without clique cutset): s1(i) complete to s3(i).
     if find_clique_cutset(g) is None:
         out["P12"] = _first_violation(
-            [lambda i=i: _missing_edge(g, s1[i], s3[i]) for i in range(5)]
+            _missing_edge(g, s1[i], s3[i]) for i in range(5)
         )
     else:
         out["P12"] = Verdict(NOT_APPLICABLE, detail="host has a clique cutset")
 
     # O5 laws require a W5-free host.
     if detect.find_induced_copy(g, families.wheel_graph(5)) is None:
-        def o51(i):
-            if s1[(i - 1) % 5] and s1[(i + 1) % 5]:
-                return _present_edge(g, s3[i], s1[(i - 1) % 5]) or _present_edge(
-                    g, s3[i], s1[(i + 1) % 5]
-                )
-            return None
-
-        def o52(i):
-            if s2[(i - 1) % 5] and s2[i]:
-                return _missing_edge(g, s3[i], s2[(i - 1) % 5]) or _missing_edge(
-                    g, s3[i], s2[i]
-                )
-            return None
-
         def o53(i):
             pool = s3[(i - 1) % 5] | s3[(i + 1) % 5]
             if not pool:
                 return None
-            for pvx in sorted(s1[i]):
-                for q in sorted(s2[(i + 2) % 5]):
-                    if g.has_edge(pvx, q):
-                        for x in sorted(pool):
-                            if g.has_edge(x, pvx):
-                                return (x, pvx)
-                            if g.has_edge(x, q):
-                                return (x, q)
+            for pvx in bits(s1[i]):
+                for q in bits(s2[(i + 2) % 5] & g.adj[pvx]):
+                    near = pool & (g.adj[pvx] | g.adj[q])
+                    if near:
+                        x = _lowest(near)
+                        return (x, pvx) if g.adj[x] >> pvx & 1 else (x, q)
             return None
 
-        out["O5.1"] = _first_violation([lambda i=i: o51(i) for i in range(5)])
-        out["O5.2"] = _first_violation([lambda i=i: o52(i) for i in range(5)])
-        out["O5.3"] = _first_violation([lambda i=i: o53(i) for i in range(5)])
+        out["O5.1"] = _first_violation(
+            _present_edge(g, s3[i], s1[(i - 1) % 5])
+            or _present_edge(g, s3[i], s1[(i + 1) % 5])
+            for i in range(5)
+            if s1[(i - 1) % 5] and s1[(i + 1) % 5]
+        )
+        out["O5.2"] = _first_violation(
+            _missing_edge(g, s3[i], s2[(i - 1) % 5]) or _missing_edge(g, s3[i], s2[i])
+            for i in range(5)
+            if s2[(i - 1) % 5] and s2[i]
+        )
+        out["O5.3"] = _first_violation(o53(i) for i in range(5))
     else:
         na = Verdict(NOT_APPLICABLE, detail="host contains W5")
         out["O5.1"] = out["O5.2"] = out["O5.3"] = na
     return out
 
 
-def _first_violation(checks) -> Verdict:
-    for chk in checks:
-        w = chk()
-        if w is not None:
-            return Verdict(VIOLATED, tuple(w))
+def _first_violation(*groups) -> Verdict:
+    """The first witness that is not None, taking the groups in order.
+
+    The groups are mostly generator expressions over the bucket masks, so
+    checking stops at the first witness and computes no later one.
+    """
+    for group in groups:
+        for w in group:
+            if w is not None:
+                return Verdict(VIOLATED, tuple(w))
     return Verdict(HOLDS)
 
 
@@ -380,10 +362,6 @@ def is_dominating(g: Graph, s) -> bool:
 
 
 # -- clique cutsets ----------------------------------------------------------
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def minimal_separators(g: Graph) -> list[frozenset[int]]:
@@ -521,12 +499,9 @@ def find_clique_cutset(g: Graph):
 def _clique_cutset(g: Graph):
     if g.n == 0:
         return None
-    comps = g.components()
-    if len(comps) > 1:
-        side = comps[0]
-        rest = frozenset(v for comp in comps[1:] for v in comp)
-        return frozenset(), side, rest
-    cliques = [m for m in set(mcs_m_separators(g)) if g.is_clique(m)]
+    # A disconnected graph splits along the empty clique.
+    seps = mcs_m_separators(g) if g.is_connected() else [0]
+    cliques = [m for m in seps if g.is_clique(m)]
     if not cliques:
         return None
     smask = min(cliques, key=lambda m: (m.bit_count(), list(bits(m))))
@@ -731,69 +706,55 @@ def check_size_bounds(g: Graph, c: C5Embedding, p: SPartition | None = None, k: 
         return out
     out["status"] = "evaluated"
     checks = out["checks"]
-    checks["s5"] = {
-        "bound": k - 2,
-        "size": len(p.s[5]),
-        "status": HOLDS if len(p.s[5]) <= k - 2 else VIOLATED,
-    }
-    for i in range(5):
-        checks[f"s3({i})"] = {
+    for name, m in [("s5", p.s[5])] + [(f"s3({i})", p.s3_at[i]) for i in range(5)]:
+        size = m.bit_count()
+        checks[name] = {
             "bound": k - 2,
-            "size": len(p.s3_at[i]),
-            "status": HOLDS if len(p.s3_at[i]) <= k - 2 else VIOLATED,
+            "size": size,
+            "status": HOLDS if size <= k - 2 else VIOLATED,
         }
     deeper = (
         find_clique_cutset(g) is None
-        and detect.find_induced_cycle(g, 6) is None
+        and detect.find_induced_copy(g, families.cycle_graph(6)) is None
     )
+    shallow = "needs C6-free host without clique cutset"
     for i in range(5):
-        name = f"anticomplete_pair({i})"
-        s1i = p.s1_at[i]
-        s2o = p.s2_at[(i + 2) % 5]
+        s1i, s2o = p.s1_at[i], p.s2_at[(i + 2) % 5]
         if not deeper:
-            checks[name] = {"status": NOT_APPLICABLE, "reason": "needs C6-free host without clique cutset"}
-            continue
-        if _present_edge(g, s1i, s2o) is not None:
-            checks[name] = {"status": NOT_APPLICABLE, "reason": "s1 not anti-complete to s2"}
-            continue
-        ok = len(s1i) <= k * (k - 2) ** 2 and len(s2o) <= 2 * k * (k - 2)
-        checks[name] = {
-            "s1_bound": k * (k - 2) ** 2,
-            "s1_size": len(s1i),
-            "s2_bound": 2 * k * (k - 2),
-            "s2_size": len(s2o),
-            "status": HOLDS if ok else VIOLATED,
-        }
-    # Single populated s1(i) meeting s2(i+2), flanking s2 buckets empty.
-    name = "single_s1_case"
-    if not deeper:
-        checks[name] = {"status": NOT_APPLICABLE, "reason": "needs C6-free host without clique cutset"}
-    else:
-        hit = None
-        for i in range(5):
-            if p.s1_at[i] and all(not p.s1_at[j] for j in range(5) if j != i):
-                if (
-                    _present_edge(g, p.s1_at[i], p.s2_at[(i + 2) % 5]) is not None
-                    and not p.s2_at[(i + 1) % 5]
-                    and not p.s2_at[(i + 3) % 5]
-                ):
-                    hit = i
-                break
-        if hit is None:
-            checks[name] = {"status": NOT_APPLICABLE, "reason": "case hypotheses not met"}
+            chk = {"status": NOT_APPLICABLE, "reason": shallow}
+        elif _present_edge(g, s1i, s2o) is not None:
+            chk = {"status": NOT_APPLICABLE, "reason": "s1 not anti-complete to s2"}
         else:
-            s1b = k**2 + k**3 + k**5
-            s2b = k**4 + k**2
-            ok = len(p.s1_at[hit]) <= s1b and len(p.s2_at[(hit + 2) % 5]) <= s2b
-            checks[name] = {
-                "i": hit,
-                "s1_bound": s1b,
-                "s1_size": len(p.s1_at[hit]),
-                "s2_bound": s2b,
-                "s2_size": len(p.s2_at[(hit + 2) % 5]),
-                "status": HOLDS if ok else VIOLATED,
-            }
+            chk = _pair_bounds(s1i, s2o, k * (k - 2) ** 2, 2 * k * (k - 2))
+        checks[f"anticomplete_pair({i})"] = chk
+    # Single populated s1(i) meeting s2(i+2), flanking s2 buckets empty.
+    live = [i for i in range(5) if p.s1_at[i]]
+    hit = live[0] if len(live) == 1 else None
+    if not deeper:
+        chk = {"status": NOT_APPLICABLE, "reason": shallow}
+    elif (
+        hit is None
+        or p.s2_at[(hit + 1) % 5] | p.s2_at[(hit + 3) % 5]
+        or _present_edge(g, p.s1_at[hit], p.s2_at[(hit + 2) % 5]) is None
+    ):
+        chk = {"status": NOT_APPLICABLE, "reason": "case hypotheses not met"}
+    else:
+        bounds = _pair_bounds(p.s1_at[hit], p.s2_at[(hit + 2) % 5], k**2 + k**3 + k**5, k**4 + k**2)
+        chk = {"i": hit, **bounds}
+    checks["single_s1_case"] = chk
     out["ok"] = all(
         entry.get("status") != VIOLATED for entry in checks.values()
     )
     return out
+
+
+def _pair_bounds(s1: int, s2: int, s1_bound: int, s2_bound: int) -> dict:
+    """Size check of an s1 bucket and an s2 bucket against their bounds."""
+    s1_size, s2_size = s1.bit_count(), s2.bit_count()
+    return {
+        "s1_bound": s1_bound,
+        "s1_size": s1_size,
+        "s2_bound": s2_bound,
+        "s2_size": s2_size,
+        "status": HOLDS if s1_size <= s1_bound and s2_size <= s2_bound else VIOLATED,
+    }

@@ -3,15 +3,17 @@
 import itertools
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, count_calls, graphs, stack_depth
-from p6c4 import canon, detect, families, structure
+from p6c4 import canon, codec, detect, families, structure
 from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
 
+GOLDEN_LAWS = Path(__file__).parent / "data" / "golden" / "laws-random.txt"
 
 def ring5(extra_n, extra_edges):
     """C5 on 0..4 plus extra vertices 5.. with the given attachments."""
@@ -48,18 +50,47 @@ def test_c5_embedding_validate_rejects_chords():
 def test_classify_buckets():
     g = ring5(4, [(5, 0), (6, 0), (6, 1), (7, 4), (7, 0), (7, 1), (8, 0), (8, 1), (8, 2), (8, 3), (8, 4)])
     p = structure.classify(g, base_ring(g))
-    assert p.s1_at[0] == {5}
-    assert p.s2_at[0] == {6}
-    assert p.s3_at[0] == {7}
-    assert p.s[5] == {8}
-    assert p.s[0] == frozenset()
+    assert p.s1_at[0] == 1 << 5
+    assert p.s2_at[0] == 1 << 6
+    assert p.s3_at[0] == 1 << 7
+    assert p.s[5] == 1 << 8
+    assert p.s[0] == 0
 
 
 def test_classify_nonconsecutive_pairs_stay_unbucketed():
     g = ring5(1, [(5, 0), (5, 2)])  # distance-2 pair: no s2 bucket
     p = structure.classify(g, base_ring(g))
-    assert p.s[2] == {5}
+    assert p.s[2] == 1 << 5
     assert all(not b for b in p.s2_at)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_classify_matches_definition(extra, data):
+    """Each bucket of classify, against the ring neighbours of each vertex
+    counted directly, on a C5 plus random vertices with shuffled labels."""
+    n = 5 + extra
+    pairs = [(u, v) for v in range(5, n) for u in range(v)]
+    flags = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    perm = data.draw(st.permutations(range(n)))
+    g = ring5(extra, [e for e, on in zip(pairs, flags) if on]).relabel(tuple(perm))
+    ring = tuple(perm[:5])
+    p = structure.classify(g, structure.C5Embedding(ring))
+    hits = {
+        v: {i for i in range(5) if g.has_edge(v, ring[i])}
+        for v in range(n)
+        if v not in ring
+    }
+
+    def bucket(test):
+        return mask_of(v for v, h in hits.items() if test(h))
+
+    for count in range(6):
+        assert p.s[count] == bucket(lambda h: len(h) == count)
+    for i in range(5):
+        assert p.s1_at[i] == bucket(lambda h: h == {i})
+        assert p.s2_at[i] == bucket(lambda h: h == {i, (i + 1) % 5})
+        assert p.s3_at[i] == bucket(lambda h: h == {(i - 1) % 5, i, (i + 1) % 5})
 
 
 # -- single-property violation examples ---------------------------------------
@@ -523,3 +554,77 @@ def test_size_bounds_sweep(small_free_family):
             doc = structure.check_size_bounds(g, c, k=3)
             if doc["status"] == "evaluated":
                 assert doc["ok"], (g.edges(), c.ring, doc)
+
+
+# -- golden file -------------------------------------------------------------
+
+
+def _law_host(seed):
+    """C5 plus random attachments: 7 to 11 vertices, each new vertex seeing
+    every ring vertex with probability 1/2 and every earlier extra vertex
+    with probability 0.3.  Odd seeds keep the host (P6,C4)-free by drawing
+    each new vertex's neighbourhood up to 20 times, so the size bounds get
+    evaluated too.  The labels are shuffled at the end."""
+    rng = random.Random(seed)
+    n = 7 + seed % 5
+    forbidden = [families.path_graph(6), families.cycle_graph(4)]
+    g = families.cycle_graph(5)
+    while g.n < n:
+        for _ in range(20):
+            nbrs = mask_of(u for u in range(g.n) if rng.random() < (0.5 if u < 5 else 0.3))
+            h = g.add_vertex(nbrs)
+            if seed % 2 == 0 or detect.is_free(h, forbidden)[0]:
+                break
+        g = h
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return g.relabel(tuple(perm))
+
+
+_STATUS = {"holds": "h", "violated": "v", "not-applicable": "n"}
+
+
+def _bound_token(doc):
+    """``-`` when the size bounds are not applicable; otherwise each check
+    in order: its status letter, the first letter of its reason if it has
+    one, then its ``i`` and sizes joined by ``/``."""
+    if doc["status"] != "evaluated":
+        return "-"
+    return ",".join(
+        _STATUS[chk["status"]]
+        + chk.get("reason", "")[:1]
+        + "/".join(str(v) for key, v in chk.items() if key == "i" or key.endswith("size"))
+        for chk in doc["checks"].values()
+    )
+
+
+def _render_laws_golden() -> bytes:
+    """One line per induced C5 of each of 200 seeded hosts, decoded afresh
+    from graph6: the graph6 line, the ring, each law's status letter (a
+    violated one followed by its witness joined by ``.``), and the k=3 and
+    k=4 size bounds (:func:`_bound_token`)."""
+    lines = []
+    for seed in range(200):
+        line = codec.to_graph6(_law_host(seed))
+        g = codec.from_graph6(line)
+        for c in structure.find_all_c5(g):
+            laws = [
+                _STATUS[v.status] + ".".join(map(str, v.witness or ()))
+                for v in structure.check_properties(g, c).values()
+            ]
+            bounds = [_bound_token(structure.check_size_bounds(g, c, k=k)) for k in (3, 4)]
+            ring = ",".join(map(str, c.ring))
+            lines.append(" ".join([line, ring, *laws, *bounds]) + "\n")
+    return "".join(lines).encode()
+
+
+def test_laws_match_golden():
+    """Law verdicts, witnesses and size bounds on random hosts are pinned
+    byte for byte.  To record the file again, run ``PYTHONPATH=src python3
+    tests/test_structure.py``."""
+    assert _render_laws_golden() == GOLDEN_LAWS.read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN_LAWS.write_bytes(_render_laws_golden())
+    print(f"recorded {GOLDEN_LAWS.name}", file=sys.stderr)
