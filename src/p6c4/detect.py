@@ -16,10 +16,11 @@ first), and :func:`iter_induced_copies` for any other pattern.
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
 labelled in path or ring order to :func:`find_induced_path` or
-:func:`find_induced_cycle`, and anything else to the generic matcher
-:func:`_match`.  All three return the same first embedding, so the
-dispatch changes no answer.  Answers are memoized on the host graph (see
-:class:`p6c4.graphs.Graph`), so repeating a search on one graph is free.
+:func:`find_induced_cycle`, a complete graph to :func:`has_clique`, and
+anything else to the generic matcher :func:`_match`.  All four return the
+same first embedding, so the dispatch changes no answer.  Answers are
+memoized on the host graph (see :class:`p6c4.graphs.Graph`), so repeating
+a search on one graph is free.
 
 :func:`has_pattern_through` (a copy using a given vertex) is the test
 oracle for the enumerator's per-parent neighbourhood tables; the program
@@ -233,32 +234,35 @@ def max_clique(g: Graph) -> frozenset[int]:
 
 
 def has_clique(g: Graph, k: int) -> Embedding | None:
-    """An induced K_k embedding if one exists (early-exit search)."""
+    """The first K_k in ascending vertex order, or None (early-exit search).
+
+    The clique grows in ascending order, lowest candidate first;
+    ``cand[i]`` holds the untried vertices above ``clique[i - 1]`` adjacent
+    to all of ``clique[:i]``, and a position backtracks once too few remain
+    to finish.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > g.n:
         return None
     adj = g.adj
-    found: list[int] | None = None
-
-    def expand(r: list[int], cand: int) -> bool:
-        nonlocal found
-        if len(r) == k:
-            found = r[:]
-            return True
-        if len(r) + cand.bit_count() < k:
-            return False
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            if expand(r + [v], cand & adj[v]):
-                return True
-            if len(r) + cand.bit_count() < k:
-                return False
-        return False
-
-    expand([], g.full_mask())
-    return Embedding(k, tuple(found)) if found is not None else None
+    clique = [0] * k
+    cand = [0] * k  # untried vertices for each placed position
+    cand[0] = g.full_mask()
+    i = 0
+    while i >= 0:
+        c = cand[i]
+        if i + c.bit_count() < k:
+            i -= 1
+            continue
+        low = c & -c
+        cand[i] = c ^ low
+        v = clique[i] = low.bit_length() - 1
+        if i == k - 1:
+            return Embedding(k, tuple(clique))
+        i += 1
+        cand[i] = (c ^ low) & adj[v]
+    return None
 
 
 # -- general patterns ------------------------------------------------------
@@ -269,7 +273,8 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
 
     Dispatches on the pattern's shape: a path labelled 0-1-...-(t-1) goes to
     :func:`find_induced_path`, a cycle labelled around its ring to
-    :func:`find_induced_cycle`, and any other pattern to :func:`_match`.
+    :func:`find_induced_cycle`, a complete graph on four or more vertices
+    to :func:`has_clique`, and any other pattern to :func:`_match`.
     The answer is the generic matcher's in every case, and it is memoized
     in ``g._found``, keyed by the pattern's labelled adjacency.
     """
@@ -284,6 +289,8 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
         emb = find_induced_path(g, size)
     elif in_order and kind == "cycle":
         emb = find_induced_cycle(g, size)
+    elif kind == "complete":
+        emb = has_clique(g, size)
     else:
         emb = _match(g, pattern)
     memo[key] = emb
@@ -350,11 +357,14 @@ def is_free(
 
 @lru_cache(maxsize=64)
 def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
-    """Classify a pattern as ('path', t), ('cycle', l), or ('generic', n).
+    """Classify a pattern as ('path', t), ('cycle', l), ('complete', n) or
+    ('generic', n).
 
     The third field says whether a path is labelled 0-1-...-(t-1) and a
     cycle 0-1-...-(l-1)-0; only then do the specialized finders' embeddings
-    map pattern vertex ``i`` the way the generic matcher's do.
+    map pattern vertex ``i`` the way the generic matcher's do.  Every
+    labelling of a complete graph is in order; K1, K2 and K3 are the path
+    or cycle they equal.
     """
     n = pat.n
     degs = sorted(pat.degree(v) for v in range(n))
@@ -364,6 +374,8 @@ def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
     if n >= 3 and pat.is_connected() and degs == [2] * n:
         in_order = all(pat.adj[i] >> ((i + 1) % n) & 1 for i in range(n))
         return "cycle", n, in_order
+    if n >= 4 and degs == [n - 1] * n:
+        return "complete", n, True
     return "generic", n, False
 
 

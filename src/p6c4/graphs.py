@@ -146,12 +146,14 @@ class Graph:
     def component_mask(self, start: int, within: int = -1) -> int:
         """The component of ``start`` in the subgraph induced by the vertex
         mask ``within`` (default: every vertex); ``start`` must be in it."""
-        seen = 1 << start
-        frontier = seen
+        adj = self.adj
+        seen = frontier = 1 << start
         while frontier:
             nxt = 0
-            for v in bits(frontier):
-                nxt |= self.adj[v]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & within & ~seen
             seen |= frontier
         return seen

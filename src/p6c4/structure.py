@@ -7,11 +7,13 @@ adjacency laws that hold in every connected (P6,C4)-free graph.  Each law
 is evaluated as a predicate with a replayable witness on violation, so the
 checker doubles as an audit tool on graphs *outside* the class.
 
-Clique cutsets come from one MCS-M minimal triangulation per graph: the
-minimal separators of a minimal triangulation that are cliques in the
+Clique cutsets come from one MCS-M minimal triangulation per component:
+the minimal separators of a minimal triangulation that are cliques in the
 graph are exactly its clique minimal separators, and MCS-M lists at most
-n - 1 of them.  ``minimal_separators`` enumerates every minimal separator,
-which can take exponential time; it is kept as the tests' oracle.
+n - 1 of them.  Those of the whole input also serve every piece of its
+decomposition tree, so no piece is triangulated again.
+``minimal_separators`` enumerates every minimal separator, which can take
+exponential time; it is kept as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -428,6 +430,12 @@ def mcs_m_separators(g: Graph) -> list[int]:
     minimal separators of H (Berry, Pogorelcnik & Simonet, Algorithms 3
     (2010)).  Returns them as vertex masks, at most n - 1 of them, in the
     order found; a separator may repeat.
+
+    Those that are cliques in ``g`` are exactly its clique minimal
+    separators, and they serve every piece of the :func:`decompose` tree
+    too: a piece's clique minimal separators are the host's that still
+    separate it, so one pass per component of the input is enough
+    (:func:`_clique_separators` runs it on each component).
     """
     adj = g.adj
     n = g.n
@@ -478,17 +486,15 @@ def mcs_m_separators(g: Graph) -> list[int]:
 def find_clique_cutset(g: Graph):
     """A clique whose removal disconnects ``g``, with the two sides.
 
-    Returns ``(cutset, side, rest)`` as frozensets, or None.  For a
-    disconnected graph the empty clique qualifies.  The cutset returned is
-    the first clique minimal separator in (size, sorted vertices) order;
-    ``side`` is the component of ``g - cutset`` holding its lowest vertex.
-
-    The clique minimal separators of ``g`` are exactly the minimal
-    separators of any minimal triangulation that are cliques in ``g``
-    (Berry, Pogorelcnik & Simonet 2010), so one MCS-M pass
-    (:func:`mcs_m_separators`) yields them all, whatever its tie-breaks,
-    without enumerating the minimal separators of ``g`` itself.  The
-    answer is memoized in ``g._cutset``.
+    Returns ``(cutset, side, rest)`` as frozensets, or None.  The cutset is
+    the first entry of :func:`_clique_separators`: the first clique minimal
+    separator in (size, sorted vertices) order, or the empty clique for a
+    disconnected graph.  ``side`` is the component of ``g - cutset``
+    holding its lowest vertex.  This is also the cutset :func:`decompose`
+    puts at the root of its tree, and each piece's cutset there is the one
+    this function would find on the subgraph the piece induces, though
+    :func:`decompose` never builds that subgraph.  The answer is memoized
+    in ``g._cutset``.
     """
     memo = g._cutset
     if memo is False:
@@ -497,21 +503,33 @@ def find_clique_cutset(g: Graph):
 
 
 def _clique_cutset(g: Graph):
-    if g.n == 0:
+    seps = _clique_separators(g)
+    if not seps:
         return None
-    # A disconnected graph splits along the empty clique.
-    seps = mcs_m_separators(g) if g.is_connected() else [0]
-    cliques = [m for m in seps if g.is_clique(m)]
-    if not cliques:
-        return None
-    smask = min(cliques, key=lambda m: (m.bit_count(), list(bits(m))))
-    remaining = g.full_mask() & ~smask
+    remaining = g.full_mask() & ~seps[0]
     comp = g.component_mask(_lowest(remaining), remaining)
-    return (
-        frozenset(bits(smask)),
-        frozenset(bits(comp)),
-        frozenset(bits(remaining & ~comp)),
-    )
+    return frozenset(bits(seps[0])), frozenset(bits(comp)), frozenset(bits(remaining & ~comp))
+
+
+def _clique_separators(g: Graph) -> list[int]:
+    """The clique minimal separators of ``g`` as vertex masks, in (size,
+    sorted vertices) order, led by the empty clique if ``g`` is disconnected.
+
+    The minimal separators of any minimal triangulation that are cliques
+    in the graph are exactly its clique minimal separators (Berry,
+    Pogorelcnik & Simonet 2010), so one MCS-M pass per component
+    (:func:`mcs_m_separators`) yields them all, whatever its tie-breaks,
+    without enumerating the minimal separators of ``g`` itself.
+    """
+    if g.is_connected():
+        found = set(mcs_m_separators(g))
+    else:
+        found = {0}
+        for part in g.components():
+            sub, vmap = induced_subgraph(g, part)
+            found.update(mask_of([vmap[i] for i in bits(m)]) for m in mcs_m_separators(sub))
+    cliques = [m for m in found if g.is_clique(m)]
+    return sorted(cliques, key=lambda m: (m.bit_count(), list(bits(m))))
 
 
 @dataclass(frozen=True)
@@ -537,45 +555,56 @@ class CutsetNode:
 def decompose(g: Graph) -> CutsetNode:
     """Clique cutset decomposition down to atoms.
 
-    Each piece is split along :func:`find_clique_cutset` of its induced
-    subgraph; its children are the components of the piece minus the
-    cutset, each with the cutset added back, in order of their lowest
-    vertex.  The pieces are walked with an explicit stack, so a deep tree
-    (a long path has depth n - 2) needs no recursion.
+    Each piece P is split along the first clique minimal separator of
+    ``g[P]`` in (size, sorted vertices) order (:func:`find_clique_cutset`
+    of ``g[P]``); its children are the components of P minus the cutset,
+    each with the cutset added back, in order of their lowest vertex.
+
+    No piece gets its own triangulation.  Every component of g - P
+    attaches to P through a clique, so the clique minimal separators of
+    ``g[P]`` are exactly those T of ``g`` (:func:`_clique_separators`,
+    one MCS-M pass per component) with T inside P and at least two
+    components of P - T whose neighbourhoods contain T; :func:`_split`
+    tests that with vertex-mask floods.  So a candidate that fails at P
+    fails in every piece below P, and P's cutset does not separate any of
+    its children: a child scans only the candidates after its parent's
+    cutset.  (The first candidate of that scan that lies inside P always
+    separates P, so the floods that test it are the ones that split P.)
+    The pieces are walked with an explicit stack, so a deep tree (a long
+    path has depth n - 2) needs no recursion.
     """
-
-    def split(vset: tuple[int, ...]):
-        """The cutset of a piece in host ids and its child pieces, or
-        ``(None, ())`` for an atom."""
-        sub, vmap = induced_subgraph(g, vset)
-        hit = find_clique_cutset(sub)
-        if hit is None:
-            return None, ()
-        cut_mask = mask_of(hit[0])
-        remaining = sub.full_mask() & ~cut_mask
-        pieces = []
-        while remaining:
-            comp = sub.component_mask(_lowest(remaining), remaining)
-            pieces.append(tuple([vmap[i] for i in bits(comp | cut_mask)]))
-            remaining &= ~comp
-        assert len(pieces) > 1, "clique cutset does not separate"
-        return tuple([vmap[i] for i in bits(cut_mask)]), pieces
-
-    # One frame (vertices, cutset, child pieces, finished children) per
-    # piece whose subtree is still being built.
-    vset = tuple(range(g.n))
-    stack = [(vset, *split(vset), [])]
+    seps = _clique_separators(g)
+    # A frame per unfinished piece: (piece, cutset index, components, children).
+    stack = [(g.full_mask(), *_split(g, seps, g.full_mask(), 0), [])]
     while True:
-        vset, cut, pieces, done = stack[-1]
-        if len(done) < len(pieces):
-            child = pieces[len(done)]
-            stack.append((child, *split(child), []))
+        piece, at, comps, done = stack[-1]
+        if len(done) < len(comps):
+            child = comps[len(done)] | seps[at]
+            stack.append((child, *_split(g, seps, child, at + 1), []))
             continue
-        node = CutsetNode(vset, cut, tuple(done))
+        cut = tuple([v for v in bits(seps[at])]) if comps else None
+        node = CutsetNode(tuple([v for v in bits(piece)]), cut, tuple(done))
         stack.pop()
         if not stack:
             return node
         stack[-1][3].append(node)
+
+
+def _split(g: Graph, seps: list[int], piece: int, start: int):
+    """The index of the first candidate in ``seps[start:]`` that is a
+    clique minimal separator of ``g[piece]``, with the components of the
+    piece without it; ``(None, ())`` for an atom."""
+    for i in range(start, len(seps)):
+        cut = seps[i]
+        if cut & ~piece:
+            continue
+        comps, rest = [], piece & ~cut
+        while rest:
+            comps.append(g.component_mask(_lowest(rest), rest))
+            rest &= ~comps[-1]
+        if sum(all(g.adj[t] & c for t in bits(cut)) for c in comps) > 1:
+            return i, comps
+    return None, ()
 
 
 def atom_list(tree: CutsetNode) -> list[tuple[int, ...]]:
@@ -691,15 +720,17 @@ def check_size_bounds(g: Graph, c: C5Embedding, p: SPartition | None = None, k: 
     not-applicable): connected, (P6,C4)-free, K_{k+1}-free host with a
     valid induced C5.  The two-sided bound on s1(i)/s2(i+2) and the
     single-s1 bounds additionally require a C6-free host with no clique
-    cutset — the ambient hypotheses of the argument they come from.
+    cutset — the ambient hypotheses of the argument they come from.  The
+    pattern searches behind these hypotheses go through
+    :func:`detect.find_induced_copy`, memoized on the host, so each runs
+    once per host and k however many rings are checked.
     """
     if p is None:
         p = classify(g, c)
     out: dict = {"k": k, "checks": {}}
     free, _, _ = detect.is_free(g, [families.path_graph(6), families.cycle_graph(4)])
-    ok_base = (
-        g.is_connected() and free and detect.has_clique(g, k + 1) is None
-    )
+    clique = families.complete_graph(k + 1)
+    ok_base = g.is_connected() and free and detect.find_induced_copy(g, clique) is None
     if not ok_base:
         out["status"] = NOT_APPLICABLE
         out["reason"] = "host must be connected, (P6,C4)-free, and K_{k+1}-free"

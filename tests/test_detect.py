@@ -158,6 +158,48 @@ def test_specialized_finders_agree_with_generic(g):
         assert detect.find_induced_cycle(g, l) == detect._match(g, families.cycle_graph(l))
 
 
+@settings(max_examples=100)
+@given(graphs(max_n=10))
+def test_clique_finder_agrees_with_generic(g):
+    """has_clique returns the generic matcher's first complete embedding,
+    so sending complete patterns to it changes no witness."""
+    for k in range(1, 8):
+        assert detect.has_clique(g, k) == detect._match(g, families.complete_graph(k))
+
+
+def test_clique_finder_agrees_with_generic_on_family8(family8):
+    for g in family8:
+        for k in (4, 5):
+            assert detect.has_clique(g, k) == detect._match(g, families.complete_graph(k))
+
+
+def test_complete_patterns_go_to_the_clique_finder(monkeypatch):
+    calls = count_calls(monkeypatch, detect, "has_clique")
+    g = families.blowup(families.cycle_graph(5), (1, 2, 3, 1, 1))
+    assert detect.find_induced_copy(g, families.complete_graph(5)).vmap == (1, 2, 3, 4, 5)
+    assert detect.find_induced_copy(g, families.complete_graph(6)) is None
+    assert [args[1] for args in calls] == [5, 6]
+    # K1, K2 and K3 are the path or cycle they equal
+    assert [detect._pattern_shape(families.complete_graph(n))[0] for n in (1, 2, 3, 4)] == [
+        "path",
+        "path",
+        "cycle",
+        "complete",
+    ]
+
+
+def test_large_clique_search_needs_no_recursion():
+    n = 600
+    g = families.complete_graph(n)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)  # far below the clique size
+    try:
+        found = detect.find_induced_copy(g, families.complete_graph(n))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found.vmap == tuple(range(n))
+
+
 @settings(max_examples=60)
 @given(graphs(max_n=7))
 def test_generic_matcher_matches_oracle(g):

@@ -480,6 +480,143 @@ def test_decompose_tree_shape():
     assert structure.atom_list(atom) == [(0, 1, 2)]
 
 
+def _reference_decompose(g):
+    """decompose as it was before the host's separators served every piece:
+    each piece is split along find_clique_cutset of its induced subgraph."""
+
+    def split(vset):
+        sub, vmap = induced_subgraph(g, vset)
+        hit = structure.find_clique_cutset(sub)
+        if hit is None:
+            return None, ()
+        cut_mask = mask_of(hit[0])
+        remaining = sub.full_mask() & ~cut_mask
+        pieces = []
+        while remaining:
+            comp = sub.component_mask((remaining & -remaining).bit_length() - 1, remaining)
+            pieces.append(tuple(vmap[i] for i in bits(comp | cut_mask)))
+            remaining &= ~comp
+        return tuple(vmap[i] for i in bits(cut_mask)), pieces
+
+    def build(vset):
+        cut, pieces = split(vset)
+        return structure.CutsetNode(vset, cut, tuple(build(p) for p in pieces))
+
+    return build(tuple(range(g.n)))
+
+
+def _pieces(tree):
+    """Every node of ``tree`` with its parent (None at the root)."""
+    todo = [(tree, None)]
+    while todo:
+        node, parent = todo.pop()
+        yield node, parent
+        todo.extend((ch, node) for ch in node.children)
+
+
+def _sparse_graph(seed):
+    """A seeded graph with up to 30 vertices and at most 1.5 edges per
+    vertex: forests, short cycles and several components are all common."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 30)
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, rng.sample(pairs, min(len(pairs), rng.randint(0, 3 * n // 2))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(min_n=0, max_n=14))
+def test_decompose_matches_reference(g):
+    assert structure.decompose(g) == _reference_decompose(g)
+
+
+def test_decompose_matches_reference_on_family8(family8):
+    for g in family8:
+        assert structure.decompose(g) == _reference_decompose(g)
+
+
+def test_decompose_matches_reference_on_sparse_graphs():
+    disconnected = 0
+    for seed in range(300):
+        g = _sparse_graph(seed)
+        disconnected += not g.is_connected()
+        assert structure.decompose(g) == _reference_decompose(g), seed
+    assert disconnected > 100
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(min_n=1, max_n=10))
+def test_host_separators_that_separate_a_piece_are_its_own(g):
+    """The lemma behind decompose: at every piece P, the host's clique
+    minimal separators that separate P are exactly the clique minimal
+    separators of g[P].  Also, inside the scan from just after the parent's
+    cutset, every candidate within P separates it, and every component of
+    P minus the cutset sees the whole cutset."""
+    seps = structure._clique_separators(g)
+    for node, parent in _pieces(structure.decompose(g)):
+        piece = mask_of(node.vertices)
+        sub, vmap = induced_subgraph(g, node.vertices)
+        own = {mask_of(vmap[i] for i in sep) for sep in structure.minimal_separators(sub)}
+        own = {m for m in own if g.is_clique(m)}
+        if not sub.is_connected():
+            own.add(0)
+        separating = {
+            m for m in seps if structure._split(g, [m], piece, 0)[0] is not None
+        }
+        assert separating == own
+        start = 0 if parent is None else seps.index(mask_of(parent.cutset)) + 1
+        inside = [m for m in seps[start:] if not m & ~piece]
+        assert all(m in own for m in inside)
+        if node.cutset:
+            cut = mask_of(node.cutset)
+            for ch in node.children:
+                comp = mask_of(ch.vertices) & ~cut
+                assert all(g.adj[t] & comp for t in node.cutset)
+
+
+def test_suffix_scan_ablation(monkeypatch):
+    """Scanning every candidate at every piece gives the same tree as
+    scanning only those after the parent's cutset."""
+    graphs_ = [_sparse_graph(seed) for seed in range(120)]
+    graphs_ += [families.path_graph(40), families.specific_base()]
+    suffix = [structure.decompose(g) for g in graphs_]
+    split = structure._split
+    monkeypatch.setattr(
+        structure, "_split", lambda g, seps, piece, start: split(g, seps, piece, 0)
+    )
+    assert [structure.decompose(g) for g in graphs_] == suffix
+
+
+def test_decompose_triangulates_once_per_component(monkeypatch):
+    mcs = count_calls(monkeypatch, structure, "mcs_m_separators")
+    sub = count_calls(monkeypatch, structure, "induced_subgraph")
+    path = families.path_graph(50)
+    structure.decompose(path)
+    assert len(mcs) == 1 and mcs[0][0] is path
+    assert sub == []  # a connected input is triangulated as it is
+    # a path, a triangle, an isolated vertex and an edge
+    g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (8, 9)])
+    structure.decompose(g)
+    assert len(mcs) == 1 + 4
+
+
+def test_decompose_disconnected_and_nested_cutsets():
+    # two triangles sharing vertex 1, a pendant edge, an isolated vertex
+    g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2), (1, 3), (3, 4), (1, 4), (5, 6)])
+    tree = structure.decompose(g)
+    assert tree.cutset == ()
+    assert [ch.vertices for ch in tree.children] == [(0, 1, 2, 3, 4), (5, 6)]
+    assert structure.atom_list(tree) == [(0, 1, 2), (1, 3, 4), (5, 6)]
+    # a cutset that strictly contains its parent's: {0, 1} splits the
+    # common neighbours 2, 3, 4 after {0} cuts off the pendant 5
+    nested = Graph.from_edges(
+        6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (0, 5)]
+    )
+    tree = structure.decompose(nested)
+    assert tree.cutset == (0,)
+    assert tree.children[0].cutset == (0, 1)
+    assert structure.atom_list(tree) == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 5)]
+
+
 # -- blow-up recognition ---------------------------------------------------------
 
 
@@ -554,6 +691,19 @@ def test_size_bounds_sweep(small_free_family):
             doc = structure.check_size_bounds(g, c, k=3)
             if doc["status"] == "evaluated":
                 assert doc["ok"], (g.edges(), c.ring, doc)
+
+
+def test_size_bounds_search_host_cliques_once_per_k(monkeypatch):
+    calls = count_calls(monkeypatch, detect, "has_clique")
+    g = families.blowup(families.specific_base(), (2,) * 11)
+    rings = structure.find_all_c5(g)
+    assert len(rings) == 384
+    statuses = set()
+    for k in (3, 6):
+        for c in rings:
+            statuses.add(structure.check_size_bounds(g, c, k=k)["status"])
+    assert [args[1] for args in calls] == [4, 7]
+    assert statuses == {"not-applicable", "evaluated"}
 
 
 # -- golden file -------------------------------------------------------------
