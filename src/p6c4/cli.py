@@ -225,10 +225,9 @@ def cmd_enumerate(args) -> int:
 
     if args.out:
         out = Path(args.out)
-        out.write_text("".join(line + "\n" for line in lines))
-        manifest_path = out.with_suffix(".json")
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-        log.info("wrote %s and %s", out, manifest_path)
+        codec.write_atomic(out, "".join(line + "\n" for line in lines))
+        codec.write_atomic(out.with_suffix(".json"), json.dumps(manifest, indent=2) + "\n")
+        log.info("wrote %s and %s", out, out.with_suffix(".json"))
     else:
         _emit({"graphs": lines, "manifest": manifest}, None)
     return EXIT_OK
@@ -375,8 +374,7 @@ def main(argv=None) -> int:
         log.error("%s", exc)
         return EXIT_DATA
     except RecursionError:
-        # The recursive coloring search, and json of a very deep
-        # decomposition tree, run out of stack on some large inputs.
+        # Only json of a very deep decompose tree runs out of stack.
         log.error("input too large: recursion limit exceeded")
         return EXIT_DATA
 

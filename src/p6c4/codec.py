@@ -9,6 +9,8 @@ first, zero-padded.  Decode errors carry the byte offset of the problem.
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 from typing import Any
 
 from .graphs import Graph
@@ -163,3 +165,15 @@ def read_graph6_lines(text: str) -> list[Graph]:
         if line and not line.startswith("#"):
             out.append(from_graph6(line))
     return out
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp`` and rename that over ``path``, so a
+    crash mid-write leaves the previous file intact."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

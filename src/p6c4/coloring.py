@@ -6,7 +6,7 @@ minimal non-k-colorable induced subgraph and matches it against a finite
 obstruction catalog.  A strictly (P6,C4)-free input that fails to match
 the catalog is reported as ``uncataloged`` — that outcome would falsify
 the finiteness theorems this package is built around, so tests treat it
-as a trap.
+as a trap.  Vertex subsets (atoms, deletion trials) are host vertex masks.
 """
 
 from __future__ import annotations
@@ -48,63 +48,72 @@ def verify_coloring(g: Graph, coloring: Coloring) -> tuple[bool, tuple[int, int]
 
 
 def k_color(g: Graph, k: int) -> Coloring | None:
-    """An exact k-coloring, or None if no proper k-coloring exists.
-
-    Branch and bound: next vertex by maximum saturation degree, ties by
-    degree then lowest index; candidate colors ascending, capped at one
-    more than the number of colors already used (symmetry break).
-    """
+    """An exact k-coloring, or None if there is none (:func:`_color_within`)."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = g.n
-    if n == 0:
-        return Coloring(k, ())
-    if k >= n:
-        return Coloring(k, tuple(range(1, n + 1)))
-    adj = g.adj
-    degs = [g.degree(v) for v in range(n)]
+    color = _color_within(g, k, g.full_mask())
+    return None if color is None else Coloring(k, tuple(color))
+
+
+def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
+    """An exact k-coloring of ``g[within]`` as a list over the vertices of
+    ``g`` (0 outside the mask ``within``), or None.
+
+    With k at least the mask's size the colors count up in vertex order.
+    Otherwise, branch and bound: next vertex by maximum saturation degree,
+    ties by degree inside the mask, then lowest index; colors ascending,
+    capped at one above the largest in use (symmetry break); a dead end
+    once an uncolored neighbour sees all k colors.  One frame per colored
+    vertex on an explicit stack replaces recursion.
+    """
+    adj, n = g.adj, g.n
     color = [0] * n
+    if k >= within.bit_count():
+        for c, v in enumerate(bits(within), 1):
+            color[v] = c
+        return color
+    deg = [(row & within).bit_count() for row in adj]
     nbr_used = [0] * n  # bitmask of colors (bit c-1) on colored neighbors
     full_k = (1 << k) - 1
-
-    def pick() -> int:
-        best, best_key = -1, None
-        for v in range(n):
-            if color[v]:
+    uncolored = within
+    frames: list[list] = []  # [vertex, untried colors, used_max before it, touched]
+    used_max = 0
+    while uncolored:
+        v, best = -1, -1
+        for u in bits(uncolored):
+            key = nbr_used[u].bit_count() * n + deg[u]
+            if key > best:
+                v, best = u, key
+        frames.append([v, ~nbr_used[v] & ((1 << min(k, used_max + 1)) - 1), used_max, ()])
+        dead = True
+        while dead:  # the next color on top of the stack, backtracking as needed
+            if not frames:
+                return None
+            frame = frames[-1]
+            v, avail, base, touched = frame
+            if color[v]:  # take back the color tried last
+                cbit = 1 << (color[v] - 1)
+                for u in touched:
+                    nbr_used[u] ^= cbit
+                color[v] = 0
+                uncolored |= 1 << v
+            if not avail:
+                frames.pop()
                 continue
-            key = (-nbr_used[v].bit_count(), -degs[v], v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
-
-    def rec(done: int, used_max: int) -> bool:
-        if done == n:
-            return True
-        v = pick()
-        avail = ~nbr_used[v] & ((1 << min(k, used_max + 1)) - 1)
-        while avail:
             cbit = avail & -avail
-            avail ^= cbit
-            c = cbit.bit_length()
-            color[v] = c
+            c = color[v] = cbit.bit_length()
+            uncolored ^= 1 << v
             touched = []
             dead = False
-            for u in bits(adj[v]):
-                if not color[u] and not nbr_used[u] & cbit:
+            for u in bits(adj[v] & uncolored):
+                if not nbr_used[u] & cbit:
                     nbr_used[u] |= cbit
                     touched.append(u)
                     if nbr_used[u] == full_k:
                         dead = True
-            if not dead and rec(done + 1, max(used_max, c)):
-                return True
-            color[v] = 0
-            for u in touched:
-                nbr_used[u] &= ~cbit
-        return False
-
-    if rec(0, 0):
-        return Coloring(k, tuple(color))
-    return None
+            frame[1], frame[3] = avail ^ cbit, touched
+            used_max = max(base, c)
+    return color
 
 
 def chromatic_number(g: Graph) -> int:
@@ -126,13 +135,11 @@ def minimize_obstruction(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]]:
     """
     if k_color(g, k) is not None:
         raise ValueError("graph is k-colorable; nothing to minimize")
-    alive = set(range(g.n))
+    alive = g.full_mask()
     for v in range(g.n):
-        trial = alive - {v}
-        sub, _ = induced_subgraph(g, trial)
-        if k_color(sub, k) is None:
-            alive = trial
-    return induced_subgraph(g, alive)
+        if _color_within(g, k, alive & ~(1 << v)) is None:
+            alive &= ~(1 << v)
+    return induced_subgraph(g, bits(alive))
 
 
 # -- obstruction catalogs ----------------------------------------------------
@@ -169,15 +176,14 @@ def default_catalog_path(k: int) -> Path:
 
 def catalog_save(entries: list[ObstructionEntry], path: str | Path, n_max: int | None = None) -> None:
     """Write graph6 lines plus a JSON manifest sidecar (<path>.json)."""
-    path = Path(path)
-    lines = [codec.to_graph6(e.graph) for e in entries]
-    path.write_text("".join(line + "\n" for line in lines))
     manifest = {
         "k": entries[0].k if entries else None,
         "n_max_searched": n_max,
         "entries": [manifest_entry(e) for e in entries],
     }
-    path.with_suffix(".json").write_text(json.dumps(manifest, indent=2) + "\n")
+    path = Path(path)
+    codec.write_atomic(path, "".join(codec.to_graph6(e.graph) + "\n" for e in entries))
+    codec.write_atomic(path.with_suffix(".json"), json.dumps(manifest, indent=2) + "\n")
 
 
 def manifest_entry(e: ObstructionEntry) -> dict:
@@ -201,16 +207,12 @@ def catalog_load(path: str | Path) -> list[ObstructionEntry]:
         metas = json.loads(manifest_path.read_text())["entries"]
         if len(metas) != len(graphs):
             raise ValueError("catalog manifest does not match graph6 lines")
-    entries = []
-    for i, graph in enumerate(graphs):
-        if metas is not None:
-            m = metas[i]
-            entries.append(
-                ObstructionEntry(m["id"], m["k"], graph, m["provenance"], m.get("verified", {}))
-            )
-        else:
-            entries.append(ObstructionEntry(f"entry_{i}", -1, graph, "unknown"))
-    return entries
+    if metas is None:
+        return [ObstructionEntry(f"entry_{i}", -1, h, "unknown") for i, h in enumerate(graphs)]
+    return [
+        ObstructionEntry(m["id"], m["k"], h, m["provenance"], m.get("verified", {}))
+        for m, h in zip(metas, graphs)
+    ]
 
 
 def catalog_lookup(entries: list[ObstructionEntry], g: Graph) -> str | None:
@@ -252,11 +254,8 @@ def catalog_verify(entries: list[ObstructionEntry], k: int) -> dict:
 
 
 def _deletions_colorable(g: Graph, k: int) -> bool:
-    for v in range(g.n):
-        sub, _ = induced_subgraph(g, set(range(g.n)) - {v})
-        if k_color(sub, k) is None:
-            return False
-    return True
+    full = g.full_mask()
+    return all(_color_within(g, k, full & ~(1 << v)) is not None for v in range(g.n))
 
 
 # -- certificates ------------------------------------------------------------
@@ -352,11 +351,10 @@ def _color_tree(g: Graph, tree, k: int) -> dict[int, int] | tuple[int, ...]:
             stack.append([node.children[i], {}, 0])
             continue
         if not node.children:
-            sub, vmap = induced_subgraph(g, node.vertices)
-            col = k_color(sub, k)
+            col = _color_within(g, k, mask_of(node.vertices))
             if col is None:
                 return node.vertices
-            part = {vmap[u]: col.assignment[u] for u in range(sub.n)}
+            part = {v: col[v] for v in node.vertices}
         stack.pop()
         if not stack:
             return part
@@ -365,10 +363,8 @@ def _color_tree(g: Graph, tree, k: int) -> dict[int, int] | tuple[int, ...]:
             result.update(part)
             continue
         perm = {part[v]: result[v] for v in parent.cutset or ()}
-        free_targets = [c for c in range(1, k + 1) if c not in perm.values()]
-        for c in range(1, k + 1):
-            if c not in perm:
-                perm[c] = free_targets.pop(0)
+        unused = [c for c in range(1, k + 1) if c not in perm.values()]
+        perm.update(zip([c for c in range(1, k + 1) if c not in perm], unused))
         for v, c in part.items():
             if v in result:
                 assert result[v] == perm[c], "children disagree on the cutset"

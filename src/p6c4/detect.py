@@ -210,26 +210,26 @@ def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | Embedding | None]:
 
 
 def max_clique(g: Graph) -> frozenset[int]:
-    """An exact maximum clique (deterministic branch and bound)."""
-    best: list[int] = []
+    """An exact maximum clique: the :func:`has_clique` loop, backtracking
+    once a position cannot beat the best clique found so far."""
     adj = g.adj
-
-    def expand(r: list[int], cand: int) -> None:
-        nonlocal best
-        if len(r) + cand.bit_count() <= len(best):
-            return
-        if not cand:
-            if len(r) > len(best):
-                best = r[:]
-            return
-        while cand:
-            if len(r) + cand.bit_count() <= len(best):
-                return
-            v = (cand & -cand).bit_length() - 1
-            cand ^= 1 << v
-            expand(r + [v], cand & adj[v])
-
-    expand([], g.full_mask())
+    best: list[int] = []
+    clique: list[int] = []
+    cand = [g.full_mask()]
+    while cand:
+        i = len(clique)
+        c = cand[i]
+        if i + c.bit_count() <= len(best):
+            cand.pop()
+            del clique[-1:]
+            continue
+        if not c:
+            best = clique[:]
+            continue
+        low = c & -c
+        cand[i] = c ^ low
+        clique.append(low.bit_length() - 1)
+        cand.append(cand[i] & adj[clique[-1]])
     return frozenset(best)
 
 

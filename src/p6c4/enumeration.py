@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -351,16 +350,7 @@ def _save_checkpoint(path, cfg, extendable, found, n, level_sizes) -> None:
         "obstructions": [codec.to_graph6(g) for _, g in found],
         "level_sizes": {str(k): v for k, v in level_sizes.items()},
     }
-    # Write beside the target and rename over it, so a crash mid-write
-    # leaves the previous checkpoint intact.
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    codec.write_atomic(path, json.dumps(payload))
 
 
 def _load_checkpoint(path, cfg):

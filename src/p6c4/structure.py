@@ -416,37 +416,38 @@ def minimal_separators(g: Graph) -> list[frozenset[int]]:
     )
 
 
-def mcs_m_separators(g: Graph) -> list[int]:
-    """The minimal separators of an MCS-M minimal triangulation of ``g``.
+def mcs_m_separators(g: Graph, within: int) -> list[int]:
+    """The minimal separators of an MCS-M minimal triangulation of
+    ``g[within]``, which must be connected, as host vertex masks.
 
-    ``g`` must be connected.  MCS-M (Berry, Blair, Heggernes & Peyton,
-    Algorithmica 39 (2004)) numbers the vertices from n down to 1, each
-    time taking the lowest unnumbered vertex of largest label.  Every
-    unnumbered vertex y reachable from it through unnumbered vertices of
-    labels below y's gets its label raised and the chosen vertex added to ``madj[y]``;
-    those additions are the edges of the triangulation H.  A vertex
-    chosen with a label no larger than the previous pick's is a
+    MCS-M (Berry, Blair, Heggernes & Peyton, Algorithmica 39 (2004))
+    numbers the m vertices of the mask from m down to 1, each time taking
+    the lowest unnumbered vertex of largest label.  Every unnumbered
+    vertex y reachable from it through unnumbered vertices of labels
+    below y's gets its label raised and the chosen vertex added to
+    ``madj[y]``; those additions are the edges of the triangulation H.  A
+    vertex chosen with a label no larger than the previous pick's is a
     generator, and the ``madj`` sets of the generators are exactly the
     minimal separators of H (Berry, Pogorelcnik & Simonet, Algorithms 3
-    (2010)).  Returns them as vertex masks, at most n - 1 of them, in the
+    (2010)).  Returns them as vertex masks, at most m - 1 of them, in the
     order found; a separator may repeat.
 
-    Those that are cliques in ``g`` are exactly its clique minimal
-    separators, and they serve every piece of the :func:`decompose` tree
-    too: a piece's clique minimal separators are the host's that still
-    separate it, so one pass per component of the input is enough
-    (:func:`_clique_separators` runs it on each component).
+    Those that are cliques in ``g`` are exactly the clique minimal
+    separators of ``g[within]``, and they serve every piece of the
+    :func:`decompose` tree inside it too: a piece's clique minimal
+    separators are the host's that still separate it, so one pass per
+    component of the input is enough (:func:`_clique_separators`).
     """
     adj = g.adj
     n = g.n
     label = [0] * n
     buckets = [0] * (n + 1)  # buckets[l]: unnumbered vertices of label l
-    buckets[0] = unnumbered = g.full_mask()
+    buckets[0] = unnumbered = within
     madj = [0] * n
     top = 0
     prev = -1
     seps: list[int] = []
-    for _ in range(n):
+    for _ in range(within.bit_count()):
         while not buckets[top]:
             top -= 1
         x = _lowest(buckets[top])
@@ -521,15 +522,15 @@ def _clique_separators(g: Graph) -> list[int]:
     (:func:`mcs_m_separators`) yields them all, whatever its tie-breaks,
     without enumerating the minimal separators of ``g`` itself.
     """
-    if g.is_connected():
-        found = set(mcs_m_separators(g))
-    else:
-        found = {0}
-        for part in g.components():
-            sub, vmap = induced_subgraph(g, part)
-            found.update(mask_of([vmap[i] for i in bits(m)]) for m in mcs_m_separators(sub))
-    cliques = [m for m in found if g.is_clique(m)]
-    return sorted(cliques, key=lambda m: (m.bit_count(), list(bits(m))))
+    found = set()
+    rest = g.full_mask()
+    while rest:
+        comp = g.component_mask(_lowest(rest), rest)
+        found.update(mcs_m_separators(g, comp))
+        rest &= ~comp
+        if rest:  # a second component: the empty clique separates
+            found.add(0)
+    return sorted(filter(g.is_clique, found), key=lambda m: (m.bit_count(), list(bits(m))))
 
 
 @dataclass(frozen=True)

@@ -143,12 +143,9 @@ def test_decompose_reports_atoms(tmp_path, capsys):
     assert payload["tree"]["cutset"] == [2]
 
 
-@pytest.mark.parametrize(
-    "argv", [["decompose"], ["color", "--k", "3"]], ids=["decompose", "color"]
-)
+@pytest.mark.parametrize("argv", [["decompose"]], ids=["decompose"])
 def test_too_deep_for_the_recursion_limit_exits_65(tmp_path, capsys, argv):
-    # A 200-level decomposition tree is too deep for json, and the
-    # coloring search recurses once per vertex.
+    # A 200-level decomposition tree is too deep for json.
     path = write_graph(tmp_path, families.path_graph(200))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 150)
@@ -159,6 +156,20 @@ def test_too_deep_for_the_recursion_limit_exits_65(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == 65 and captured.out == ""
     assert captured.err == "input too large: recursion limit exceeded\n"
+
+
+def test_plain_color_on_a_long_path_exits_0(tmp_path, capsys):
+    g = families.path_graph(1500)
+    path = write_graph(tmp_path, g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 150)  # far below the path length
+    try:
+        code, payload = run_cli(capsys, "color", "--k", "3", "--in", path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 0 and payload["result"] == "colored"
+    col = coloring.Coloring(3, tuple(payload["coloring"][str(v)] for v in range(g.n)))
+    assert coloring.verify_coloring(g, col) == (True, None)
 
 
 # -- enumerate ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 import pytest
@@ -25,8 +26,9 @@ from p6c4.coloring import (
     k_color,
     minimize_obstruction,
     verify_coloring,
+    _color_within,
 )
-from p6c4.graphs import Graph, induced_subgraph
+from p6c4.graphs import Graph, bits, induced_subgraph
 
 
 def moser_spindle() -> Graph:
@@ -65,6 +67,102 @@ def test_k_color_edge_cases():
     assert k_color(families.complete_graph(3), 5).assignment == (1, 2, 3)
     with pytest.raises(ValueError):
         k_color(families.complete_graph(3), 0)
+
+
+def _reference_k_color(g: Graph, k: int) -> Coloring | None:
+    """The recursive search that ``k_color`` replaced, kept as its oracle."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = g.n
+    if n == 0:
+        return Coloring(k, ())
+    if k >= n:
+        return Coloring(k, tuple(range(1, n + 1)))
+    adj = g.adj
+    degs = [g.degree(v) for v in range(n)]
+    color = [0] * n
+    nbr_used = [0] * n  # bitmask of colors (bit c-1) on colored neighbors
+    full_k = (1 << k) - 1
+
+    def pick() -> int:
+        best, best_key = -1, None
+        for v in range(n):
+            if color[v]:
+                continue
+            key = (-nbr_used[v].bit_count(), -degs[v], v)
+            if best_key is None or key < best_key:
+                best, best_key = v, key
+        return best
+
+    def rec(done: int, used_max: int) -> bool:
+        if done == n:
+            return True
+        v = pick()
+        avail = ~nbr_used[v] & ((1 << min(k, used_max + 1)) - 1)
+        while avail:
+            cbit = avail & -avail
+            avail ^= cbit
+            c = cbit.bit_length()
+            color[v] = c
+            touched = []
+            dead = False
+            for u in bits(adj[v]):
+                if not color[u] and not nbr_used[u] & cbit:
+                    nbr_used[u] |= cbit
+                    touched.append(u)
+                    if nbr_used[u] == full_k:
+                        dead = True
+            if not dead and rec(done + 1, max(used_max, c)):
+                return True
+            color[v] = 0
+            for u in touched:
+                nbr_used[u] &= ~cbit
+        return False
+
+    if rec(0, 0):
+        return Coloring(k, tuple(color))
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_k_color_matches_the_recursive_reference(g):
+    for k in range(1, 6):
+        assert k_color(g, k) == _reference_k_color(g, k)
+
+
+def test_k_color_matches_the_recursive_reference_on_family8(family8):
+    for g in family8:
+        for k in (3, 4):
+            assert k_color(g, k) == _reference_k_color(g, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14), st.integers(0, 2**14 - 1), st.integers(1, 5))
+def test_color_within_is_k_color_of_the_induced_subgraph(g, mask, k):
+    mask &= g.full_mask()
+    sub, vmap = induced_subgraph(g, bits(mask))
+    expected = _reference_k_color(sub, k)
+    got = _color_within(g, k, mask)
+    if expected is None:
+        assert got is None
+    else:
+        host = [0] * g.n
+        for i, c in enumerate(expected.assignment):
+            host[vmap[i]] = c
+        assert got == host
+
+
+def test_k_color_needs_no_recursion():
+    path = families.path_graph(1500)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)  # far below the path length
+    try:
+        col = k_color(path, 2)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert col.assignment == (2, 1) * 750
+    assert verify_coloring(path, col) == (True, None)
 
 
 def test_verify_coloring_reports_conflicts():
@@ -154,6 +252,22 @@ def test_catalog_load_rejects_mismatched_manifest(tmp_path):
     path.with_suffix(".json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError):
         catalog_load(path)
+
+
+def test_failed_catalog_write_keeps_the_previous_one(tmp_path, monkeypatch):
+    path = tmp_path / "cat.g6"
+    catalog_save(small_catalog(), path, n_max=6)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="rename failed"):
+        catalog_save(small_catalog()[:1], path, n_max=4)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert [e.id for e in catalog_load(path)] == ["K4", "W5"]
 
 
 def test_catalog_lookup_is_isomorphism_invariant():

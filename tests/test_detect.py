@@ -188,6 +188,52 @@ def test_complete_patterns_go_to_the_clique_finder(monkeypatch):
     ]
 
 
+def _reference_max_clique(g):
+    """The recursive branch and bound that ``max_clique`` replaced."""
+    best: list[int] = []
+    adj = g.adj
+
+    def expand(r: list[int], cand: int) -> None:
+        nonlocal best
+        if len(r) + cand.bit_count() <= len(best):
+            return
+        if not cand:
+            if len(r) > len(best):
+                best = r[:]
+            return
+        while cand:
+            if len(r) + cand.bit_count() <= len(best):
+                return
+            v = (cand & -cand).bit_length() - 1
+            cand ^= 1 << v
+            expand(r + [v], cand & adj[v])
+
+    expand([], g.full_mask())
+    return frozenset(best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_max_clique_matches_the_recursive_reference(g):
+    assert detect.max_clique(g) == _reference_max_clique(g)
+
+
+def test_max_clique_matches_the_recursive_reference_on_family8(family8):
+    for g in family8:
+        assert detect.max_clique(g) == _reference_max_clique(g)
+
+
+def test_max_clique_needs_no_recursion():
+    g = families.complete_graph(1100)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)  # far below the clique size
+    try:
+        found = detect.max_clique(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert found == frozenset(range(1100))
+
+
 def test_large_clique_search_needs_no_recursion():
     n = 600
     g = families.complete_graph(n)

@@ -377,7 +377,8 @@ def _relabelled_candidates(g, perm):
     """MCS-M's candidates on ``g`` relabelled by ``perm``, mapped back to
     the vertex ids of ``g``."""
     back = []
-    for m in structure.mcs_m_separators(g.relabel(perm)):
+    h = g.relabel(perm)
+    for m in structure.mcs_m_separators(h, h.full_mask()):
         back.append(mask_of(v for v in range(g.n) if m >> perm[v] & 1))
     return back
 
@@ -404,12 +405,15 @@ def test_mcs_m_separators_are_minimal_separators(g, seed):
 
 def test_mcs_m_separators_examples():
     # A clique raises every label: no generator, no separator.
-    assert structure.mcs_m_separators(families.complete_graph(5)) == []
+    k5 = families.complete_graph(5)
+    assert structure.mcs_m_separators(k5, k5.full_mask()) == []
     # A path's minimal separators are its inner vertices.
-    found = structure.mcs_m_separators(families.path_graph(6))
+    p6 = families.path_graph(6)
+    found = structure.mcs_m_separators(p6, p6.full_mask())
     assert sorted(found) == [1 << v for v in range(1, 5)]
     # C5 triangulates into a fan; its two chords' ends separate.
-    assert all(m.bit_count() == 2 for m in structure.mcs_m_separators(families.cycle_graph(5)))
+    c5 = families.cycle_graph(5)
+    assert all(m.bit_count() == 2 for m in structure.mcs_m_separators(c5, c5.full_mask()))
 
 
 def test_cutset_memo_second_call_runs_no_search(monkeypatch):
@@ -591,12 +595,13 @@ def test_decompose_triangulates_once_per_component(monkeypatch):
     sub = count_calls(monkeypatch, structure, "induced_subgraph")
     path = families.path_graph(50)
     structure.decompose(path)
-    assert len(mcs) == 1 and mcs[0][0] is path
-    assert sub == []  # a connected input is triangulated as it is
-    # a path, a triangle, an isolated vertex and an edge
+    assert len(mcs) == 1 and mcs[0][0] is path and mcs[0][1] == path.full_mask()
+    # a path, a triangle, an isolated vertex and an edge: one pass on
+    # each component's mask
     g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (8, 9)])
     structure.decompose(g)
-    assert len(mcs) == 1 + 4
+    assert [m for _, m in mcs[1:]] == [0b1111, 0b111 << 4, 1 << 7, 0b11 << 8]
+    assert sub == []  # no input, connected or not, is copied out
 
 
 def test_decompose_disconnected_and_nested_cutsets():
