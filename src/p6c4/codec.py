@@ -158,13 +158,14 @@ def read_graph_text(text: str) -> Graph:
     return graphs[0]
 
 
+def graph6_lines(text: str) -> list[str]:
+    """The graph6 lines of ``text``, stripped; blank lines and ``#``
+    comments are skipped."""
+    return [s for s in map(str.strip, text.splitlines()) if s and not s.startswith("#")]
+
+
 def read_graph6_lines(text: str) -> list[Graph]:
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.append(from_graph6(line))
-    return out
+    return [from_graph6(line) for line in graph6_lines(text)]
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -199,16 +199,24 @@ def manifest_entry(e: ObstructionEntry) -> dict:
 
 
 def catalog_load(path: str | Path) -> list[ObstructionEntry]:
+    """Read a catalog and its manifest sidecar, if there is one.
+
+    Each manifest entry must match its graph6 line: the counts must agree,
+    and an entry's ``line`` field, where present, must equal the line, so a
+    graph6 file replaced without its manifest is rejected rather than
+    paired with the wrong ids.
+    """
     path = Path(path)
-    graphs = codec.read_graph6_lines(path.read_text())
+    lines = codec.graph6_lines(path.read_text())
+    graphs = [codec.from_graph6(line) for line in lines]
     manifest_path = path.with_suffix(".json")
-    metas = None
-    if manifest_path.exists():
-        metas = json.loads(manifest_path.read_text())["entries"]
-        if len(metas) != len(graphs):
-            raise ValueError("catalog manifest does not match graph6 lines")
-    if metas is None:
+    if not manifest_path.exists():
         return [ObstructionEntry(f"entry_{i}", -1, h, "unknown") for i, h in enumerate(graphs)]
+    metas = json.loads(manifest_path.read_text())["entries"]
+    if len(metas) != len(graphs) or any(
+        m.get("line", line) != line for m, line in zip(metas, lines)
+    ):
+        raise ValueError("catalog manifest does not match graph6 lines")
     return [
         ObstructionEntry(m["id"], m["k"], h, m["provenance"], m.get("verified", {}))
         for m, h in zip(metas, graphs)

@@ -10,8 +10,13 @@ preserve both edges and non-edges (induced copies throughout).
 There is one search per shape, each an explicit loop over per-position
 candidate masks (no recursion, so long patterns are fine):
 :func:`find_induced_path` for induced paths, :func:`_iter_cycles` for
-induced cycles (it lists every ring; :func:`find_induced_cycle` takes the
-first), and :func:`iter_induced_copies` for any other pattern.
+induced cycles (it lists every ring once; :func:`find_induced_cycle` takes
+the first), and :func:`iter_induced_copies` for any other pattern.
+:func:`find_induced_path` runs in two stages: the decision search
+:func:`_has_induced_path` grows each induced path once, as two arms from
+its minimum vertex, so a P_t-free host (the usual case for freeness
+checks) is settled without naming a witness; only when a path exists does
+the lexicographic witness loop run to name the first one.
 
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
@@ -62,12 +67,63 @@ def verify_embedding(g: Graph, pattern: Graph, emb: Embedding) -> bool:
 # -- induced paths ---------------------------------------------------------
 
 
+def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> bool:
+    """Whether the graph with rows ``adj`` on ``n`` vertices has an induced
+    P_t, for ``t >= 3``.
+
+    Every induced P_t has one minimum vertex s, and s splits it into two
+    induced arms in G[{v > s}] whose lengths add up to t - 1.  From each s
+    in turn, the longer arm R grows from s, lowest candidate first; once R
+    has at least ceil((t - 1) / 2) vertices, the next position may instead
+    start the other arm at a neighbour of s, which then grows like R.
+    ``far[i]`` holds the vertices no arm may use once ``path[i]`` is
+    placed, besides the neighbours of s: the vertices up to s and the arms'
+    vertices and neighbours.  ``turn`` is the position where the second arm
+    starts, or 0 while R is still growing.
+    """
+    half = t // 2  # ceil((t - 1) / 2)
+    path = [0] * t
+    far = [0] * t
+    cand = [0] * t  # untried vertices for each placed position
+    for s in range(n - t + 1):  # the path minimum has t - 1 vertices above it
+        ns = adj[s]
+        far[0] = (2 << s) - 1
+        cand[1] = ns & ~far[0]
+        turn = 0
+        i = 1
+        while i:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            v = path[i] = low.bit_length() - 1
+            if i == t - 1:
+                return True
+            if turn >= i:
+                turn = 0
+            if i > 1 and ns & low:
+                turn = i
+            far[i] = far[i - 1] | low | adj[v]
+            nxt = adj[v] & ~(far[i - 1] | ns)
+            if not turn and i >= half:
+                nxt |= ns & ~far[i]
+            i += 1
+            cand[i] = nxt
+    return False
+
+
 def find_induced_path(g: Graph, t: int) -> Embedding | None:
     """First induced path on ``t`` vertices, as a P_t embedding in path order.
 
-    From each start s in turn, the path grows at its right end, lowest
-    candidate first.  ``block[i]`` holds the vertices no later position may
-    use once ``path[i]`` is placed: the path so far and the neighbours of
+    Two stages.  For ``t >= 3``, :func:`_has_induced_path` first decides
+    whether any induced P_t exists, growing each path once from its minimum
+    vertex; on a P_t-free graph that is the whole search.  Only if one
+    exists does the witness search below name the first: from each start s
+    in turn, the path grows at its right end, lowest candidate first.
+    ``block[i]`` holds the vertices no later position may use once
+    ``path[i]`` is placed: the path so far and the neighbours of
     ``path[0..i-1]``.
     """
     if t < 1:
@@ -77,6 +133,8 @@ def find_induced_path(g: Graph, t: int) -> Embedding | None:
     if t == 1:
         return Embedding(1, (0,))
     adj = g.adj
+    if t >= 3 and not _has_induced_path(adj, g.n, t):
+        return None
     path = [0] * t
     block = [0] * t
     cand = [0] * t  # untried vertices for each placed position
@@ -105,14 +163,14 @@ def find_induced_path(g: Graph, t: int) -> Embedding | None:
 
 
 def _iter_cycles(g: Graph, l: int) -> Iterator[tuple[int, ...]]:
-    """Every induced C_l as a ring from its minimum vertex, in both
-    directions, in ascending order.
+    """Every induced C_l once, as a ring from its minimum vertex towards
+    the smaller of its two neighbours, in ascending order.
 
     From each start s, the ring grows as a chordless path on vertices above
-    s, lowest candidate first; its inner vertices miss s, and the last one
-    closes back to s.  ``block[i]`` holds the vertices no later position
-    may use once ``ring[i]`` is placed: the ring so far, the vertices up to
-    s, and the neighbours of ``ring[1..i-1]``.
+    s, lowest candidate first; its inner vertices miss s, and the last one,
+    above ``ring[1]``, closes back to s.  ``block[i]`` holds the vertices
+    no later position may use once ``ring[i]`` is placed: the ring so far,
+    the vertices up to s, and the neighbours of ``ring[1..i-1]``.
     """
     if l < 3:
         raise ValueError("l must be at least 3")
@@ -140,7 +198,10 @@ def _iter_cycles(g: Graph, l: int) -> Iterator[tuple[int, ...]]:
             block[i] = block[i - 1] | low | (adj[ring[i - 1]] if i > 1 else 0)
             allowed = adj[v] & ~block[i]
             i += 1
-            cand[i] = allowed & ns if i == l - 1 else allowed & ~ns
+            if i == l - 1:
+                cand[i] = allowed & ns & -(2 << ring[1])
+            else:
+                cand[i] = allowed & ~ns
 
 
 def find_induced_cycle(g: Graph, l: int) -> Embedding | None:
@@ -151,7 +212,7 @@ def find_induced_cycle(g: Graph, l: int) -> Embedding | None:
 
 def find_all_induced_cycles(g: Graph, l: int) -> list[Embedding]:
     """Every induced C_l, one embedding per cycle (canonical ring order)."""
-    return [Embedding(l, ring) for ring in _iter_cycles(g, l) if ring[1] < ring[-1]]
+    return [Embedding(l, ring) for ring in _iter_cycles(g, l)]
 
 
 def find_hole(g: Graph) -> Embedding | None:

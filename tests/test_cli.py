@@ -282,6 +282,15 @@ def test_catalog_verify_flags_a_bad_file(tmp_path, capsys):
     assert code == 1 and payload["ok"] is False
 
 
+def test_catalog_verify_rejects_a_graph6_file_newer_than_its_manifest(tmp_path, capsys):
+    path = tmp_path / "cat.g6"
+    coloring.catalog_save(coloring.catalog_load(coloring.default_catalog_path(3)), path)
+    path.write_text("".join(reversed(path.read_text().splitlines(keepends=True))))
+    code = main(["catalog", "verify", "--k", "3", "--file", str(path)])
+    capsys.readouterr()
+    assert code == 65
+
+
 def test_catalog_lookup(tmp_path, capsys):
     w5 = write_graph(tmp_path, families.wheel_graph(5).relabel((3, 0, 5, 1, 4, 2)))
     code, payload = run_cli(capsys, "catalog", "lookup", "--k", "3", "--in", w5)

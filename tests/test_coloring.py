@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_k_color, graphs, stack_depth
-from p6c4 import canon, detect, families
+from p6c4 import canon, codec, detect, families
 from p6c4.coloring import (
     Coloring,
     NotP6C4FreeError,
@@ -267,6 +267,41 @@ def test_failed_catalog_write_keeps_the_previous_one(tmp_path, monkeypatch):
         catalog_save(small_catalog()[:1], path, n_max=4)
     monkeypatch.undo()
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert [e.id for e in catalog_load(path)] == ["K4", "W5"]
+
+
+def test_catalog_load_rejects_a_torn_save(tmp_path, monkeypatch):
+    """Saving [W5, K4] over [K4, W5] with the manifest's rename made to
+    fail leaves the new graph6 file beside the old manifest."""
+    path = tmp_path / "cat.g6"
+    catalog_save(small_catalog(), path, n_max=6)
+    real_replace = os.replace
+    renames = []
+
+    def second_fails(src, dst):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_fails)
+    with pytest.raises(OSError, match="rename failed"):
+        catalog_save(small_catalog()[::-1], path, n_max=6)
+    monkeypatch.undo()
+    assert path.read_text().splitlines() == [
+        codec.to_graph6(e.graph) for e in small_catalog()[::-1]
+    ]
+    with pytest.raises(ValueError, match="does not match"):
+        catalog_load(path)
+
+
+def test_catalog_load_accepts_manifests_without_lines(tmp_path):
+    path = tmp_path / "cat.g6"
+    catalog_save(small_catalog(), path, n_max=6)
+    manifest = json.loads(path.with_suffix(".json").read_text())
+    for m in manifest["entries"]:
+        del m["line"]
+    path.with_suffix(".json").write_text(json.dumps(manifest))
     assert [e.id for e in catalog_load(path)] == ["K4", "W5"]
 
 

@@ -12,7 +12,9 @@ from conftest import (
     stack_depth,
 )
 from p6c4 import detect, families
+from p6c4.enumeration import NiceWitness
 from p6c4.graphs import Graph
+from p6c4.reductions import NAE, SatInstance, build_ghi, build_nae
 
 
 def _check_embedding(g, pattern, emb):
@@ -95,10 +97,100 @@ def test_long_path_search_needs_no_recursion():
     try:
         whole = detect.find_induced_path(g, n)
         found = detect.find_induced_copy(g, families.path_graph(n))
+        decided = detect._has_induced_path(g.adj, n, n)
+        chorded = detect._has_induced_path(families.cycle_graph(n).adj, n, n)
     finally:
         sys.setrecursionlimit(limit)
     assert whole.vmap == tuple(range(n))
     assert found == whole
+    assert decided and not chorded
+
+
+def _reference_find_induced_path(g, t):
+    """The witness loop alone, without the decision search ahead of it."""
+    if t > g.n:
+        return None
+    if t == 1:
+        return detect.Embedding(1, (0,))
+    adj = g.adj
+    path = [0] * t
+    block = [0] * t
+    cand = [0] * t
+    for s in range(g.n):
+        path[0] = s
+        block[0] = 1 << s
+        cand[1] = adj[s]
+        i = 1
+        while i:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            v = path[i] = low.bit_length() - 1
+            if i == t - 1:
+                return detect.Embedding(t, tuple(path))
+            block[i] = block[i - 1] | low | adj[path[i - 1]]
+            i += 1
+            cand[i] = adj[v] & ~block[i - 1]
+    return None
+
+
+def _gadgets():
+    """Gadget graphs of both reductions, P7-free by the paper's promise."""
+    c7, witness = families.cycle_graph(7), NiceWitness((0, 2, 4), 2)
+    cnf = [
+        SatInstance(1, ((1, 1, -1),)),
+        SatInstance(2, ((1, -2, 1), (-1, 2, 2))),
+        SatInstance(3, ((1, 2, 3), (-1, -2, -3))),
+    ]
+    nae = [SatInstance(3, ((1, 2, 3),), NAE), SatInstance(3, ((1, 2, 3), (1, 1, 2)), NAE)]
+    return [build_ghi(c7, witness, inst).graph for inst in cnf] + [
+        build_nae(inst).graph for inst in nae
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_find_induced_path_matches_the_witness_loop(g):
+    for t in range(1, 10):
+        assert detect.find_induced_path(g, t) == _reference_find_induced_path(g, t)
+
+
+def test_find_induced_path_matches_the_witness_loop_on_family8(family8):
+    for g in family8:
+        for t in (5, 6, 7):
+            assert detect.find_induced_path(g, t) == _reference_find_induced_path(g, t)
+
+
+def test_find_induced_path_matches_the_witness_loop_on_gadgets():
+    for g in _gadgets():
+        for t in (6, 7, 8):
+            assert detect.find_induced_path(g, t) == _reference_find_induced_path(g, t)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=8))
+def test_has_induced_path_matches_brute_force(g):
+    for t in range(3, g.n + 1):
+        brute = next(brute_induced_copies(g, families.path_graph(t)), None)
+        assert detect._has_induced_path(g.adj, g.n, t) == (brute is not None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=10))
+def test_decision_search_changes_no_answer(g):
+    """With the decision search forced to say yes, the witness loop alone
+    gives every answer, and it gives the same ones."""
+    fast = [detect.find_induced_path(g, t) for t in range(1, 9)]
+    real = detect._has_induced_path
+    detect._has_induced_path = lambda adj, n, t: True
+    try:
+        slow = [detect.find_induced_path(g, t) for t in range(1, 9)]
+    finally:
+        detect._has_induced_path = real
+    assert fast == slow
 
 
 def test_find_hole_smallest_first():
