@@ -37,6 +37,21 @@ the single cell ranks by degree.  Individualizing ``v`` (colour ``2c - 1``
 against ``2c`` for the rest of its cell) splits its cell into ``[v]``
 followed by the rest, after which only the cells next to ``v`` can split.
 So the search tree, codes, orders and generators are the plain rule's.
+
+The search is one explicit loop over a stack of open nodes, so its depth
+is not bounded by Python's recursion limit.
+
+A caller that keeps one graph per class (the enumerator, per level) can
+pass a set ``known`` of leaf codes: the search stops and returns None at
+the first leaf whose code is in ``known``, and a search that completes
+adds all its leaf codes to it.  This is exact.  A leaf code is the code
+of one relabelling of the graph, so meeting a known one proves the graph
+isomorphic to one already searched, and a graph of a new class never
+meets one, so its search runs to the end unchanged.  The search tree
+depends only on the graph's structure, and orbit pruning skips only
+subtrees whose leaf codes repeat ones already explored, so a completed
+search meets every leaf code of its class: an isomorphic graph stops at
+its first leaf.
 """
 
 from __future__ import annotations
@@ -123,27 +138,48 @@ def orbits(n: int, perms) -> list[int]:
 
 
 def _canonical(
-    g: Graph,
-) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    g: Graph, known: set[bytes] | None = None
+) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """The search as one explicit loop: ``(code, order, generators)``.
+
+    ``stack`` holds a frame per open node on the current path: its
+    partition (``cls``, ``cells``), the start ``o`` of the cell it branches
+    on, the index of the next vertex of that cell to try, the vertices
+    already branched on, the generator count its ``orbit`` labels were
+    computed from, and the individualized ``path`` leading to it.  Each
+    pass of the outer loop refines one node, handles it as a leaf or pushes
+    its frame, and then moves to the next child of the deepest open node.
+    ``known`` works as in :func:`canonical_code`.
+    """
     n, adj = g.n, g.adj
-    if n == 0:
-        return b"\x00\x00\x00\x00", (), ()
     nbrs = [list(bits(row)) for row in adj]
     best_code: bytes | None = None
     best_order: list[int] | None = None
     gens: list[tuple[int, ...]] = []
+    met: list[bytes] = []  # leaf codes, added to ``known`` on completion
 
-    def rec(
-        cls: list[int], cells: list[list[int]], moved: list[int], path: tuple[int, ...]
-    ) -> None:
-        nonlocal best_code, best_order
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(adj[v].bit_count(), []).append(v)
+    cls, cells, moved = [0] * n, [[]] * n, []  # _split fills every cell start
+    if n:
+        _split(cls, cells, 0, [by_degree[d] for d in sorted(by_degree)], moved)
+    path: tuple[int, ...] = ()
+    stack: list[list] = []
+    while True:
         _refine(nbrs, cls, cells, moved)
         o = 0
         while o < n and len(cells[o]) == 1:
             o += 1
-        if o == n:
+        if o < n:  # branch on the first cell with more than one vertex
+            stack.append([cls, cells, o, 0, [], 0, None, path])
+        else:
             order = [cell[0] for cell in cells]
             code = _code_under(n, adj, order)
+            if known is not None:
+                if code in known:
+                    return None
+                met.append(code)
             if best_code is None or code < best_code:
                 best_code, best_order = code, order
             elif code == best_code:
@@ -151,43 +187,71 @@ def _canonical(
                 for i in range(n):
                     aut[best_order[i]] = order[i]
                 gens.append(tuple(aut))
-            return
-        cell = cells[o]  # the first cell with more than one vertex
-        branched: list[int] = []
-        known, orbit = 0, None
-        for v in cell:
-            if branched and gens:
-                # Skip v if an automorphism fixing the individualized path
-                # maps an already-branched vertex to it.
-                if len(gens) != known:
-                    known = len(gens)
-                    orbit = orbits(n, [s for s in gens if all(s[w] == w for w in path)])
-                if any(orbit[v] == orbit[u] for u in branched):
-                    continue
+        # Descend into the next unpruned child of the deepest open node.
+        while stack:
+            frame = stack[-1]
+            cls, cells, o, i, branched, ngens, orbit, path = frame
+            cell = cells[o]
+            v = -1
+            while i < len(cell):
+                u = cell[i]
+                i += 1
+                if branched and gens:
+                    # Skip u if an automorphism fixing the individualized
+                    # path maps an already-branched vertex to it.
+                    if len(gens) != ngens:
+                        ngens = len(gens)
+                        orbit = orbits(n, [s for s in gens if all(s[w] == w for w in path)])
+                    if any(orbit[u] == orbit[w] for w in branched):
+                        continue
+                v = u
+                break
+            if v < 0:
+                stack.pop()
+                continue
+            frame[3], frame[5], frame[6] = i, ngens, orbit
             branched.append(v)
             # Individualize v: its cell becomes [v] followed by the rest.
-            child_cls, child_cells = cls[:], cells[:]
+            cls, cells = cls[:], cells[:]
             rest = [u for u in cell if u != v]
-            child_cells[o], child_cells[o + 1] = [v], rest
+            cells[o], cells[o + 1] = [v], rest
             for u in rest:
-                child_cls[u] = o + 1
-            rec(child_cls, child_cells, [v], path + (v,))
-
-    by_degree: dict[int, list[int]] = {}
-    for v in range(n):
-        by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    cls, cells, moved = [0] * n, [[]] * n, []  # _split fills every cell start
-    _split(cls, cells, 0, [by_degree[d] for d in sorted(by_degree)], moved)
-    rec(cls, cells, moved, ())
+                cls[u] = o + 1
+            moved, path = [v], path + (v,)
+            break
+        else:
+            break  # no open node left: the search is complete
     assert best_code is not None and best_order is not None
+    if known is not None:
+        known.update(met)
     return best_code, tuple(best_order), tuple(gens)
 
 
-def canonical_code(g: Graph) -> bytes:
-    """Isomorphism-invariant code: equal codes iff isomorphic graphs."""
-    if g._canon is None:
-        g._canon = _canonical(g)
-    return g._canon[0]
+def canonical_code(g: Graph, *, known: set[bytes] | None = None) -> bytes | None:
+    """Isomorphism-invariant code: equal codes iff isomorphic graphs.
+
+    ``known`` is a set of leaf codes shared by the callers that keep one
+    graph per class.  A leaf code is the code of one relabelling of ``g``,
+    so a leaf whose code is in ``known`` shows that ``g`` is isomorphic to
+    a graph whose search put it there; the search then stops and returns
+    None.  A graph of a new class never meets such a code, so its search
+    runs to the end unchanged, returns its code and adds every leaf code
+    it met to ``known``.  That search meets every leaf code of the class:
+    the search tree is built from the graph's structure alone, and orbit
+    pruning skips only subtrees whose leaf codes repeat ones already
+    explored.  So an isomorphic graph stops at its first leaf.  With
+    ``known``, the search runs even when a code is cached, and its result
+    is cached only when it completes.
+    """
+    if known is None:
+        if g._canon is None:
+            g._canon = _canonical(g)
+        return g._canon[0]
+    result = _canonical(g, known)
+    if result is None:
+        return None
+    g._canon = result
+    return result[0]
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:

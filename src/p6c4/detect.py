@@ -16,7 +16,8 @@ the first), and :func:`iter_induced_copies` for any other pattern.
 :func:`_has_induced_path` grows each induced path once, as two arms from
 its minimum vertex, so a P_t-free host (the usual case for freeness
 checks) is settled without naming a witness; only when a path exists does
-the lexicographic witness loop run to name the first one.
+the lexicographic witness loop run to name the first one, starting at the
+least minimum vertex of a path that the decision search found.
 
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
@@ -67,9 +68,10 @@ def verify_embedding(g: Graph, pattern: Graph, emb: Embedding) -> bool:
 # -- induced paths ---------------------------------------------------------
 
 
-def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> bool:
-    """Whether the graph with rows ``adj`` on ``n`` vertices has an induced
-    P_t, for ``t >= 3``.
+def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> int:
+    """The least vertex that is the minimum of an induced P_t in the graph
+    with rows ``adj`` on ``n`` vertices, or -1 if it has none, for
+    ``t >= 3``.
 
     Every induced P_t has one minimum vertex s, and s splits it into two
     induced arms in G[{v > s}] whose lengths add up to t - 1.  From each s
@@ -100,7 +102,7 @@ def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> bool:
             cand[i] = c ^ low
             v = path[i] = low.bit_length() - 1
             if i == t - 1:
-                return True
+                return s
             if turn >= i:
                 turn = 0
             if i > 1 and ns & low:
@@ -111,7 +113,7 @@ def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> bool:
                 nxt |= ns & ~far[i]
             i += 1
             cand[i] = nxt
-    return False
+    return -1
 
 
 def find_induced_path(g: Graph, t: int) -> Embedding | None:
@@ -124,7 +126,10 @@ def find_induced_path(g: Graph, t: int) -> Embedding | None:
     in turn, the path grows at its right end, lowest candidate first.
     ``block[i]`` holds the vertices no later position may use once
     ``path[i]`` is placed: the path so far and the neighbours of
-    ``path[0..i-1]``.
+    ``path[0..i-1]``.  The decision search also gives the least minimum
+    ``s0`` of an induced P_t, so no P_t uses a vertex below ``s0``: the
+    witness search starts at ``s0`` with those vertices blocked, which
+    changes no answer.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
@@ -133,15 +138,17 @@ def find_induced_path(g: Graph, t: int) -> Embedding | None:
     if t == 1:
         return Embedding(1, (0,))
     adj = g.adj
-    if t >= 3 and not _has_induced_path(adj, g.n, t):
+    s0 = _has_induced_path(adj, g.n, t) if t >= 3 else 0
+    if s0 < 0:
         return None
+    below = (1 << s0) - 1
     path = [0] * t
     block = [0] * t
     cand = [0] * t  # untried vertices for each placed position
-    for s in range(g.n):
+    for s in range(s0, g.n):
         path[0] = s
-        block[0] = 1 << s
-        cand[1] = adj[s]
+        block[0] = below | 1 << s
+        cand[1] = adj[s] & ~below
         i = 1
         while i:
             c = cand[i]

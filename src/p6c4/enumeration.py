@@ -18,6 +18,12 @@ child is isomorphic to an earlier child of the same parent.  Only the
 remaining children are canonically labelled, and each level keeps the
 same labelled representatives as a walk over every mask would.
 
+The level shares one set of canonical-search leaf codes among its
+children (:func:`p6c4.canon.canonical_code` with ``known``).  A child
+isomorphic to a graph already kept is recognised at its first search leaf
+and dropped there; the first child of each class still runs its whole
+search, so the level keeps the same representatives.
+
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
 (recorded, never extended) or properly contains one (hence no extension
@@ -117,16 +123,26 @@ def _bad_masks(parent: Graph, forbidden: tuple[Graph, ...]) -> bytearray:
 
 
 def _expand_parent(
-    parent: Graph, forbidden: tuple[Graph, ...], connected_only: bool, early: bool
+    parent: Graph,
+    forbidden: tuple[Graph, ...],
+    connected_only: bool,
+    early: bool,
+    known: set[bytes] | None = None,
 ):
-    """All admissible one-vertex extensions of ``parent`` (with codes), one
-    per orbit of the parent's automorphisms on neighbourhood masks.
+    """The admissible one-vertex extensions of ``parent`` (with codes) that
+    are new to ``known``, one per orbit of the parent's automorphisms on
+    neighbourhood masks.
 
     Masks are walked in ascending order.  The first free mask of an orbit
     is kept and its whole orbit marked done: the later members give
     children isomorphic to the kept one, which the level deduplication
-    would drop anyway, so skipping them changes no output.
+    would drop anyway, so skipping them changes no output.  ``known`` holds
+    the leaf codes of the graphs kept so far (a fresh set if None); a child
+    isomorphic to one of them stops its canonical search at its first leaf
+    and is left out, so the first child of each class is the one returned.
     """
+    if known is None:
+        known = set()
     n = parent.n
     bad = _bad_masks(parent, forbidden) if early else bytearray(1 << n)
     gens = canon.automorphism_generators(parent)
@@ -145,7 +161,9 @@ def _expand_parent(
                         done[img[m]] = 1
                         orbit.append(img[m])
         child = parent.add_vertex(mask)
-        out.append((canon.canonical_code(child), child))
+        code = canon.canonical_code(child, known=known)
+        if code is not None:
+            out.append((code, child))
     return out
 
 
@@ -161,10 +179,11 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
 def _expand_chunk(args: tuple[list[str], list[str], bool, bool]) -> list[tuple[bytes, str]]:
     parent_lines, forbidden_lines, connected_only, early = args
     forbidden = tuple(codec.from_graph6(line) for line in forbidden_lines)
+    known: set[bytes] = set()
     out = []
     for line in parent_lines:
         parent = codec.from_graph6(line)
-        for code, child in _expand_parent(parent, forbidden, connected_only, early):
+        for code, child in _expand_parent(parent, forbidden, connected_only, early, known):
             out.append((code, codec.to_graph6(child)))
     return out
 
@@ -184,13 +203,19 @@ def _free_filter(level: list[Graph], cfg: SearchConfig) -> list[Graph]:
 def _next_level(
     parents: list[Graph], cfg: SearchConfig, pool: ProcessPoolExecutor | None
 ) -> list[Graph]:
-    """One augmentation level, deduplicated and sorted by canonical code."""
+    """One augmentation level, deduplicated and sorted by canonical code.
+
+    The serial path shares one set of leaf codes across the level, each
+    worker chunk its own; ``seen`` drops the duplicates that fall in
+    different chunks.
+    """
     seen: dict[bytes, Graph] = {}
     early = cfg.prune.forbidden_early
     if pool is None:
+        known: set[bytes] = set()
         for parent in parents:
             for code, child in _expand_parent(
-                parent, cfg.forbidden, cfg.connected_only, early
+                parent, cfg.forbidden, cfg.connected_only, early, known
             ):
                 if code not in seen:
                     seen[code] = child

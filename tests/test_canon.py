@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_graphs, brute_isomorphic, graphs
+from conftest import all_graphs, brute_isomorphic, graphs, stack_depth
 from p6c4 import canon, codec, families
 from p6c4.enumeration import enumerate_family, p6c4_config
 from p6c4.graphs import Graph, bits
@@ -245,6 +245,96 @@ def _named_graphs():
 def test_cell_refinement_matches_reference_on_named_graphs():
     for g in _named_graphs():
         assert canon._canonical(g) == _reference_canonical(g), g
+
+
+def test_search_needs_no_recursion():
+    """A perfect matching on 40 vertices individualizes 20 levels deep."""
+    g = Graph.from_edges(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    want = _reference_canonical(g)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 15)  # below the search depth
+    try:
+        code = canon.canonical_code(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == want[0]
+    assert g._canon == want
+
+
+# -- early stop on a known leaf code ---------------------------------------
+
+
+def _counting_leaves(g, known):
+    """``canon._canonical(g, known)`` and the number of leaves it reached."""
+    calls = 0
+    real = canon._code_under
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    canon._code_under = counted
+    try:
+        return canon._canonical(g, known), calls
+    finally:
+        canon._code_under = real
+
+
+def _shuffled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _check_early_stop(g, rng):
+    """Once ``g``'s search has filled ``known``, a relabelling of ``g`` stops
+    at its first leaf, and a graph with one pair flipped (another edge
+    count, so not isomorphic) gets the triple it gets without ``known``."""
+    known = set()
+    assert canon._canonical(g, known) == canon._canonical(g)
+    assert _counting_leaves(_shuffled(g, rng), known) == (None, 1)
+    if g.n >= 2:
+        u, v = rng.sample(range(g.n), 2)
+        h = _flip(g, u, v)
+        assert canon._canonical(h, set(known)) == canon._canonical(h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=10), st.randoms(use_true_random=False))
+def test_known_leaf_code_stops_a_relabelling_at_its_first_leaf(g, rng):
+    _check_early_stop(g, rng)
+
+
+def test_known_leaf_code_stops_at_the_first_leaf_on_named_graphs():
+    rng = random.Random(29)
+    for g in _named_graphs():
+        _check_early_stop(g, rng)
+
+
+def test_one_known_set_across_the_family():
+    """The family members with n <= 7 are pairwise non-isomorphic: sharing
+    one ``known`` set, each gets the triple it gets alone, and afterwards a
+    relabelling of each stops at its first leaf."""
+    rng = random.Random(31)
+    family = list(enumerate_family(p6c4_config(n_max=7)))
+    known = set()
+    for g in family:
+        fresh = codec.from_graph6(codec.to_graph6(g))
+        assert canon._canonical(fresh, known) == canon._canonical(fresh)
+    for g in family:
+        assert _counting_leaves(_shuffled(g, rng), known) == (None, 1)
+
+
+def test_canonical_code_caches_only_a_completed_search():
+    g = families.petersen_graph()
+    known = set()
+    assert canon.canonical_code(g, known=known) == canon.canonical_code(families.petersen_graph())
+    assert g._canon is not None
+    h = _shuffled(g, random.Random(5))
+    assert canon.canonical_code(h, known=known) is None
+    assert h._canon is None
+    assert canon.canonical_code(h) == canon.canonical_code(g)
 
 
 # -- networkx oracle -------------------------------------------------------

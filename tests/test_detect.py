@@ -103,7 +103,7 @@ def test_long_path_search_needs_no_recursion():
         sys.setrecursionlimit(limit)
     assert whole.vmap == tuple(range(n))
     assert found == whole
-    assert decided and not chorded
+    assert decided == 0 and chorded == -1
 
 
 def _reference_find_induced_path(g, t):
@@ -174,18 +174,19 @@ def test_find_induced_path_matches_the_witness_loop_on_gadgets():
 @given(graphs(max_n=8))
 def test_has_induced_path_matches_brute_force(g):
     for t in range(3, g.n + 1):
+        # copies come by ascending vertex set, so the first has the least minimum
         brute = next(brute_induced_copies(g, families.path_graph(t)), None)
-        assert detect._has_induced_path(g.adj, g.n, t) == (brute is not None)
+        assert detect._has_induced_path(g.adj, g.n, t) == (-1 if brute is None else min(brute))
 
 
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=10))
 def test_decision_search_changes_no_answer(g):
-    """With the decision search forced to say yes, the witness loop alone
-    gives every answer, and it gives the same ones."""
+    """With the decision search forced to report a path from vertex 0, the
+    witness loop alone gives every answer, and it gives the same ones."""
     fast = [detect.find_induced_path(g, t) for t in range(1, 9)]
     real = detect._has_induced_path
-    detect._has_induced_path = lambda adj, n, t: True
+    detect._has_induced_path = lambda adj, n, t: 0
     try:
         slow = [detect.find_induced_path(g, t) for t in range(1, 9)]
     finally:

@@ -147,6 +147,24 @@ def test_orbit_pruning_keeps_every_first_occurrence(connected_only):
         assert _first_occurrences(new) == _first_occurrences(ref)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("connected_only", [True, False])
+def test_shared_leaf_codes_keep_the_reference_level(k, connected_only):
+    """Ablation of the level-wide set of leaf codes: each level of the
+    obstruction search is the labelled level that every mask of every
+    parent, each child fully labelled, gives by first occurrence."""
+    cfg = p6c4_config(k=k, n_max=7, connected_only=connected_only)
+    level, found = enumeration._seeds(cfg), []
+    for _ in range(2, cfg.n_max + 1):
+        parents = enumeration._sift_level(level, cfg, found)
+        first: dict[bytes, Graph] = {}
+        for parent in parents:
+            for code, child in _reference_expand(parent, P6C4, connected_only):
+                first.setdefault(code, child)
+        level = enumeration._next_level(parents, cfg, None)
+        assert [g.adj for g in level] == [first[code].adj for code in sorted(first)]
+
+
 # -- minimal obstructions -------------------------------------------------------
 
 
@@ -223,6 +241,13 @@ def test_worker_count_does_not_change_results():
     assert [canon.canonical_code(e.graph) for e in one.obstructions] == [
         canon.canonical_code(e.graph) for e in two.obstructions
     ]
+    assert one.level_sizes == two.level_sizes
+
+
+def test_worker_count_does_not_change_results_at_k4():
+    one = enumerate_critical(p6c4_config(k=4, n_max=8, workers=1))
+    two = enumerate_critical(p6c4_config(k=4, n_max=8, workers=2))
+    assert [e.graph.adj for e in one.obstructions] == [e.graph.adj for e in two.obstructions]
     assert one.level_sizes == two.level_sizes
 
 
