@@ -21,8 +21,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run in ``checkout``; its metric values by name."""
+def run_once(side: str, checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run in ``checkout``; its metric values by name.
+
+    Exits non-zero, naming the side and the seed, if the run failed or
+    any of its answers was wrong, so no summary holds such a run."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -30,8 +33,14 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode or not lines:
-        sys.exit(f"bench_pairs.py: run in {checkout} failed:\n{proc.stderr}")
+        sys.exit(f"bench_pairs.py: {side} run, seed {seed}, in {checkout} failed:\n{proc.stderr}")
     result = json.loads(lines[-1])
+    if not result.get("correct") or result.get("failed", 0) > 0:
+        sys.exit(
+            f"bench_pairs.py: {side} run, seed {seed}, in {checkout} gave wrong answers: "
+            f"correct={result.get('correct')}, failed={result.get('failed')}\n"
+            + "\n".join(line for line in lines if line.startswith("FAILED"))
+        )
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -62,7 +71,7 @@ def main(argv: list[str] | None = None) -> int:
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            runs[side].append(run_once(sides[side], args.workload, seed, args.seconds))
+            runs[side].append(run_once(side, sides[side], args.workload, seed, args.seconds))
         wall = {side: round(runs[side][-1]["wall_s"], 3) for side in order}
         print(f"pair {i + 1}/{args.pairs} seed {seed}: wall_s {wall}", file=sys.stderr)
 

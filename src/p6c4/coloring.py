@@ -60,11 +60,26 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
     ``g`` (0 outside the mask ``within``), or None.
 
     With k at least the mask's size the colors count up in vertex order.
-    Otherwise, branch and bound: next vertex by maximum saturation degree,
-    ties by degree inside the mask, then lowest index; colors ascending,
-    capped at one above the largest in use (symmetry break); a dead end
-    once an uncolored neighbour sees all k colors.  One frame per colored
-    vertex on an explicit stack replaces recursion.
+    Otherwise, branch and bound (DSATUR, Brélaz 1979): next vertex by
+    maximum saturation degree, ties by degree inside the mask, then lowest
+    index; colors ascending, capped at one above the largest in use
+    (symmetry break); a dead end once an uncolored neighbour sees all k
+    colors.  One frame per chosen vertex on an explicit stack replaces
+    recursion.
+
+    The choice reads buckets instead of scanning the uncolored vertices.
+    ``sat[s]`` masks the unchosen vertices that see ``s`` colors and
+    ``nsat`` holds each vertex's count; both change only where a color
+    is set on, or taken back from, the neighbours it touches.  A vertex
+    leaves its bucket when it is chosen and returns when its frame is
+    popped; its count cannot change in between, because a color touches
+    only uncolored neighbours and the vertices of the frames below the
+    top are colored.  ``deg_masks`` groups the vertices of the mask by
+    degree inside it, highest first.  The lowest vertex of the first
+    degree mask that meets the highest non-empty bucket maximizes
+    (saturation, degree) with the lowest index among ties, which is
+    exactly the scan's choice; so the search tree, and every coloring and
+    None it returns, are those of the scan.
     """
     adj, n = g.adj, g.n
     color = [0] * n
@@ -72,19 +87,31 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
         for c, v in enumerate(bits(within), 1):
             color[v] = c
         return color
-    deg = [(row & within).bit_count() for row in adj]
+    by_deg: dict[int, int] = {}
+    for v in bits(within):
+        d = (adj[v] & within).bit_count()
+        by_deg[d] = by_deg.get(d, 0) | 1 << v
+    deg_masks = [by_deg[d] for d in sorted(by_deg, reverse=True)]
     nbr_used = [0] * n  # bitmask of colors (bit c-1) on colored neighbors
-    full_k = (1 << k) - 1
+    nsat = [0] * n  # nbr_used[v].bit_count()
+    sat = [within] + [0] * k  # sat[k] holds dead vertices until backtracking
+    caps = [(1 << min(k, c + 1)) - 1 for c in range(k + 1)]  # caps[used_max]: colors open
     uncolored = within
     frames: list[list] = []  # [vertex, untried colors, used_max before it, touched]
     used_max = 0
     while uncolored:
-        v, best = -1, -1
-        for u in bits(uncolored):
-            key = nbr_used[u].bit_count() * n + deg[u]
-            if key > best:
-                v, best = u, key
-        frames.append([v, ~nbr_used[v] & ((1 << min(k, used_max + 1)) - 1), used_max, ()])
+        s = k - 1
+        while not sat[s]:
+            s -= 1
+        level = sat[s]
+        for dm in deg_masks:
+            if dm & level:
+                break
+        vb = dm & level
+        vb &= -vb
+        v = vb.bit_length() - 1
+        sat[s] ^= vb
+        frames.append([v, ~nbr_used[v] & caps[used_max], used_max, ()])
         dead = True
         while dead:  # the next color on top of the stack, backtracking as needed
             if not frames:
@@ -95,24 +122,39 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
                 cbit = 1 << (color[v] - 1)
                 for u in touched:
                     nbr_used[u] ^= cbit
+                    s = nsat[u]
+                    nsat[u] = s - 1
+                    ub = 1 << u
+                    sat[s] ^= ub
+                    sat[s - 1] |= ub
                 color[v] = 0
                 uncolored |= 1 << v
             if not avail:
                 frames.pop()
+                sat[nsat[v]] |= 1 << v
                 continue
             cbit = avail & -avail
             c = color[v] = cbit.bit_length()
             uncolored ^= 1 << v
             touched = []
             dead = False
-            for u in bits(adj[v] & uncolored):
+            rest = adj[v] & uncolored
+            while rest:
+                ub = rest & -rest
+                rest ^= ub
+                u = ub.bit_length() - 1
                 if not nbr_used[u] & cbit:
                     nbr_used[u] |= cbit
+                    s = nsat[u] + 1
+                    nsat[u] = s
+                    sat[s - 1] ^= ub
+                    sat[s] |= ub
                     touched.append(u)
-                    if nbr_used[u] == full_k:
+                    if s == k:  # a dead end: later neighbours stay untouched
                         dead = True
+                        break
             frame[1], frame[3] = avail ^ cbit, touched
-            used_max = max(base, c)
+            used_max = c if c > base else base
     return color
 
 
@@ -130,15 +172,18 @@ def minimize_obstruction(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]]:
 
     Deletion attempts run in ascending vertex index; a deletion is kept iff
     the remainder stays non-k-colorable.  One pass suffices: colorability
-    is monotone under taking induced subgraphs.  Returns the minimal graph
-    and the surviving vertices of ``g``.
+    is monotone under taking induced subgraphs.  A vertex of degree below
+    k in the remainder is deleted without a search: it extends any
+    k-coloring of the rest, so the search would delete it too.  Returns
+    the minimal graph and the surviving vertices of ``g``.
     """
     if k_color(g, k) is not None:
         raise ValueError("graph is k-colorable; nothing to minimize")
-    alive = g.full_mask()
+    adj, alive = g.adj, g.full_mask()
     for v in range(g.n):
-        if _color_within(g, k, alive & ~(1 << v)) is None:
-            alive &= ~(1 << v)
+        rest = alive & ~(1 << v)
+        if (adj[v] & rest).bit_count() < k or _color_within(g, k, rest) is None:
+            alive = rest
     return induced_subgraph(g, bits(alive))
 
 

@@ -27,7 +27,10 @@ search, so the level keeps the same representatives.
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
 (recorded, never extended) or properly contains one (hence no extension
-can be minimal).
+can be minimal).  Each graph of a level costs one coloring search; a
+non-colorable one with a vertex of degree below k is not minimal (that
+vertex extends any k-coloring of the rest), so the deletion checks run
+only on graphs of minimum degree at least k.
 """
 
 from __future__ import annotations
@@ -346,9 +349,10 @@ def _sift_level(level, cfg, found) -> list[Graph]:
         if coloring.k_color(g, cfg.k) is None:
             # Non-colorable graphs are either minimal (recorded, and no
             # extension of them can be minimal) or contain a smaller
-            # obstruction (so no extension can be minimal either).
-            if is_minimal_obstruction(g, cfg.k):
-                assert g.min_degree() >= cfg.k, "minimal obstruction with low degree"
+            # obstruction (so no extension can be minimal either).  A
+            # vertex of degree < k extends any k-coloring of the rest, so
+            # deleting it leaves a non-k-colorable graph: not minimal.
+            if g.min_degree() >= cfg.k and coloring._deletions_colorable(g, cfg.k):
                 assert (
                     structure.find_clique_cutset(g) is None
                 ), "minimal obstruction with clique cutset"

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_k_color, graphs, stack_depth
-from p6c4 import canon, codec, detect, families
+from p6c4 import canon, codec, detect, families, structure
 from p6c4.coloring import (
     Coloring,
     NotP6C4FreeError,
@@ -28,7 +31,11 @@ from p6c4.coloring import (
     verify_coloring,
     _color_within,
 )
-from p6c4.graphs import Graph, bits, induced_subgraph
+from p6c4.enumeration import NiceWitness
+from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
+from p6c4.reductions import CNF, NAE, SatInstance, all_clauses, build_ghi, build_nae, sat_brute
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def moser_spindle() -> Graph:
@@ -137,20 +144,79 @@ def test_k_color_matches_the_recursive_reference_on_family8(family8):
             assert k_color(g, k) == _reference_k_color(g, k)
 
 
+def _reference_color_within(g: Graph, k: int, mask: int) -> list[int] | None:
+    """``_reference_k_color`` of ``g[mask]`` as a list over the vertices of
+    ``g`` (0 outside the mask), or None."""
+    sub, vmap = induced_subgraph(g, bits(mask))
+    expected = _reference_k_color(sub, k)
+    if expected is None:
+        return None
+    host = [0] * g.n
+    for i, c in enumerate(expected.assignment):
+        host[vmap[i]] = c
+    return host
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=14), st.integers(0, 2**14 - 1), st.integers(1, 5))
 def test_color_within_is_k_color_of_the_induced_subgraph(g, mask, k):
     mask &= g.full_mask()
-    sub, vmap = induced_subgraph(g, bits(mask))
-    expected = _reference_k_color(sub, k)
-    got = _color_within(g, k, mask)
-    if expected is None:
-        assert got is None
-    else:
-        host = [0] * g.n
-        for i, c in enumerate(expected.assignment):
-            host[vmap[i]] = c
-        assert got == host
+    assert _color_within(g, k, mask) == _reference_color_within(g, k, mask)
+
+
+C7_WITNESS = NiceWitness((0, 2, 4), 2)
+
+
+def _gadget_sample(seed: int, per_stratum: int) -> list[tuple[Graph, bool]]:
+    """Seeded NAE gadgets and CNF gadgets over the seven-cycle, both with
+    palette 4, for instances with 1-3 variables and 1-2 clauses: up to
+    ``per_stratum`` satisfiable and as many unsatisfiable instances for
+    each flavor, variable count and clause count, each graph with whether
+    its instance is satisfiable."""
+    rng = random.Random(seed)
+    out = []
+    for flavor in (NAE, CNF):
+        for n_vars, m in itertools.product((1, 2, 3), (1, 2)):
+            bodies = list(itertools.combinations_with_replacement(all_clauses(n_vars, flavor), m))
+            rng.shuffle(bodies)
+            left = {True: per_stratum, False: per_stratum}
+            for body in bodies:
+                inst = SatInstance(n_vars, body, flavor)
+                sat = sat_brute(inst) is not None
+                if not left[sat]:
+                    continue
+                left[sat] -= 1
+                if flavor == NAE:
+                    built = build_nae(inst)
+                else:
+                    built = build_ghi(families.cycle_graph(7), C7_WITNESS, inst)
+                out.append((built.graph, sat))
+    return out
+
+
+def test_k_color_matches_the_recursive_reference_on_gadgets():
+    sample = _gadget_sample(1212, per_stratum=3)
+    assert {(g.n, sat) for g, sat in sample} >= {(10, True), (43, True), (43, False)}
+    for g, sat in sample:
+        got = k_color(g, 4)
+        assert got == _reference_k_color(g, 4)
+        assert (got is not None) == sat
+
+
+def test_color_within_matches_the_reference_on_larger_random_graphs():
+    rng = random.Random(1213)
+    outcomes = set()
+    for _ in range(200):
+        n, k = rng.randint(20, 40), rng.randint(3, 5)
+        p = rng.uniform(0.6, 1.4) * 2 * k / n  # near the k-colorability threshold
+        edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = Graph.from_edges(n, edges)
+        keep = rng.uniform(0.5, 1.0)
+        mask = sum(1 << v for v in range(n) if rng.random() < keep)
+        got = _color_within(g, k, mask)
+        assert got == _reference_color_within(g, k, mask)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
 def test_k_color_needs_no_recursion():
@@ -225,6 +291,42 @@ def test_minimize_obstruction_is_minimal(g):
     for v in range(small.n):
         sub, _ = induced_subgraph(small, set(range(small.n)) - {v})
         assert k_color(sub, 3) is not None
+
+
+def _reference_minimize(g: Graph, k: int) -> tuple[Graph, tuple[int, ...]]:
+    """The greedy deletion loop with a search for every vertex."""
+    alive = g.full_mask()
+    for v in range(g.n):
+        if _color_within(g, k, alive & ~(1 << v)) is None:
+            alive &= ~(1 << v)
+    return induced_subgraph(g, bits(alive))
+
+
+def _same_minimization(g: Graph, k: int) -> None:
+    small, vmap = minimize_obstruction(g, k)
+    ref_small, ref_vmap = _reference_minimize(g, k)
+    assert (small.adj, vmap) == (ref_small.adj, ref_vmap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(min_n=5, max_n=10), st.integers(2, 4))
+def test_minimize_obstruction_matches_the_search_for_every_vertex(g, k):
+    # overlay a (k+1)-clique so the input is guaranteed non-k-colorable
+    edges = set(g.edges()) | set(itertools.combinations(range(k + 1), 2))
+    _same_minimization(Graph.from_edges(g.n, sorted(edges)), k)
+
+
+@pytest.mark.parametrize("name", ["base", "c5blowup", "pendant_w5"])
+def test_minimize_obstruction_matches_on_the_obstructed_goldens(name):
+    g = codec.from_graph6((GOLDEN / f"{name}.g6").read_text().strip())
+    assert certify_color(g, 3).result == "obstructed"
+    _same_minimization(g, 3)
+    stack = [structure.decompose(g)]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if not node.children and _color_within(g, 3, mask_of(node.vertices)) is None:
+            _same_minimization(induced_subgraph(g, node.vertices)[0], 3)
 
 
 # -- catalogs ------------------------------------------------------------------

@@ -8,8 +8,8 @@ import json
 
 import pytest
 
-from conftest import all_graphs
-from p6c4 import canon, detect, enumeration, families
+from conftest import all_graphs, count_calls
+from p6c4 import canon, coloring, detect, enumeration, families, structure
 from p6c4.enumeration import (
     NiceWitness,
     PruneFlags,
@@ -249,6 +249,34 @@ def test_worker_count_does_not_change_results_at_k4():
     two = enumerate_critical(p6c4_config(k=4, n_max=8, workers=2))
     assert [e.graph.adj for e in one.obstructions] == [e.graph.adj for e in two.obstructions]
     assert one.level_sizes == two.level_sizes
+
+
+def _reference_sift_level(level, cfg, found):
+    """The sift without the low-degree shortcut: every non-colorable graph
+    goes through :func:`is_minimal_obstruction`."""
+    extendable = []
+    for g in level:
+        if coloring.k_color(g, cfg.k) is None:
+            if is_minimal_obstruction(g, cfg.k):
+                assert structure.find_clique_cutset(g) is None
+                found.append((canon.canonical_code(g), g))
+        else:
+            extendable.append(g)
+    return extendable if cfg.prune.obstruction_containment else list(level)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_low_degree_shortcut_never_changes_the_obstructions(k, monkeypatch):
+    checks = count_calls(monkeypatch, coloring, "_deletions_colorable")
+    fast = enumerate_critical(p6c4_config(k=k, n_max=8))
+    fast_checks = len(checks)
+    monkeypatch.setattr(enumeration, "_sift_level", _reference_sift_level)
+    slow = enumerate_critical(p6c4_config(k=k, n_max=8))
+    assert [(e.id, e.graph.adj) for e in fast.obstructions] == [
+        (e.id, e.graph.adj) for e in slow.obstructions
+    ]
+    assert fast.level_sizes == slow.level_sizes
+    assert fast.obstructions and fast_checks < len(checks) - fast_checks
 
 
 # -- checkpointing ---------------------------------------------------------------
