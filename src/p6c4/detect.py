@@ -1,4 +1,4 @@
-"""Induced-subgraph detection: paths, cycles, holes, cliques, general patterns.
+"""Induced-subgraph detection: paths, cycles, wheels, cliques, patterns.
 
 All searches are exhaustive and deterministic (lowest-index branching), so
 the first witness found is stable across runs.  Worst-case exponential by
@@ -19,14 +19,20 @@ checks) is settled without naming a witness; only when a path exists does
 the lexicographic witness loop run to name the first one, starting at the
 least minimum vertex of a path that the decision search found.
 
+Neither loop grows a dead or repeated path: :func:`_iter_cycles` drops a
+partial ring once no vertex can close it, and :func:`_has_induced_path`
+grows a path with equal arms from one arm only.  Neither prune changes an
+answer (see each docstring).
+
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
 labelled in path or ring order to :func:`find_induced_path` or
-:func:`find_induced_cycle`, a complete graph to :func:`has_clique`, and
-anything else to the generic matcher :func:`_match`.  All four return the
-same first embedding, so the dispatch changes no answer.  Answers are
-memoized on the host graph (see :class:`p6c4.graphs.Graph`), so repeating
-a search on one graph is free.
+:func:`find_induced_cycle`, a wheel labelled rim first in ring order to
+:func:`_find_wheel` (the first ring with a common neighbour), a complete
+graph to :func:`has_clique`, and anything else to the generic matcher
+:func:`_match`.  All five return the same first embedding, so the dispatch
+changes no answer.  Answers are memoized on the host graph (see
+:class:`p6c4.graphs.Graph`), so repeating a search on one graph is free.
 
 :func:`has_pattern_through` (a copy using a given vertex) is the test
 oracle for the enumerator's per-parent neighbourhood tables; the program
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, mask_of
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,14 @@ def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> int:
     placed, besides the neighbours of s: the vertices up to s and the arms'
     vertices and neighbours.  ``turn`` is the position where the second arm
     starts, or 0 while R is still growing.
+
+    For odd t, a path with two arms of (t - 1) / 2 vertices could grow
+    with either as R, so at that length the second arm starts only above
+    ``path[1]``.  Each path still grows once from its minimum: the answer
+    does not change.
     """
     half = t // 2  # ceil((t - 1) / 2)
+    equal = half if t & 1 else -1  # the right arm's length when both arms are equal
     path = [0] * t
     far = [0] * t
     cand = [0] * t  # untried vertices for each placed position
@@ -110,7 +122,10 @@ def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> int:
             far[i] = far[i - 1] | low | adj[v]
             nxt = adj[v] & ~(far[i - 1] | ns)
             if not turn and i >= half:
-                nxt |= ns & ~far[i]
+                left = ns & ~far[i]
+                if i == equal:
+                    left &= -(2 << path[1])
+                nxt |= left
             i += 1
             cand[i] = nxt
     return -1
@@ -176,14 +191,21 @@ def _iter_cycles(g: Graph, l: int) -> Iterator[tuple[int, ...]]:
     From each start s, the ring grows as a chordless path on vertices above
     s, lowest candidate first; its inner vertices miss s, and the last one,
     above ``ring[1]``, closes back to s.  ``block[i]`` holds the vertices
-    no later position may use once ``ring[i]`` is placed: the ring so far,
-    the vertices up to s, and the neighbours of ``ring[1..i-1]``.
+    no later inner position may use once ``ring[i]`` is placed: the ring so
+    far, the vertices up to s, and the neighbours of ``ring[0..i-1]``.
+
+    ``close[i]`` holds the vertices that can still be the last one: the
+    neighbours of s above ``ring[1]`` that miss ``ring[1..min(i, l - 3)]``
+    (inner vertices miss s, so none is in it).  A placement that empties
+    it has no ring below and is not grown (Uno & Satoh's pruning), so the
+    rings and their order are the unpruned search's.
     """
     if l < 3:
         raise ValueError("l must be at least 3")
     adj = g.adj
     ring = [0] * l
     block = [0] * l
+    close = [0] * l
     cand = [0] * l  # untried vertices for each placed position
     for s in range(g.n - l + 1):  # the ring minimum has l - 1 vertices above it
         ns = adj[s]
@@ -202,13 +224,13 @@ def _iter_cycles(g: Graph, l: int) -> Iterator[tuple[int, ...]]:
             if i == l - 1:
                 yield tuple(ring)
                 continue
-            block[i] = block[i - 1] | low | (adj[ring[i - 1]] if i > 1 else 0)
-            allowed = adj[v] & ~block[i]
+            cl = (close[i - 1] if i > 1 else ns & -(2 << v)) & ~(adj[v] if i < l - 2 else 0)
+            if not cl:
+                continue
+            close[i] = cl
+            block[i] = block[i - 1] | low | adj[ring[i - 1]]
             i += 1
-            if i == l - 1:
-                cand[i] = allowed & ns & -(2 << ring[1])
-            else:
-                cand[i] = allowed & ~ns
+            cand[i] = adj[v] & (cl if i == l - 1 else ~block[i - 1])
 
 
 def find_induced_cycle(g: Graph, l: int) -> Embedding | None:
@@ -222,56 +244,18 @@ def find_all_induced_cycles(g: Graph, l: int) -> list[Embedding]:
     return [Embedding(l, ring) for ring in _iter_cycles(g, l)]
 
 
-def find_hole(g: Graph) -> Embedding | None:
-    """Smallest chordless cycle of length at least 4, if any."""
-    for l in range(4, g.n + 1):
-        emb = find_induced_cycle(g, l)
-        if emb is not None:
-            return emb
+def _find_wheel(g: Graph, l: int) -> Embedding | None:
+    """First induced W_l (rim 0..l-1 in ring order, hub l): the first ring
+    :func:`_iter_cycles` yields that has a common neighbour, with the lowest
+    such hub."""
+    adj = g.adj
+    for ring in _iter_cycles(g, l):
+        hubs = g.full_mask()
+        for v in ring:
+            hubs &= adj[v]
+        if hubs:
+            return Embedding(l + 1, ring + ((hubs & -hubs).bit_length() - 1,))
     return None
-
-
-# -- chordality ------------------------------------------------------------
-
-
-def _lexbfs_order(g: Graph) -> list[int]:
-    labels: list[list[int]] = [[] for _ in range(g.n)]
-    order = []
-    numbered = 0
-    for step in range(g.n, 0, -1):
-        best = -1
-        for v in range(g.n):
-            if not numbered >> v & 1 and (best < 0 or labels[v] > labels[best]):
-                best = v
-        order.append(best)
-        numbered |= 1 << best
-        for u in bits(g.adj[best] & ~numbered):
-            labels[u].append(step)
-    return order
-
-
-def is_chordal(g: Graph) -> tuple[bool, tuple[int, ...] | Embedding | None]:
-    """Chordality with a certificate.
-
-    Returns ``(True, peo)`` with a perfect elimination order, or
-    ``(False, hole)`` with a chordless cycle embedding of length >= 4.
-    """
-    if g.n == 0:
-        return True, ()
-    visit = _lexbfs_order(g)
-    peo = tuple(reversed(visit))
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in bits(g.adj[v]) if pos[u] > pos[v]]
-        if not later:
-            continue
-        parent = min(later, key=pos.__getitem__)
-        for u in later:
-            if u != parent and not g.has_edge(parent, u):
-                hole = find_hole(g)
-                assert hole is not None, "PEO check failed on a graph with no hole"
-                return False, hole
-    return True, peo
 
 
 # -- cliques ---------------------------------------------------------------
@@ -341,10 +325,16 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
 
     Dispatches on the pattern's shape: a path labelled 0-1-...-(t-1) goes to
     :func:`find_induced_path`, a cycle labelled around its ring to
-    :func:`find_induced_cycle`, a complete graph on four or more vertices
-    to :func:`has_clique`, and any other pattern to :func:`_match`.
-    The answer is the generic matcher's in every case, and it is memoized
-    in ``g._found``, keyed by the pattern's labelled adjacency.
+    :func:`find_induced_cycle`, a wheel W_l (l >= 4) whose rim is labelled
+    0-1-...-(l-1)-0 and whose hub is l to :func:`_find_wheel`, a complete
+    graph on four or more vertices to :func:`has_clique`, and any other
+    pattern, other labellings of a wheel included, to :func:`_match`.
+
+    The answer is the generic matcher's in every case (the matcher places
+    a wheel's rim first, so it finds the least ring with a common
+    neighbour, and :func:`_iter_cycles` yields rings in ascending order).
+    It is memoized in ``g._found``, keyed by the pattern's labelled
+    adjacency.
     """
     key = (pattern.n, pattern.adj)
     memo = g._found
@@ -357,6 +347,8 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
         emb = find_induced_path(g, size)
     elif in_order and kind == "cycle":
         emb = find_induced_cycle(g, size)
+    elif in_order and kind == "wheel":
+        emb = _find_wheel(g, size)
     elif kind == "complete":
         emb = has_clique(g, size)
     else:
@@ -425,14 +417,16 @@ def is_free(
 
 @lru_cache(maxsize=64)
 def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
-    """Classify a pattern as ('path', t), ('cycle', l), ('complete', n) or
-    ('generic', n).
+    """Classify a pattern as ('path', t), ('cycle', l), ('wheel', l),
+    ('complete', n) or ('generic', n).
 
     The third field says whether a path is labelled 0-1-...-(t-1) and a
     cycle 0-1-...-(l-1)-0; only then do the specialized finders' embeddings
-    map pattern vertex ``i`` the way the generic matcher's do.  Every
-    labelling of a complete graph is in order; K1, K2 and K3 are the path
-    or cycle they equal.
+    map pattern vertex ``i`` the way the generic matcher's do.  A wheel,
+    l >= 4, is a rim labelled 0-1-...-(l-1)-0 and a hub l that sees the
+    whole rim; any other labelling of it is generic.  Every labelling of a
+    complete graph is in order; K1, K2 and K3 are the path or cycle they
+    equal, and K4 is W3.
     """
     n = pat.n
     degs = sorted(pat.degree(v) for v in range(n))
@@ -442,6 +436,11 @@ def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
     if n >= 3 and pat.is_connected() and degs == [2] * n:
         in_order = all(pat.adj[i] >> ((i + 1) % n) & 1 for i in range(n))
         return "cycle", n, in_order
+    l = n - 1
+    if l >= 4 and degs == [3] * l + [l] and pat.adj[l] == (1 << l) - 1 and all(
+        pat.adj[i] >> ((i + 1) % l) & 1 for i in range(l)
+    ):
+        return "wheel", l, True
     if n >= 4 and degs == [n - 1] * n:
         return "complete", n, True
     return "generic", n, False

@@ -351,15 +351,17 @@ def check_freeness(
     if kind == "ghi":
         if h is None:
             raise ValueError("the CNF gadget check needs the host graph")
-        path_ok = t >= 6 and detect.find_induced_path(h, t) is None
-        cycle_ok = l >= 6 and detect.find_induced_cycle(h, l) is None
+        path = families.path_graph(t) if t >= 6 else None
+        cycle = families.cycle_graph(l) if l >= 6 else None
+        path_ok = path is not None and detect.find_induced_copy(h, path) is None
+        cycle_ok = cycle is not None and detect.find_induced_copy(h, cycle) is None
         verdicts["path"] = (
-            _freeness_verdict(built.graph, families.path_graph(t))
+            _freeness_verdict(built.graph, path)
             if path_ok
             else structure.Verdict(structure.NOT_APPLICABLE, None, "host not path-free or t < 6")
         )
         verdicts["cycle"] = (
-            _freeness_verdict(built.graph, families.cycle_graph(l))
+            _freeness_verdict(built.graph, cycle)
             if cycle_ok
             else structure.Verdict(structure.NOT_APPLICABLE, None, "host not cycle-free or l < 6")
         )

@@ -1,7 +1,9 @@
 """Induced-subgraph detection against injective-map enumeration oracles."""
 
+import random
 import sys
 
+import pytest
 from hypothesis import given, settings
 
 from conftest import (
@@ -89,6 +91,60 @@ def test_long_cycle_search_needs_no_recursion():
     assert every == [first]
 
 
+def _reference_iter_cycles(g, l):
+    """The ring loop without the closing set: every chordless path from the
+    ring minimum grows until its last position, closable or not."""
+    adj = g.adj
+    ring = [0] * l
+    block = [0] * l
+    cand = [0] * l
+    for s in range(g.n - l + 1):
+        ns = adj[s]
+        ring[0] = s
+        block[0] = (2 << s) - 1
+        cand[1] = ns & ~block[0]
+        i = 1
+        while i:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            v = ring[i] = low.bit_length() - 1
+            if i == l - 1:
+                yield tuple(ring)
+                continue
+            block[i] = block[i - 1] | low | (adj[ring[i - 1]] if i > 1 else 0)
+            allowed = adj[v] & ~block[i]
+            i += 1
+            if i == l - 1:
+                cand[i] = allowed & ns & -(2 << ring[1])
+            else:
+                cand[i] = allowed & ~ns
+
+
+def _assert_same_rings(g, lengths):
+    for l in lengths:
+        assert list(detect._iter_cycles(g, l)) == list(_reference_iter_cycles(g, l))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_iter_cycles_matches_the_unpruned_loop(g):
+    _assert_same_rings(g, range(3, g.n + 1))
+
+
+def test_iter_cycles_matches_the_unpruned_loop_on_family8(family8):
+    for g in family8:
+        _assert_same_rings(g, range(3, g.n + 1))
+
+
+def test_iter_cycles_matches_the_unpruned_loop_on_gadgets():
+    for g in _gadgets():
+        _assert_same_rings(g, range(3, g.n + 1))
+
+
 def test_long_path_search_needs_no_recursion():
     n = 1100
     g = families.path_graph(n)
@@ -106,12 +162,12 @@ def test_long_path_search_needs_no_recursion():
     assert decided == 0 and chorded == -1
 
 
-def _reference_find_induced_path(g, t):
-    """The witness loop alone, without the decision search ahead of it."""
-    if t > g.n:
-        return None
+def _reference_induced_paths(g, t):
+    """Every induced P_t in path order, lexicographically: the witness loop
+    alone, without the decision search ahead of it."""
     if t == 1:
-        return detect.Embedding(1, (0,))
+        yield from ((v,) for v in range(g.n))
+        return
     adj = g.adj
     path = [0] * t
     block = [0] * t
@@ -130,11 +186,16 @@ def _reference_find_induced_path(g, t):
             cand[i] = c ^ low
             v = path[i] = low.bit_length() - 1
             if i == t - 1:
-                return detect.Embedding(t, tuple(path))
+                yield tuple(path)
+                continue
             block[i] = block[i - 1] | low | adj[path[i - 1]]
             i += 1
             cand[i] = adj[v] & ~block[i - 1]
-    return None
+
+
+def _reference_find_induced_path(g, t):
+    path = next(_reference_induced_paths(g, t), None)
+    return None if path is None else detect.Embedding(t, path)
 
 
 def _gadgets():
@@ -179,6 +240,56 @@ def test_has_induced_path_matches_brute_force(g):
         assert detect._has_induced_path(g.adj, g.n, t) == (-1 if brute is None else min(brute))
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_has_induced_path_gives_the_least_path_minimum(g):
+    """Odd t included, where a path with equal arms is grown from one arm."""
+    for t in range(3, 10):
+        least = min((min(path) for path in _reference_induced_paths(g, t)), default=-1)
+        assert detect._has_induced_path(g.adj, g.n, t) == least
+
+
+def _networkx_least_path_minimum(nx, g, t):
+    """The least s with an induced P_t through s inside G[{v >= s}], by
+    networkx's induced matcher: s plays path vertex j for some j < t / 2."""
+    GraphMatcher = nx.algorithms.isomorphism.GraphMatcher
+    for s in range(g.n - t + 1):
+        host = nx.Graph()
+        host.add_nodes_from((v, {"mark": v == s}) for v in range(s, g.n))
+        host.add_edges_from((u, v) for u in range(s, g.n) for v in g.neighbors(u) if v > u)
+        if not GraphMatcher(host, nx.path_graph(t)).subgraph_is_isomorphic():
+            return -1  # no P_t at all in G[{v >= s}]
+        for j in range((t + 1) // 2):
+            path = nx.path_graph(t)
+            nx.set_node_attributes(path, {i: i == j for i in range(t)}, "mark")
+            matcher = GraphMatcher(host, path, node_match=lambda a, b: a["mark"] == b["mark"])
+            if matcher.subgraph_is_isomorphic():
+                return s
+    return -1
+
+
+def test_has_induced_path_matches_networkx_on_larger_graphs():
+    """n = 15..24, t = 5..8; in half the graphs the lowest third of the
+    vertices is nearly complete, so the least minimum is often above 0."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1307)
+    answers = set()
+    for _ in range(10):
+        n = rng.randint(15, 24)
+        p = rng.choice((0.15, 0.3, 0.6, 0.75))
+        dense = rng.choice((0, n // 3))
+        g = Graph.from_edges(
+            n,
+            [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < (0.9 if u < dense else p)],
+        )
+        for t in range(5, 9):
+            least = detect._has_induced_path(g.adj, n, t)
+            assert least == _networkx_least_path_minimum(nx, g, t), (n, p, dense, t)
+            answers.add(least)
+    assert -1 in answers and 0 in answers and max(answers) > 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(graphs(max_n=10))
 def test_decision_search_changes_no_answer(g):
@@ -192,26 +303,6 @@ def test_decision_search_changes_no_answer(g):
     finally:
         detect._has_induced_path = real
     assert fast == slow
-
-
-def test_find_hole_smallest_first():
-    g = families.cycle_graph(6)
-    emb = detect.find_hole(g)
-    assert emb is not None and emb.pattern_order == 6
-    chordal = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 2), (1, 3)])
-    assert detect.find_hole(chordal) is None
-
-
-def test_is_chordal():
-    ok, peo = detect.is_chordal(families.complete_graph(5))
-    assert ok and sorted(peo) == list(range(5))
-    ok, hole = detect.is_chordal(families.cycle_graph(5))
-    assert not ok
-    assert detect.verify_embedding(
-        families.cycle_graph(5), families.cycle_graph(hole.pattern_order), hole
-    )
-    tree = Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5)])
-    assert detect.is_chordal(tree)[0]
 
 
 def test_max_clique_and_has_clique():
@@ -390,6 +481,56 @@ def test_relabelled_paths_and_cycles_use_the_generic_matcher(g):
         assert emb == detect._match(g, pattern)
         if emb is not None:
             assert detect.verify_embedding(g, pattern, emb)
+
+
+_WHEELS = [families.wheel_graph(l) for l in range(4, 8)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=10))
+def test_wheel_finder_agrees_with_generic(g):
+    """A wheel labelled rim first goes to the ring search, which returns the
+    generic matcher's first embedding exactly."""
+    for wheel in _WHEELS:
+        assert detect.find_induced_copy(g, wheel) == detect._match(g, wheel)
+
+
+def test_wheel_finder_agrees_with_generic_on_dense_random_graphs():
+    rng = random.Random(4099)
+    found = [0] * len(_WHEELS)
+    for _ in range(200):
+        n = rng.randint(10, 20)
+        p = rng.choice((0.5, 0.65, 0.8))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        for k, wheel in enumerate(_WHEELS):
+            emb = detect.find_induced_copy(g, wheel)
+            assert emb == detect._match(g, wheel)
+            found[k] += emb is not None
+    assert all(0 < hits < 200 for hits in found[1:])
+
+
+def test_wheel_patterns_go_to_the_wheel_finder(monkeypatch):
+    wheel_calls = count_calls(monkeypatch, detect, "_find_wheel")
+    match_calls = count_calls(monkeypatch, detect, "_match")
+    six = [(i, (i + 1) % 6) for i in range(6)]
+    g = Graph.from_edges(8, six + [(i, hub) for i in range(6) for hub in (6, 7)])
+    assert detect.find_induced_copy(g, families.wheel_graph(6)).vmap == (0, 1, 2, 3, 4, 5, 6)
+    assert detect.find_induced_copy(g, families.wheel_graph(5)) is None
+    assert [args[1] for args in wheel_calls] == [6, 5] and not match_calls
+    # a hub that is not the last vertex is another labelling: the generic matcher's
+    hub_first = families.wheel_graph(5).relabel((1, 2, 3, 4, 5, 0))
+    assert detect._pattern_shape(hub_first) == ("generic", 6, False)
+    emb = detect.find_induced_copy(families.wheel_graph(5), hub_first)
+    assert emb.vmap == (5, 0, 1, 2, 3, 4) and len(match_calls) == 1
+    assert len(wheel_calls) == 2
+    # W3 is K4, and a hub over two triangles is no wheel
+    assert detect._pattern_shape(families.wheel_graph(3))[0] == "complete"
+    two_triangles = Graph.from_edges(
+        7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] + [(i, 6) for i in range(6)]
+    )
+    assert detect._pattern_shape(two_triangles)[0] == "generic"
 
 
 # -- the per-graph memo ------------------------------------------------------------

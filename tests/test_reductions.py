@@ -279,12 +279,15 @@ def test_cnf_gadget_freeness_verdicts():
 
 
 def test_cnf_freeness_sweep_searches_each_pattern_once(monkeypatch):
-    """The path verdict for l = 6, 8, 9 is one P7 search on the gadget."""
+    """The path verdict for l = 6, 8, 9 is one P7 search on the gadget and
+    one on the host."""
     calls = count_calls(monkeypatch, detect, "find_induced_path")
-    lg = build_ghi(C7, C7_WITNESS, SatInstance(3, ((1, -2, 3), (2, 2, 3))))
+    host = families.cycle_graph(7)  # a fresh graph, so its memo starts empty
+    lg = build_ghi(host, C7_WITNESS, SatInstance(3, ((1, -2, 3), (2, 2, 3))))
     for l in (6, 8, 9):
-        check_freeness("ghi", lg, 7, l, h=C7)
+        check_freeness("ghi", lg, 7, l, h=host)
     assert [t for g, t in calls if g is lg.graph] == [7]
+    assert [t for g, t in calls if g is host] == [7]
 
 
 def test_nae_gadget_freeness_verdicts():
