@@ -78,9 +78,7 @@ def cmd_color(args) -> int:
     g = _read_graph(args.infile)
     if not args.certify:
         if args.strict:
-            free, idx, emb = detect.is_free(
-                g, [families.path_graph(6), families.cycle_graph(4)]
-            )
+            free, idx, emb = detect.is_free(g, families.P6C4)
             if not free:
                 _emit(_not_free_payload(args.k, ("P6", "C4")[idx], emb), args.out)
                 return EXIT_NOT_FREE
@@ -225,8 +223,7 @@ def cmd_enumerate(args) -> int:
 
     if args.out:
         out = Path(args.out)
-        codec.write_atomic(out, "".join(line + "\n" for line in lines))
-        codec.write_atomic(out.with_suffix(".json"), json.dumps(manifest, indent=2) + "\n")
+        codec.write_with_manifest(out, lines, manifest)
         log.info("wrote %s and %s", out, out.with_suffix(".json"))
     else:
         _emit({"graphs": lines, "manifest": manifest}, None)

@@ -178,3 +178,11 @@ def write_atomic(path: str | Path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_with_manifest(path: str | Path, lines: list[str], manifest: dict) -> None:
+    """Write graph6 ``lines`` to ``path`` and ``manifest`` as indented JSON
+    to its ``.json`` sidecar, each with :func:`write_atomic`."""
+    path = Path(path)
+    write_atomic(path, "".join(line + "\n" for line in lines))
+    write_atomic(path.with_suffix(".json"), json.dumps(manifest, indent=2) + "\n")

@@ -226,9 +226,7 @@ def catalog_save(entries: list[ObstructionEntry], path: str | Path, n_max: int |
         "n_max_searched": n_max,
         "entries": [manifest_entry(e) for e in entries],
     }
-    path = Path(path)
-    codec.write_atomic(path, "".join(codec.to_graph6(e.graph) + "\n" for e in entries))
-    codec.write_atomic(path.with_suffix(".json"), json.dumps(manifest, indent=2) + "\n")
+    codec.write_with_manifest(path, [codec.to_graph6(e.graph) for e in entries], manifest)
 
 
 def manifest_entry(e: ObstructionEntry) -> dict:
@@ -288,7 +286,7 @@ def catalog_verify(entries: list[ObstructionEntry], k: int) -> dict:
     codes = set()
     for e in entries:
         g = e.graph
-        free, _, _ = detect.is_free(g, [families.path_graph(6), families.cycle_graph(4)])
+        free, _, _ = detect.is_free(g, families.P6C4)
         checks = {
             "connected": g.is_connected(),
             "p6c4_free": free,
@@ -356,9 +354,7 @@ def certify_color(
     if k not in (3, 4):
         raise ValueError("certified coloring supports k = 3 and k = 4 only")
     if strict:
-        free, idx, emb = detect.is_free(
-            g, [families.path_graph(6), families.cycle_graph(4)]
-        )
+        free, idx, emb = detect.is_free(g, families.P6C4)
         if not free:
             raise NotP6C4FreeError(("P6", "C4")[idx], emb)
     if catalog is None:

@@ -18,11 +18,16 @@ child is isomorphic to an earlier child of the same parent.  Only the
 remaining children are canonically labelled, and each level keeps the
 same labelled representatives as a walk over every mask would.
 
-The level shares one set of canonical-search leaf codes among its
-children (:func:`p6c4.canon.canonical_code` with ``known``).  A child
-isomorphic to a graph already kept is recognised at its first search leaf
-and dropped there; the first child of each class still runs its whole
-search, so the level keeps the same representatives.
+A level is expanded in chunks of parents (:func:`_expand_chunk`), and
+the parents of a chunk share one set of canonical-search leaf codes
+(:func:`p6c4.canon.canonical_code` with ``known``).  A child isomorphic
+to a graph already kept is recognised at its first search leaf and
+dropped there; the first child of each class still runs its whole
+search.  A serial run makes the whole level one chunk; with several
+workers, each task is one chunk, parents and children cross the process
+boundary as :class:`~p6c4.graphs.Graph` objects, and the merge keeps the
+first child of each class in parent order.  So the level keeps the same
+representatives whatever the worker count.
 
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
@@ -35,6 +40,7 @@ only on graphs of minimum degree at least k.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import time
@@ -76,7 +82,7 @@ class SearchConfig:
 
 def p6c4_config(**kw) -> SearchConfig:
     """A SearchConfig with the (P6,C4) forbidden family preloaded."""
-    kw.setdefault("forbidden", (families.path_graph(6), families.cycle_graph(4)))
+    kw.setdefault("forbidden", families.P6C4)
     return SearchConfig(**kw)
 
 
@@ -125,13 +131,7 @@ def _bad_masks(parent: Graph, forbidden: tuple[Graph, ...]) -> bytearray:
     return bad
 
 
-def _expand_parent(
-    parent: Graph,
-    forbidden: tuple[Graph, ...],
-    connected_only: bool,
-    early: bool,
-    known: set[bytes] | None = None,
-):
+def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
     """The admissible one-vertex extensions of ``parent`` (with codes) that
     are new to ``known``, one per orbit of the parent's automorphisms on
     neighbourhood masks.
@@ -140,19 +140,23 @@ def _expand_parent(
     is kept and its whole orbit marked done: the later members give
     children isomorphic to the kept one, which the level deduplication
     would drop anyway, so skipping them changes no output.  ``known`` holds
-    the leaf codes of the graphs kept so far (a fresh set if None); a child
-    isomorphic to one of them stops its canonical search at its first leaf
-    and is left out, so the first child of each class is the one returned.
+    the leaf codes of the graphs kept so far; a child isomorphic to one of
+    them stops its canonical search at its first leaf and is left out, so
+    the first child of each class is the one returned.
+
+    With ``forbidden_early`` off, the mask table is skipped and each child
+    goes through the whole-graph check :func:`detect.is_free` before it is
+    labelled.  Freeness is an isomorphism invariant, so a non-free child
+    never decides which labelled copy of a free class comes first.
     """
-    if known is None:
-        known = set()
     n = parent.n
-    bad = _bad_masks(parent, forbidden) if early else bytearray(1 << n)
+    early = cfg.prune.forbidden_early
+    bad = _bad_masks(parent, cfg.forbidden) if early else bytearray(1 << n)
     gens = canon.automorphism_generators(parent)
     images = [_mask_images(s) for s in gens]
     done = bytearray(1 << n)
     out = []
-    for mask in range(1 if connected_only else 0, 1 << n):
+    for mask in range(1 if cfg.connected_only else 0, 1 << n):
         if bad[mask] or done[mask]:
             continue
         if images:
@@ -164,6 +168,8 @@ def _expand_parent(
                         done[img[m]] = 1
                         orbit.append(img[m])
         child = parent.add_vertex(mask)
+        if not early and not detect.is_free(child, cfg.forbidden)[0]:
+            continue
         code = canon.canonical_code(child, known=known)
         if code is not None:
             out.append((code, child))
@@ -179,28 +185,11 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
     return img
 
 
-def _expand_chunk(args: tuple[list[str], list[str], bool, bool]) -> list[tuple[bytes, str]]:
-    parent_lines, forbidden_lines, connected_only, early = args
-    forbidden = tuple(codec.from_graph6(line) for line in forbidden_lines)
+def _expand_chunk(parents: list[Graph], cfg: SearchConfig) -> list[tuple[bytes, Graph]]:
+    """The ``(code, child)`` pairs of ``parents`` in parent order, the
+    parents sharing one set of leaf codes."""
     known: set[bytes] = set()
-    out = []
-    for line in parent_lines:
-        parent = codec.from_graph6(line)
-        for code, child in _expand_parent(parent, forbidden, connected_only, early, known):
-            out.append((code, codec.to_graph6(child)))
-    return out
-
-
-def _free_filter(level: list[Graph], cfg: SearchConfig) -> list[Graph]:
-    """Drop non-free graphs when the growth-time filter was disabled.
-
-    With the early prune on, every generated graph is already free, so this
-    is the identity; with it off, the whole-graph search replays the check
-    the localized one would have done one level earlier.
-    """
-    if cfg.prune.forbidden_early or not cfg.forbidden:
-        return level
-    return [g for g in level if detect.is_free(g, list(cfg.forbidden))[0]]
+    return [pair for parent in parents for pair in _expand_parent(parent, cfg, known)]
 
 
 def _next_level(
@@ -208,33 +197,30 @@ def _next_level(
 ) -> list[Graph]:
     """One augmentation level, deduplicated and sorted by canonical code.
 
-    The serial path shares one set of leaf codes across the level, each
-    worker chunk its own; ``seen`` drops the duplicates that fall in
-    different chunks.
+    Without a pool the whole level is one chunk; a pool maps
+    :func:`_expand_chunk` over about four chunks per worker, and ``seen``
+    drops the duplicates that fall in different chunks.  Either way the
+    first child of each class in parent order is kept.
     """
-    seen: dict[bytes, Graph] = {}
-    early = cfg.prune.forbidden_early
     if pool is None:
-        known: set[bytes] = set()
-        for parent in parents:
-            for code, child in _expand_parent(
-                parent, cfg.forbidden, cfg.connected_only, early, known
-            ):
-                if code not in seen:
-                    seen[code] = child
+        results = [_expand_chunk(parents, cfg)]
     else:
-        lines = [codec.to_graph6(p) for p in parents]
-        forb = [codec.to_graph6(f) for f in cfg.forbidden]
-        chunk = max(1, len(lines) // (cfg.workers * 4))
-        jobs = [
-            (lines[i : i + chunk], forb, cfg.connected_only, early)
-            for i in range(0, len(lines), chunk)
-        ]
-        for result in pool.map(_expand_chunk, jobs):
-            for code, line in result:
-                if code not in seen:
-                    seen[code] = codec.from_graph6(line)
+        size = max(1, len(parents) // (cfg.workers * 4))
+        chunks = [parents[i : i + size] for i in range(0, len(parents), size)]
+        results = pool.map(_expand_chunk, chunks, itertools.repeat(cfg))
+    seen: dict[bytes, Graph] = {}
+    for result in results:
+        for code, child in result:
+            seen.setdefault(code, child)
     return [seen[code] for code in sorted(seen)]
+
+
+def _pool(cfg: SearchConfig):
+    """A process pool of ``cfg.workers`` workers, or for one worker a
+    context that gives None, so the levels run in this process."""
+    if cfg.workers > 1:
+        return ProcessPoolExecutor(cfg.workers)
+    return contextlib.nullcontext()
 
 
 def _seeds(cfg: SearchConfig) -> list[Graph]:
@@ -248,20 +234,14 @@ def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
     """Every pattern-free graph with 1 <= n <= n_max, one per isomorphism
     class, in (order, canonical code) order.  Connected only by default."""
     level = _seeds(cfg)
-    pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
+    with _pool(cfg) as pool:
         n = 1
         while level:
             yield from level
             if n == cfg.n_max:
                 break
-            # extending a non-free graph only yields non-free graphs, so
-            # growing from the filtered level loses nothing
-            level = _free_filter(_next_level(level, cfg, pool), cfg)
+            level = _next_level(level, cfg, pool)
             n += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
 
 def is_minimal_obstruction(g: Graph, k: int) -> bool:
@@ -302,11 +282,10 @@ def enumerate_critical(
         if log:
             log(f"resumed at level {start_n}")
 
-    pool = ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else None
-    try:
+    with _pool(cfg) as pool:
         for n in range(start_n + 1, cfg.n_max + 1):
             t0 = time.monotonic()
-            level = _free_filter(_next_level(extendable, cfg, pool), cfg)
+            level = _next_level(extendable, cfg, pool)
             level_sizes[n] = len(level)
             extendable = _sift_level(level, cfg, found)
             if log:
@@ -319,9 +298,6 @@ def enumerate_critical(
                 _save_checkpoint(checkpoint, cfg, extendable, found, n, level_sizes)
             if not extendable:
                 break
-    finally:
-        if pool is not None:
-            pool.shutdown()
 
     found.sort(key=lambda cg: cg[0])
     entries = [

@@ -85,6 +85,9 @@ def blowup(base: Graph, sizes: list[int] | tuple[int, ...]) -> Graph:
     return Graph.from_edges(total, edges)
 
 
+#: The class's forbidden pair, in the order (P6, C4) that witnesses report.
+P6C4 = (path_graph(6), cycle_graph(4))
+
 #: Patterns accepted by the CLI and by forbidden-family parsing.
 _NAMED = {
     "P4": lambda: path_graph(4),

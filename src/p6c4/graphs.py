@@ -41,6 +41,8 @@ class Graph:
     ``_cutset`` is :func:`p6c4.structure.find_clique_cutset`'s answer.
     ``_canon`` and ``_found`` start as ``None``; ``_cutset`` starts as
     ``False``, because ``None`` there is an answer (no clique cutset).
+    A graph pickles as its rows alone, so it crosses a process boundary
+    without its memos and arrives with fresh slots.
     """
 
     __slots__ = ("n", "adj", "_canon", "_found", "_cutset")
@@ -138,11 +140,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def complement(self) -> "Graph":
-        full = self.full_mask()
-        rows = tuple((full & ~self.adj[v]) & ~(1 << v) for v in range(self.n))
-        return Graph(self.n, rows, _checked=True)
-
     def component_mask(self, start: int, within: int = -1) -> int:
         """The component of ``start`` in the subgraph induced by the vertex
         mask ``within`` (default: every vertex); ``start`` must be in it."""
@@ -157,16 +154,6 @@ class Graph:
             frontier = nxt & within & ~seen
             seen |= frontier
         return seen
-
-    def components(self) -> list[frozenset[int]]:
-        out = []
-        remaining = self.full_mask()
-        while remaining:
-            start = (remaining & -remaining).bit_length() - 1
-            comp = self.component_mask(start)
-            out.append(frozenset(bits(comp)))
-            remaining &= ~comp
-        return out
 
     def is_connected(self) -> bool:
         """Whether the graph has at most one component (vacuously true for n = 0)."""
@@ -195,6 +182,9 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        return (Graph, (self.n, self.adj, True))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -18,11 +18,10 @@ exponential time; it is kept as the tests' oracle.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 from .graphs import Graph, bits, mask_of, induced_subgraph
-from . import canon, detect, families
+from . import detect, families
 
 
 # -- C5 embeddings and S-partitions -----------------------------------------
@@ -624,47 +623,16 @@ def atom_list(tree: CutsetNode) -> list[tuple[int, ...]]:
 # -- the blown-up Petersen-plus-universal family -----------------------------
 
 
-def _twin_quotient(g: Graph) -> tuple[Graph, tuple[int, ...]]:
-    """Quotient by true-twin classes (N[u] == N[v]); returns sizes per class."""
+def _twin_quotient(g: Graph) -> Graph:
+    """Quotient by true-twin classes (N[u] == N[v]), one vertex per class
+    in order of the classes' least vertices."""
     closed = [g.adj[v] | (1 << v) for v in range(g.n)]
     reps: list[int] = []
-    cls: list[list[int]] = []
     for v in range(g.n):
-        for idx, r in enumerate(reps):
-            if closed[v] == closed[r]:
-                cls[idx].append(v)
-                break
-        else:
+        if all(closed[v] != closed[r] for r in reps):
             reps.append(v)
-            cls.append([v])
-    q = len(reps)
-    rows = [0] * q
-    for i in range(q):
-        for j in range(i + 1, q):
-            if g.has_edge(reps[i], reps[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(q, tuple(rows), _checked=True), tuple(len(c) for c in cls)
-
-
-@functools.lru_cache(maxsize=1)
-def _base_quotients() -> list[tuple[Graph, tuple[int, ...]]]:
-    """Twin quotients of all induced subgraphs of the 11-vertex base.
-
-    Deduplication keys on the size vector in canonical vertex order, which
-    only merges configurations that are exactly equivalent; ambiguous ones
-    are kept (harmless — the matcher tries every stored profile).
-    """
-    base = families.specific_base()
-    seen: dict[bytes, tuple[Graph, tuple[int, ...]]] = {}
-    for mask in range(1 << base.n):
-        sub, _ = induced_subgraph(base, bits(mask))
-        q, sizes = _twin_quotient(sub)
-        order = canon.canonical_order(q)
-        key = canon.canonical_code(q) + bytes(sizes[v] for v in order)
-        if key not in seen:
-            seen[key] = (q, sizes)
-    return list(seen.values())
+    sub, _ = induced_subgraph(g, reps)
+    return sub
 
 
 def is_specific(g: Graph) -> bool:
@@ -672,23 +640,23 @@ def is_specific(g: Graph) -> bool:
 
     Each base vertex is replaced by a clique (possibly empty); substituted
     cliques are joined completely iff the base vertices are adjacent.
-    Recognition goes through true-twin quotients: ``g`` is such a blow-up
-    iff its quotient matches the quotient of some induced subgraph of the
-    base with classwise capacity to spare: an isomorphism (an induced copy
-    of one in the other, equal order) sending each class of ``g`` to a
-    base class no larger.
+    ``g`` is such a blow-up iff its true-twin quotient ``Q`` is an induced
+    subgraph of the base, so one induced-copy search decides it.
+
+    If ``g`` blows up the base with the vertices of K kept (non-empty
+    cliques), two vertices of ``g`` are true twins iff their base vertices
+    are equal or true twins in ``base[K]``: the twin classes of ``g`` are
+    unions of the cliques of base vertices that are twins in the part of
+    the base that was kept.  So ``Q`` is the twin quotient of ``base[K]``,
+    and keeping one base vertex per twin class embeds it in ``base[K]`` as
+    an induced subgraph, hence in the base.  Conversely, a twin class is a
+    clique, and two classes are joined completely or not at all, so ``g``
+    is ``Q`` with each vertex blown up to its class; given an induced copy
+    of ``Q`` in the base, blowing each image vertex up to its class and
+    every other base vertex to the empty clique gives a copy of ``g``.
     """
-    if g.n == 0:
-        return True
-    qg, a = _twin_quotient(g)
-    qcode = canon.canonical_code(qg)
-    for qb, b in _base_quotients():
-        if qb.n != qg.n or canon.canonical_code(qb) != qcode:
-            continue
-        for e in detect.iter_induced_copies(qb, qg):
-            if all(a[i] >= b[j] for i, j in enumerate(e.vmap)):
-                return True
-    return False
+    copy = detect.find_induced_copy(families.specific_base(), _twin_quotient(g))
+    return copy is not None
 
 
 # -- C6 domination law -------------------------------------------------------
@@ -698,7 +666,7 @@ def check_c6_lemma(g: Graph) -> dict:
     """Audit: a (P6,C4)-free graph with no clique cutset is either a blown-up
     Petersen-plus-universal graph or has every induced C6 dominating.
     """
-    free, _, _ = detect.is_free(g, [families.path_graph(6), families.cycle_graph(4)])
+    free, _, _ = detect.is_free(g, families.P6C4)
     if not free:
         return {"status": NOT_APPLICABLE, "reason": "host is not (P6,C4)-free"}
     if find_clique_cutset(g) is not None:
@@ -729,7 +697,7 @@ def check_size_bounds(g: Graph, c: C5Embedding, p: SPartition | None = None, k: 
     if p is None:
         p = classify(g, c)
     out: dict = {"k": k, "checks": {}}
-    free, _, _ = detect.is_free(g, [families.path_graph(6), families.cycle_graph(4)])
+    free, _, _ = detect.is_free(g, families.P6C4)
     clique = families.complete_graph(k + 1)
     ok_base = g.is_connected() and free and detect.find_induced_copy(g, clique) is None
     if not ok_base:

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import strategies as st
 
-from p6c4.graphs import Graph
+from p6c4.graphs import Graph, bits
 
 
 def graph_from_mask(n: int, mask: int) -> Graph:
@@ -41,6 +41,18 @@ def brute_k_color(g: Graph, k: int):
         return False
 
     return tuple(assignment) if rec(0) else None
+
+
+def components(g: Graph) -> list[frozenset[int]]:
+    """The vertex sets of the components of ``g``, by least vertex."""
+    out = []
+    remaining = g.full_mask()
+    while remaining:
+        start = (remaining & -remaining).bit_length() - 1
+        comp = g.component_mask(start)
+        out.append(frozenset(bits(comp)))
+        remaining &= ~comp
+    return out
 
 
 def brute_induced_copy(g: Graph, pattern: Graph):

@@ -207,6 +207,21 @@ def test_enumerate_critical_writes_files_idempotently(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_enumerate_output_does_not_depend_on_workers(tmp_path, capsys):
+    files = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"crit{workers}.g6"
+        argv = [
+            "enumerate", "--mode", "critical", "--k", "3", "--max-n", "8",
+            "--workers", workers, "--out", str(out),
+        ]
+        assert main(argv) == 0
+        files.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+    assert files[0] == files[1]
+    assert files[0][0].count(b"\n") == 4
+    capsys.readouterr()
+
+
 def test_enumerate_nice_mode(capsys):
     code, payload = run_cli(
         capsys, "enumerate", "--mode", "nice", "--k", "3", "--max-n", "7",

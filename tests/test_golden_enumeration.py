@@ -4,7 +4,9 @@ The other enumeration tests compare canonical codes, so they cannot see a
 change of representative: which labelled copy of each class the search
 keeps.  The labelled copy reaches users through ``enumerate`` output and
 the shipped catalogs, so it is pinned here as graph6 lines, one file per
-configuration in ``tests/data/golden/``.
+configuration in ``tests/data/golden/``.  Each configuration runs
+serially and with two workers (the CLI's default is one worker per CPU)
+against the same file.
 
 To record the files again, run
 ``PYTHONPATH=src python3 tests/test_golden_enumeration.py``.
@@ -23,12 +25,16 @@ from p6c4.enumeration import enumerate_critical, enumerate_family, p6c4_config
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
-def _family_n7():
-    return enumerate_family(p6c4_config(n_max=7))
+def _family_n7(workers: int = 1):
+    return enumerate_family(p6c4_config(n_max=7, workers=workers))
 
 
 def _critical(k: int):
-    return lambda: (e.graph for e in enumerate_critical(p6c4_config(k=k, n_max=8)).obstructions)
+    def run(workers: int = 1):
+        cfg = p6c4_config(k=k, n_max=8, workers=workers)
+        return (e.graph for e in enumerate_critical(cfg).obstructions)
+
+    return run
 
 
 CASES = {
@@ -42,9 +48,16 @@ def _render(graphs) -> bytes:
     return "".join(codec.to_graph6(g) + "\n" for g in graphs).encode()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_labelled_enumeration_matches_golden(name):
-    assert _render(CASES[name]()) == (GOLDEN / f"{name}.g6").read_bytes()
+@pytest.mark.parametrize(
+    "name, workers",
+    [
+        pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers{workers}")
+        for workers in (1, 2)
+        for name in sorted(CASES)
+    ],
+)
+def test_labelled_enumeration_matches_golden(name, workers):
+    assert _render(CASES[name](workers)) == (GOLDEN / f"{name}.g6").read_bytes()
 
 
 if __name__ == "__main__":

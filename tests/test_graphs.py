@@ -1,12 +1,13 @@
 """Bitset graph core and the graph6 / edge-list codecs."""
 
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_graphs, graphs
-from p6c4 import codec, families
+from conftest import all_graphs, components, graphs
+from p6c4 import canon, codec, detect, families, structure
 from p6c4.graphs import Graph, bits, mask_of, induced_subgraph
 
 
@@ -33,7 +34,7 @@ def test_mask_helpers():
 
 def test_components_and_connectivity():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (3, 4)])
-    comps = g.components()
+    comps = components(g)
     assert sorted(sorted(c) for c in comps) == [[0, 1, 2], [3, 4], [5]]
     assert not g.is_connected()
     assert families.path_graph(1).is_connected()
@@ -49,9 +50,15 @@ def test_clique_and_independent_masks():
     assert e.is_clique(mask_of([2]))
 
 
-def test_complement_involution():
-    g = families.path_graph(5)
-    assert g.complement().complement() == g
+def test_pickle_carries_rows_without_memos():
+    g = families.wheel_graph(5)
+    canon.canonical_code(g)
+    detect.find_induced_copy(g, families.path_graph(4))
+    structure.find_clique_cutset(g)
+    assert g._canon is not None and g._found and g._cutset is None
+    h = pickle.loads(pickle.dumps(g))
+    assert h == g and h.adj == g.adj
+    assert (h._canon, h._found, h._cutset) == (None, None, False)
 
 
 def test_relabel_and_equality():

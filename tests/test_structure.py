@@ -1,5 +1,6 @@
 """Five-cycle attachment laws, separators, decomposition, and recognition."""
 
+import functools
 import itertools
 import random
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, count_calls, graphs, stack_depth
+from conftest import all_graphs, components, count_calls, graphs, stack_depth
 from p6c4 import canon, codec, detect, families, structure
 from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
 
@@ -263,7 +264,7 @@ def _brute_minimal_separators(g):
         for s in itertools.combinations(verts, r):
             s = frozenset(s)
             rest, vmap = induced_subgraph(g, set(verts) - s)
-            comps = rest.components()
+            comps = components(rest)
             if len(comps) < 2:
                 continue
             full = 0
@@ -297,7 +298,7 @@ def _brute_has_clique_cutset(g):
             if not g.is_clique(sum(1 << v for v in s)):
                 continue
             rest, _ = induced_subgraph(g, set(range(g.n)) - set(s))
-            if len(rest.components()) > 1:
+            if len(components(rest)) > 1:
                 return True
     return False
 
@@ -349,13 +350,13 @@ def _reference_clique_cutset(g):
     minimal separators of ``g``, in (size, sorted vertices) order."""
     if g.n == 0:
         return None
-    comps = g.components()
+    comps = components(g)
     if len(comps) > 1:
         return frozenset(), comps[0], frozenset().union(*comps[1:])
     for sep in structure.minimal_separators(g):
         if g.is_clique(mask_of(sep)):
             rest, vmap = induced_subgraph(g, set(range(g.n)) - sep)
-            comp = next(c for c in rest.components() if 0 in c)
+            comp = next(c for c in components(rest) if 0 in c)
             side = frozenset(vmap[i] for i in comp)
             return sep, side, frozenset(vmap) - side
     return None
@@ -643,6 +644,78 @@ def test_is_specific_matches_blowup_enumeration():
         for g in all_graphs(n):
             expect = canon.canonical_code(g) in codes
             assert structure.is_specific(g) == expect, g.edges()
+
+
+def _reference_twin_quotient(g):
+    """Quotient by true-twin classes, with the size of each class."""
+    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
+    reps, cls = [], []
+    for v in range(g.n):
+        for idx, r in enumerate(reps):
+            if closed[v] == closed[r]:
+                cls[idx].append(v)
+                break
+        else:
+            reps.append(v)
+            cls.append([v])
+    q, _ = induced_subgraph(g, reps)
+    return q, tuple(len(c) for c in cls)
+
+
+@functools.lru_cache(maxsize=1)
+def _reference_base_quotients():
+    """Twin quotients, with class sizes, of all induced subgraphs of the base."""
+    base = families.specific_base()
+    seen = {}
+    for mask in range(1 << base.n):
+        sub, _ = induced_subgraph(base, bits(mask))
+        q, sizes = _reference_twin_quotient(sub)
+        order = canon.canonical_order(q)
+        seen.setdefault(canon.canonical_code(q) + bytes(sizes[v] for v in order), (q, sizes))
+    return list(seen.values())
+
+
+def _reference_is_specific(g):
+    """is_specific as it was: the twin quotient of ``g`` matched against the
+    quotient of every induced subgraph of the base, class by class."""
+    if g.n == 0:
+        return True
+    qg, a = _reference_twin_quotient(g)
+    qcode = canon.canonical_code(qg)
+    for qb, b in _reference_base_quotients():
+        if qb.n != qg.n or canon.canonical_code(qb) != qcode:
+            continue
+        for e in detect.iter_induced_copies(qb, qg):
+            if all(a[i] >= b[j] for i, j in enumerate(e.vmap)):
+                return True
+    return False
+
+
+def test_is_specific_matches_reference_on_family8(family8):
+    for g in family8:
+        assert structure.is_specific(g) == _reference_is_specific(g), g.adj
+
+
+def test_is_specific_matches_reference_on_random_blowups():
+    """Relabelled blow-ups of the base, one edge flipped in half of them."""
+    rng = random.Random(1414)
+    base = families.specific_base()
+    hits = 0
+    for i in range(3000):
+        g = families.blowup(base, [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(base.n)])
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = g.relabel(tuple(perm))
+        if i % 2 and g.n >= 2:
+            u, v = rng.sample(range(g.n), 2)
+            rows = list(g.adj)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            g = Graph(g.n, tuple(rows))
+        got = structure.is_specific(g)
+        assert got == _reference_is_specific(g), g.adj
+        hits += got
+    assert 1500 <= hits < 3000  # every unflipped graph, and some flipped ones
 
 
 def test_is_specific_examples():
