@@ -18,7 +18,6 @@ from .coloring import (
 )
 from .structure import check_properties, classify, decompose, find_clique_cutset
 from .enumeration import (
-    PruneFlags,
     SearchConfig,
     enumerate_critical,
     enumerate_family,
@@ -35,7 +34,6 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "NotP6C4FreeError",
-    "PruneFlags",
     "SatInstance",
     "SearchConfig",
     "build_ghi",

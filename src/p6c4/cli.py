@@ -76,12 +76,12 @@ def _emit(payload: dict, out: str | None) -> None:
 
 def cmd_color(args) -> int:
     g = _read_graph(args.infile)
+    if args.strict:
+        free, idx, emb = detect.is_free(g, families.P6C4)
+        if not free:
+            _emit(_not_free_payload(args.k, ("P6", "C4")[idx], emb), args.out)
+            return EXIT_NOT_FREE
     if not args.certify:
-        if args.strict:
-            free, idx, emb = detect.is_free(g, families.P6C4)
-            if not free:
-                _emit(_not_free_payload(args.k, ("P6", "C4")[idx], emb), args.out)
-                return EXIT_NOT_FREE
         col = coloring.k_color(g, args.k)
         if col is None:
             _emit({"result": "not-colorable", "k": args.k}, args.out)
@@ -96,11 +96,7 @@ def cmd_color(args) -> int:
         )
         return EXIT_OK
 
-    try:
-        cert = coloring.certify_color(g, args.k, strict=args.strict)
-    except coloring.NotP6C4FreeError as exc:
-        _emit(_not_free_payload(args.k, exc.pattern_name, exc.embedding), args.out)
-        return EXIT_NOT_FREE
+    cert = coloring.certify_color(g, args.k, strict=False)
     _emit(cert.to_json(), args.out)
     return {
         "colored": EXIT_OK,
@@ -177,31 +173,21 @@ def _forbidden(spec: str) -> tuple[tuple[Graph, ...], list[str]]:
 def cmd_enumerate(args) -> int:
     forbidden, names = _forbidden(args.forbid)
     workers = args.workers if args.workers else (os.cpu_count() or 1)
-    prune = enumeration.PruneFlags()
     k = args.k if args.k is not None else 3
     if args.mode in ("critical", "nice") and args.k is None:
         raise ValueError(f"--k is required for mode {args.mode}")
+    cfg = enumeration.SearchConfig(k=k, n_max=args.max_n, forbidden=forbidden, workers=workers)
     manifest: dict = {
         "mode": args.mode,
         "k": k,
         "n_max_searched": args.max_n,
         "forbidden": names,
-        "prune_flags": {
-            "forbidden_early": prune.forbidden_early,
-            "obstruction_containment": prune.obstruction_containment,
-        },
     }
 
     if args.mode == "family":
-        cfg = enumeration.SearchConfig(
-            k=k, n_max=args.max_n, forbidden=forbidden, workers=workers, prune=prune
-        )
         lines = [codec.to_graph6(g) for g in enumeration.enumerate_family(cfg)]
         manifest["count"] = len(lines)
     elif args.mode == "critical":
-        cfg = enumeration.SearchConfig(
-            k=k, n_max=args.max_n, forbidden=forbidden, workers=workers, prune=prune
-        )
         run = enumeration.enumerate_critical(cfg, checkpoint=args.resume, log=log.info)
         lines = [codec.to_graph6(e.graph) for e in run.obstructions]
         manifest["count"] = len(lines)

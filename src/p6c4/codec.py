@@ -37,25 +37,16 @@ def _decode_n(data: str) -> tuple[int, int]:
         return c - 63, 1
     if len(data) < 2:
         raise Graph6Error("truncated size field", 1)
-    if ord(data[1]) != 126:
-        if len(data) < 4:
-            raise Graph6Error("truncated size field", len(data))
-        n = 0
-        for i in range(1, 4):
-            c = ord(data[i])
-            if not 63 <= c <= 126:
-                raise Graph6Error(f"invalid size byte {c}", i)
-            n = (n << 6) | (c - 63)
-        return n, 4
-    if len(data) < 8:
+    start, end = (2, 8) if data[1] == "~" else (1, 4)
+    if len(data) < end:
         raise Graph6Error("truncated size field", len(data))
     n = 0
-    for i in range(2, 8):
+    for i in range(start, end):
         c = ord(data[i])
         if not 63 <= c <= 126:
             raise Graph6Error(f"invalid size byte {c}", i)
         n = (n << 6) | (c - 63)
-    return n, 8
+    return n, end
 
 
 def from_graph6(text: str) -> Graph:
@@ -71,10 +62,8 @@ def from_graph6(text: str) -> Graph:
     if len(data) - at > nbytes:
         raise Graph6Error("trailing garbage after edge bits", at + nbytes)
     rows = [0] * n
-    bit = 0
     acc = 0
     have = 0
-    at0 = at
     for v in range(1, n):
         for u in range(v):
             if have == 0:
@@ -88,7 +77,6 @@ def from_graph6(text: str) -> Graph:
             if acc >> have & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            bit += 1
     if have and acc & ((1 << have) - 1):
         raise Graph6Error("nonzero padding bits", at - 1)
     return Graph(n, tuple(rows), _checked=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .graphs import Graph, bits, mask_of, induced_subgraph
-from . import canon, codec, detect, families
+from . import canon, codec, detect, families, structure
 
 
 @dataclass(frozen=True)
@@ -280,8 +280,6 @@ def catalog_verify(entries: list[ObstructionEntry], k: int) -> dict:
     Each member must be connected, (P6,C4)-free, non-k-colorable, minimal,
     of minimum degree >= k, without clique cutset; codes pairwise distinct.
     """
-    from . import structure  # local import; structure depends on coloring-free parts
-
     report: dict = {"k": k, "entries": [], "ok": True}
     codes = set()
     for e in entries:
@@ -349,8 +347,6 @@ def certify_color(
     strict: bool = True,
 ) -> Certificate:
     """Certified k-coloring for k in {3, 4} against an obstruction catalog."""
-    from . import structure
-
     if k not in (3, 4):
         raise ValueError("certified coloring supports k = 3 and k = 4 only")
     if strict:

@@ -1,12 +1,13 @@
 """Exhaustive enumeration of pattern-free graphs and minimal obstructions.
 
 Graphs are generated level by level: every n-vertex candidate arises from
-an (n-1)-vertex parent by attaching one new vertex to an admissible
-neighborhood.  Forbidden patterns are hereditary, so a candidate is
-checked only around the new vertex; isomorphic duplicates are removed by
-canonical code within each level.  Every graph in the target family is
-reachable this way — deleting any non-cut vertex of a connected family
-member leaves a smaller connected family member.
+an (n-1)-vertex parent by attaching one new vertex to a nonempty
+admissible neighborhood, so every graph generated is connected.
+Forbidden patterns are hereditary, so a candidate is checked only around
+the new vertex; isomorphic duplicates are removed by canonical code within
+each level.  Every connected graph in the target family is reachable this
+way — deleting any non-cut vertex of a connected family member leaves a
+smaller connected family member.
 
 Each parent is analysed once.  A table indexed by neighbourhood mask
 (:func:`_bad_masks`) marks the masks that put a forbidden pattern through
@@ -45,7 +46,7 @@ import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterator
@@ -55,20 +56,10 @@ from . import canon, codec, coloring, detect, families, structure
 
 
 @dataclass(frozen=True)
-class PruneFlags:
-    """Optional search prunes; disabling either never changes the output."""
-
-    forbidden_early: bool = True  # reject forbidden patterns during growth
-    obstruction_containment: bool = True  # never extend non-k-colorable graphs
-
-
-@dataclass(frozen=True)
 class SearchConfig:
     k: int = 3
     n_max: int = 8
     forbidden: tuple[Graph, ...] = ()
-    connected_only: bool = True
-    prune: PruneFlags = field(default_factory=PruneFlags)
     workers: int = 1
 
     def __post_init__(self):
@@ -143,20 +134,14 @@ def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
     the leaf codes of the graphs kept so far; a child isomorphic to one of
     them stops its canonical search at its first leaf and is left out, so
     the first child of each class is the one returned.
-
-    With ``forbidden_early`` off, the mask table is skipped and each child
-    goes through the whole-graph check :func:`detect.is_free` before it is
-    labelled.  Freeness is an isomorphism invariant, so a non-free child
-    never decides which labelled copy of a free class comes first.
     """
     n = parent.n
-    early = cfg.prune.forbidden_early
-    bad = _bad_masks(parent, cfg.forbidden) if early else bytearray(1 << n)
+    bad = _bad_masks(parent, cfg.forbidden)
     gens = canon.automorphism_generators(parent)
     images = [_mask_images(s) for s in gens]
     done = bytearray(1 << n)
     out = []
-    for mask in range(1 if cfg.connected_only else 0, 1 << n):
+    for mask in range(1, 1 << n):
         if bad[mask] or done[mask]:
             continue
         if images:
@@ -168,8 +153,6 @@ def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
                         done[img[m]] = 1
                         orbit.append(img[m])
         child = parent.add_vertex(mask)
-        if not early and not detect.is_free(child, cfg.forbidden)[0]:
-            continue
         code = canon.canonical_code(child, known=known)
         if code is not None:
             out.append((code, child))
@@ -231,17 +214,14 @@ def _seeds(cfg: SearchConfig) -> list[Graph]:
 
 
 def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
-    """Every pattern-free graph with 1 <= n <= n_max, one per isomorphism
-    class, in (order, canonical code) order.  Connected only by default."""
+    """Every connected pattern-free graph with 1 <= n <= n_max, one per
+    isomorphism class, in (order, canonical code) order."""
     level = _seeds(cfg)
     with _pool(cfg) as pool:
-        n = 1
-        while level:
+        for _ in range(cfg.n_max - 1):
             yield from level
-            if n == cfg.n_max:
-                break
             level = _next_level(level, cfg, pool)
-            n += 1
+    yield from level
 
 
 def is_minimal_obstruction(g: Graph, k: int) -> bool:
@@ -335,15 +315,13 @@ def _sift_level(level, cfg, found) -> list[Graph]:
                 found.append((canon.canonical_code(g), g))
         else:
             extendable.append(g)
-    return extendable if cfg.prune.obstruction_containment else list(level)
+    return extendable
 
 
 def _config_fingerprint(cfg: SearchConfig) -> dict:
     return {
         "k": cfg.k,
         "forbidden": sorted(codec.to_graph6(f) for f in cfg.forbidden),
-        "connected_only": cfg.connected_only,
-        "prune": [cfg.prune.forbidden_early, cfg.prune.obstruction_containment],
     }
 
 
@@ -358,11 +336,26 @@ def _save_checkpoint(path, cfg, extendable, found, n, level_sizes) -> None:
     codec.write_atomic(path, json.dumps(payload))
 
 
+_CHECKPOINT_FIELDS = {
+    "config": dict,
+    "level": int,
+    "extendable": list,
+    "obstructions": list,
+    "level_sizes": dict,
+}
+
+
 def _load_checkpoint(path, cfg):
     path = Path(path)
     if not path.exists():
         return None
     payload = json.loads(path.read_text())
+    if not isinstance(payload, dict):
+        raise ValueError("checkpoint is not a JSON object")
+    for name, kind in _CHECKPOINT_FIELDS.items():
+        value = payload.get(name)
+        if type(value) is not kind or kind is list and any(type(s) is not str for s in value):
+            raise ValueError(f"checkpoint field {name!r} is missing or malformed")
     if payload["config"] != _config_fingerprint(cfg):
         raise ValueError("checkpoint was produced by a different configuration")
     extendable = [codec.from_graph6(line) for line in payload["extendable"]]

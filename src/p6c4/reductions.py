@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .graphs import Graph
-from . import coloring, detect, families, structure
+from . import codec, coloring, detect, families, structure
 from .enumeration import NiceWitness, is_nice_triple, nice_check
 
 CNF = "cnf"
@@ -110,8 +110,6 @@ class LabeledGraph:
         return [v for v, r in enumerate(self.roles) if r.kind == kind]
 
     def to_json(self) -> dict:
-        from . import codec
-
         return {
             "graph6": codec.to_graph6(self.graph),
             "n": self.graph.n,

@@ -242,6 +242,27 @@ def test_enumerate_critical_requires_k(capsys):
     assert code == 65
 
 
+def test_enumerate_rejects_a_malformed_checkpoint(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    argv = ["enumerate", "--mode", "critical", "--k", "3", "--max-n", "4", "--resume", str(ck)]
+    assert main([*argv, "--workers", "1"]) == 0
+    no_extendable = json.loads(ck.read_text())
+    del no_extendable["extendable"]
+    bad_line = {**no_extendable, "extendable": [1]}
+    capsys.readouterr()
+    for payload, field in (
+        ({}, "config"),
+        ([], "object"),
+        (no_extendable, "extendable"),
+        (bad_line, "extendable"),
+    ):
+        ck.write_text(json.dumps(payload))
+        assert main(argv) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and field in captured.err
+
+
 # -- reduce -------------------------------------------------------------------------
 
 

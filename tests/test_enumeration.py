@@ -12,7 +12,6 @@ from conftest import all_graphs, count_calls
 from p6c4 import canon, coloring, detect, enumeration, families, structure
 from p6c4.enumeration import (
     NiceWitness,
-    PruneFlags,
     SearchConfig,
     enumerate_critical,
     enumerate_family,
@@ -27,13 +26,12 @@ from p6c4.graphs import Graph
 P6C4 = (families.path_graph(6), families.cycle_graph(4))
 
 
-def brute_family_codes(n: int, forbidden=P6C4, connected=True) -> set[bytes]:
-    """Isomorphism classes of pattern-free n-vertex graphs, the slow way."""
+def brute_family_codes(n: int, forbidden=P6C4) -> set[bytes]:
+    """Isomorphism classes of connected pattern-free n-vertex graphs, the
+    slow way."""
     out = set()
     for g in all_graphs(n):
-        if connected and not g.is_connected():
-            continue
-        if detect.is_free(g, list(forbidden))[0]:
+        if g.is_connected() and detect.is_free(g, list(forbidden))[0]:
             out.add(canon.canonical_code(g))
     return out
 
@@ -66,13 +64,6 @@ def test_family_with_single_forbidden_pattern():
     assert all(
         detect.find_induced_copy(g, families.cycle_graph(4)) is None for g in levels[4]
     )
-
-
-def test_family_disconnected_mode():
-    cfg = SearchConfig(n_max=3, forbidden=P6C4, connected_only=False)
-    levels = by_order(enumerate_family(cfg))
-    assert {n: len(gs) for n, gs in levels.items()} == {1: 1, 2: 2, 3: 4}
-    assert {canon.canonical_code(g) for g in levels[3]} == brute_family_codes(3, connected=False)
 
 
 def test_family_levels_are_deduplicated_and_sorted():
@@ -120,10 +111,10 @@ def test_bad_mask_table_matches_has_pattern_through(name, small_free_family):
             assert bad[mask] == hit, (parent.adj, mask)
 
 
-def _reference_expand(parent, forbidden, connected_only):
-    """Every mask, the localized checks, no orbit pruning."""
+def _reference_expand(parent, forbidden):
+    """Every nonempty mask, the localized checks, no orbit pruning."""
     out = []
-    for mask in range(1 if connected_only else 0, 1 << parent.n):
+    for mask in range(1, 1 << parent.n):
         child = parent.add_vertex(mask)
         w = child.n - 1
         if not any(detect.has_pattern_through(child, pat, w) for pat in forbidden):
@@ -138,28 +129,26 @@ def _first_occurrences(pairs) -> dict[bytes, tuple[int, ...]]:
     return first
 
 
-@pytest.mark.parametrize("connected_only", [True, False])
-def test_orbit_pruning_keeps_every_first_occurrence(connected_only):
-    cfg = SearchConfig(n_max=7, forbidden=P6C4, connected_only=connected_only)
+def test_orbit_pruning_keeps_every_first_occurrence():
+    cfg = p6c4_config(n_max=7)
     for parent in enumerate_family(cfg):
         new = enumeration._expand_parent(parent, cfg, set())
-        ref = _reference_expand(parent, P6C4, connected_only)
+        ref = _reference_expand(parent, P6C4)
         assert _first_occurrences(new) == _first_occurrences(ref)
 
 
 @pytest.mark.parametrize("k", [3, 4])
-@pytest.mark.parametrize("connected_only", [True, False])
-def test_shared_leaf_codes_keep_the_reference_level(k, connected_only):
+def test_shared_leaf_codes_keep_the_reference_level(k):
     """Ablation of the level-wide set of leaf codes: each level of the
     obstruction search is the labelled level that every mask of every
     parent, each child fully labelled, gives by first occurrence."""
-    cfg = p6c4_config(k=k, n_max=7, connected_only=connected_only)
+    cfg = p6c4_config(k=k, n_max=7)
     level, found = enumeration._seeds(cfg), []
     for _ in range(2, cfg.n_max + 1):
         parents = enumeration._sift_level(level, cfg, found)
         first: dict[bytes, Graph] = {}
         for parent in parents:
-            for code, child in _reference_expand(parent, P6C4, connected_only):
+            for code, child in _reference_expand(parent, P6C4):
                 first.setdefault(code, child)
         level = enumeration._next_level(parents, cfg, None)
         assert [g.adj for g in level] == [first[code].adj for code in sorted(first)]
@@ -213,29 +202,6 @@ def test_enumerate_critical_matches_brute_filter():
     assert {canon.canonical_code(e.graph) for e in run.obstructions} == want
 
 
-@pytest.mark.parametrize(
-    "flags",
-    [
-        PruneFlags(forbidden_early=False, obstruction_containment=True),
-        PruneFlags(forbidden_early=True, obstruction_containment=False),
-        PruneFlags(forbidden_early=False, obstruction_containment=False),
-    ],
-)
-def test_prune_flags_never_change_the_obstructions(flags):
-    base = enumerate_critical(p6c4_config(k=3, n_max=7))
-    other = enumerate_critical(p6c4_config(k=3, n_max=7, prune=flags))
-    key = lambda run: [canon.canonical_code(e.graph) for e in run.obstructions]
-    assert key(base) == key(other)
-
-
-@pytest.mark.parametrize("connected_only", [True, False])
-def test_prune_flags_never_change_the_family(connected_only):
-    off_flags = PruneFlags(forbidden_early=False)
-    cfg_off = p6c4_config(n_max=6, connected_only=connected_only, prune=off_flags)
-    cfg_on = p6c4_config(n_max=6, connected_only=connected_only)
-    assert [g.adj for g in enumerate_family(cfg_off)] == [g.adj for g in enumerate_family(cfg_on)]
-
-
 def test_worker_count_does_not_change_results():
     one = enumerate_critical(p6c4_config(k=3, n_max=6, workers=1))
     two = enumerate_critical(p6c4_config(k=3, n_max=6, workers=2))
@@ -263,7 +229,7 @@ def _reference_sift_level(level, cfg, found):
                 found.append((canon.canonical_code(g), g))
         else:
             extendable.append(g)
-    return extendable if cfg.prune.obstruction_containment else list(level)
+    return extendable
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -278,6 +244,23 @@ def test_low_degree_shortcut_never_changes_the_obstructions(k, monkeypatch):
     ]
     assert fast.level_sizes == slow.level_sizes
     assert fast.obstructions and fast_checks < len(checks) - fast_checks
+
+
+def test_containment_prune_never_changes_the_obstructions(monkeypatch):
+    """Ablation of the containment prune: extending every graph of each
+    level, the non-colorable ones too, and recording obstructions with the
+    reference sift finds the same obstructions."""
+    base = enumerate_critical(p6c4_config(k=3, n_max=7))
+
+    def sift_keeping_all(level, cfg, found):
+        _reference_sift_level(level, cfg, found)
+        return list(level)
+
+    monkeypatch.setattr(enumeration, "_sift_level", sift_keeping_all)
+    other = enumerate_critical(p6c4_config(k=3, n_max=7))
+    key = lambda run: [canon.canonical_code(e.graph) for e in run.obstructions]
+    assert key(base) == key(other)
+    assert base.level_sizes[7] < other.level_sizes[7]
 
 
 # -- checkpointing ---------------------------------------------------------------

@@ -129,14 +129,23 @@ def test_graph6_matches_networkx():
 
 
 def test_graph6_error_offsets():
-    with pytest.raises(codec.Graph6Error):
-        codec.from_graph6("")
-    with pytest.raises(codec.Graph6Error):
-        codec.from_graph6("C")  # truncated body
-    with pytest.raises(codec.Graph6Error):
-        codec.from_graph6("C~~")  # trailing garbage
-    with pytest.raises(codec.Graph6Error):
-        codec.from_graph6("A" + chr(62))  # nonzero padding bits / bad byte
+    cases = [
+        ("", 0),  # empty
+        ("C", 1),  # truncated body
+        ("C~~", 2),  # trailing garbage
+        ("A" + chr(62), 1),  # bad edge byte
+        ("B" + chr(64), 1),  # nonzero padding bits
+        ("~", 1),  # truncated size field
+        ("~??", 3),
+        ("~?" + chr(62) + "?", 2),  # bad size byte
+        ("~~????", 6),
+        ("~~???" + chr(127) + "??", 5),
+        ("~~???~??", 8),  # n = 258048, no edge bytes
+    ]
+    for text, offset in cases:
+        with pytest.raises(codec.Graph6Error) as info:
+            codec.from_graph6(text)
+        assert info.value.offset == offset, text
 
 
 def test_graph6_large_n_header():
