@@ -52,9 +52,25 @@ depends only on the graph's structure, and orbit pruning skips only
 subtrees whose leaf codes repeat ones already explored, so a completed
 search meets every leaf code of its class: an isomorphic graph stops at
 its first leaf.
+
+A caller may also hand the search automorphisms of the graph that it
+knows beforehand.  The enumerator does: a child ``G + w`` of a parent
+``G`` has every parent automorphism that maps ``N(w)`` onto itself,
+extended by ``w -> w`` (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998).  The generators start from them, so orbit
+pruning uses them from the first branching.  This is sound for the same
+reason orbit pruning is: a subtree is skipped only when an automorphism
+fixing its path maps an explored sibling onto it, and then its leaves
+are images of explored leaves with the same codes.  So the first leaf
+that reaches the least code is never skipped, and the code, the
+canonical order and the set of leaf codes a completed search adds to
+``known`` do not change.  Only the generators do: fewer are found, and
+the inherited ones come first.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from .graphs import Graph, bits
 
@@ -87,16 +103,15 @@ def _refine(
 
     ``moved`` holds the vertices of the pieces split off last (all but one
     piece per split cell).  Each round re-splits only the cells next to
-    them, computing every key from the partition as the round found it,
+    them that have more than one vertex, computing every key from the
+    partition as the round found it,
     and then collects the new pieces for the next round.
     """
     while moved:
-        todo = {cls[u] for v in moved for u in nbrs[v]}
+        todo = {o for v in moved for u in nbrs[v] if len(cells[o := cls[u]]) > 1}
         splits = []
         for o in todo:
             cell = cells[o]
-            if len(cell) == 1:
-                continue
             groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
                 key = tuple(sorted([cls[u] for u in nbrs[v]]))
@@ -137,10 +152,19 @@ def orbits(n: int, perms) -> list[int]:
     return [find(a) for a in range(n)]
 
 
-def _canonical(
-    g: Graph, known: set[bytes] | None = None
+def _search(
+    n: int,
+    adj: tuple[int, ...],
+    nbrs: list[list[int]],
+    known: set[bytes] | None = None,
+    auts: Sequence[tuple[int, ...]] = (),
 ) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
     """The search as one explicit loop: ``(code, order, generators)``.
+
+    ``adj`` holds the rows and ``nbrs[v]`` the neighbours of ``v`` of an
+    ``n``-vertex graph.  ``auts`` are automorphisms of that graph known
+    before the search; the generators start from them, so orbit pruning
+    uses them from the first branching (see the module docstring).
 
     ``stack`` holds a frame per open node on the current path: its
     partition (``cls``, ``cells``), the start ``o`` of the cell it branches
@@ -151,11 +175,9 @@ def _canonical(
     its frame, and then moves to the next child of the deepest open node.
     ``known`` works as in :func:`canonical_code`.
     """
-    n, adj = g.n, g.adj
-    nbrs = [list(bits(row)) for row in adj]
     best_code: bytes | None = None
     best_order: list[int] | None = None
-    gens: list[tuple[int, ...]] = []
+    gens: list[tuple[int, ...]] = list(auts)
     met: list[bytes] = []  # leaf codes, added to ``known`` on completion
 
     by_degree: dict[int, list[int]] = {}
@@ -227,6 +249,13 @@ def _canonical(
     return best_code, tuple(best_order), tuple(gens)
 
 
+def _canonical(
+    g: Graph, known: set[bytes] | None = None
+) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]] | None:
+    """:func:`_search` on ``g`` with no automorphisms known beforehand."""
+    return _search(g.n, g.adj, [list(bits(row)) for row in g.adj], known)
+
+
 def canonical_code(g: Graph, *, known: set[bytes] | None = None) -> bytes | None:
     """Isomorphism-invariant code: equal codes iff isomorphic graphs.
 
@@ -263,7 +292,10 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Automorphisms of ``g`` found by the canonical search, ``s[v]`` being
     the image of ``v``.  They generate a subgroup of Aut(g), often all of it;
-    the tuple is empty when the search met no symmetry."""
+    the tuple is empty when the search met no symmetry.  A graph made by
+    the enumerator carries the generators its search started from, the
+    automorphisms inherited from its parent, followed by those it found,
+    so the tuple can differ from the one a fresh copy of ``g`` gets."""
     canonical_code(g)
     return g._canon[2]
 

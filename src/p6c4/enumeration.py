@@ -19,9 +19,17 @@ child is isomorphic to an earlier child of the same parent.  Only the
 remaining children are canonically labelled, and each level keeps the
 same labelled representatives as a walk over every mask would.
 
+A child's canonical search starts from the parent's automorphisms that
+map its mask onto itself, each extended by fixing the new vertex; these
+are automorphisms of the child, so its search prunes with them from the
+first branching and reaches fewer leaves for the same code and order
+(see :mod:`p6c4.canon`).  The child's rows and neighbour lists are
+built from the parent's, and a :class:`~p6c4.graphs.Graph` is made only
+for a child that is kept, carrying its search result.
+
 A level is expanded in chunks of parents (:func:`_expand_chunk`), and
 the parents of a chunk share one set of canonical-search leaf codes
-(:func:`p6c4.canon.canonical_code` with ``known``).  A child isomorphic
+(``known``, as in :func:`p6c4.canon.canonical_code`).  A child isomorphic
 to a graph already kept is recognised at its first search leaf and
 dropped there; the first child of each class still runs its whole
 search.  A serial run makes the whole level one chunk; with several
@@ -133,12 +141,17 @@ def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
     would drop anyway, so skipping them changes no output.  ``known`` holds
     the leaf codes of the graphs kept so far; a child isomorphic to one of
     them stops its canonical search at its first leaf and is left out, so
-    the first child of each class is the one returned.
+    the first child of each class is the one returned.  Each child's
+    search starts from the parent generators that fix its mask, extended
+    by ``w -> w``.
     """
     n = parent.n
     bad = _bad_masks(parent, cfg.forbidden)
     gens = canon.automorphism_generators(parent)
     images = [_mask_images(s) for s in gens]
+    fixing_w = [s + (n,) for s in gens]  # each extended by w -> w
+    nbrs = [list(bits(row)) for row in parent.adj]
+    wbit = 1 << n
     done = bytearray(1 << n)
     out = []
     for mask in range(1, 1 << n):
@@ -152,10 +165,20 @@ def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
                     if not done[img[m]]:
                         done[img[m]] = 1
                         orbit.append(img[m])
-        child = parent.add_vertex(mask)
-        code = canon.canonical_code(child, known=known)
-        if code is not None:
-            out.append((code, child))
+        adj = list(parent.adj)
+        child_nbrs = nbrs[:]
+        for u in bits(mask):
+            adj[u] |= wbit
+            child_nbrs[u] = nbrs[u] + [n]
+        adj.append(mask)
+        adj = tuple(adj)
+        child_nbrs.append(list(bits(mask)))
+        auts = [s for s, img in zip(fixing_w, images) if img[mask] == mask]
+        result = canon._search(n + 1, adj, child_nbrs, known, auts)
+        if result is not None:
+            child = Graph(n + 1, adj, _checked=True)
+            child._canon = result
+            out.append((result[0], child))
     return out
 
 
@@ -358,6 +381,11 @@ def _load_checkpoint(path, cfg):
             raise ValueError(f"checkpoint field {name!r} is missing or malformed")
     if payload["config"] != _config_fingerprint(cfg):
         raise ValueError("checkpoint was produced by a different configuration")
+    if payload["level"] > cfg.n_max:
+        # Its obstructions and level sizes would reach beyond n_max.
+        raise ValueError(
+            f"checkpoint is at level {payload['level']}, above n_max {cfg.n_max}"
+        )
     extendable = [codec.from_graph6(line) for line in payload["extendable"]]
     found = []
     for line in payload["obstructions"]:

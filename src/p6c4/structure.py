@@ -624,15 +624,20 @@ def atom_list(tree: CutsetNode) -> list[tuple[int, ...]]:
 
 
 def _twin_quotient(g: Graph) -> Graph:
-    """Quotient by true-twin classes (N[u] == N[v]), one vertex per class
-    in order of the classes' least vertices."""
+    """Quotient by true-twin classes (N[u] == N[v]), one vertex per class,
+    by descending degree in the quotient and then by the classes' least
+    vertices.  A pattern placed high degree first meets its constraints
+    early, so a search for it in the base backtracks less."""
     closed = [g.adj[v] | (1 << v) for v in range(g.n)]
     reps: list[int] = []
     for v in range(g.n):
         if all(closed[v] != closed[r] for r in reps):
             reps.append(v)
     sub, _ = induced_subgraph(g, reps)
-    return sub
+    perm = [0] * sub.n
+    for i, v in enumerate(sorted(range(sub.n), key=lambda v: -sub.degree(v))):
+        perm[v] = i
+    return sub.relabel(tuple(perm))
 
 
 def is_specific(g: Graph) -> bool:

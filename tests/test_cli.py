@@ -263,6 +263,20 @@ def test_enumerate_rejects_a_malformed_checkpoint(tmp_path, capsys):
         assert len(captured.err.splitlines()) == 1 and field in captured.err
 
 
+def test_enumerate_refuses_a_checkpoint_beyond_max_n(tmp_path, capsys):
+    """A checkpoint written by a run to n <= 7 would hand a run to n <= 5
+    the obstructions and level sizes of levels 6 and 7."""
+    ck = tmp_path / "ck.json"
+    argv = ["enumerate", "--mode", "critical", "--k", "3", "--resume", str(ck)]
+    assert main([*argv, "--max-n", "7"]) == 0
+    assert json.loads(ck.read_text())["level"] == 7
+    capsys.readouterr()
+    assert main([*argv, "--max-n", "5"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and "level 7" in captured.err
+
+
 # -- reduce -------------------------------------------------------------------------
 
 

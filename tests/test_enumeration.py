@@ -154,6 +154,51 @@ def test_shared_leaf_codes_keep_the_reference_level(k):
         assert [g.adj for g in level] == [first[code].adj for code in sorted(first)]
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
+    """Ablation of the automorphisms a child inherits from its parent: on
+    every level of the obstruction search with n <= 8, each parent's walk
+    gives the children, codes and canonical orders that the same walk with
+    no inherited automorphisms gives, and the level's set of leaf codes
+    ends up the same.  Each kept child's code and order are those of a
+    fresh search, every generator it carries is an automorphism of it, and
+    the inherited ones cut the leaves the searches reach."""
+    cfg = p6c4_config(k=k, n_max=8)
+    search, code_under = canon._search, canon._code_under
+    leaves = 0
+
+    def counted(*args):
+        nonlocal leaves
+        leaves += 1
+        return code_under(*args)
+
+    monkeypatch.setattr(canon, "_code_under", counted)
+    level, found = enumeration._seeds(cfg), []
+    with_leaves = without_leaves = 0
+    for _ in range(2, cfg.n_max + 1):
+        parents = enumeration._sift_level(level, cfg, found)
+        known, known_without, seen = set(), set(), {}
+        for parent in parents:
+            leaves = 0
+            got = enumeration._expand_parent(parent, cfg, known)
+            with_leaves += leaves
+            with monkeypatch.context() as m:
+                m.setattr(canon, "_search", lambda n, adj, nbrs, known, auts: search(n, adj, nbrs, known))
+                leaves = 0
+                want = enumeration._expand_parent(parent, cfg, known_without)
+                without_leaves += leaves
+            assert [(code, g.adj, canon.canonical_order(g)) for code, g in got] == [
+                (code, g.adj, canon.canonical_order(g)) for code, g in want
+            ]
+            for code, child in got:
+                assert child._canon[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
+                assert all(child.relabel(s) == child for s in child._canon[2])
+                seen.setdefault(code, child)
+        assert known == known_without
+        level = [seen[code] for code in sorted(seen)]
+    assert with_leaves < without_leaves
+
+
 # -- minimal obstructions -------------------------------------------------------
 
 
