@@ -8,7 +8,7 @@ smaller obstruction by adding a universal vertex, ``M<k>_<n><letter>``
 otherwise), re-verifies every catalog invariant, and writes the graph6
 files plus JSON manifests into ``src/p6c4/data/``.
 
-Typical run (about 15 seconds on one core):
+Typical run (about 10 seconds on one core):
 
     python3 scripts/regenerate_catalogs.py --out src/p6c4/data
 """

@@ -38,6 +38,25 @@ boundary as :class:`~p6c4.graphs.Graph` objects, and the merge keeps the
 first child of each class in parent order.  So the level keeps the same
 representatives whatever the worker count.
 
+Many children are dropped before any labelling by the earlier-parent
+test.  While a level is built, each parent G records a class table: for
+every free mask M whose child was labelled, the class of G + a(M) (a
+kept child's code, or the class whose leaf code a duplicate met; so
+``known`` maps each leaf code to its class's code).  Once the level is
+sorted and sifted, the classes become indices into the next parent list
+(-1 for a class that is not a parent), and every parent P_i = G + b,
+with b its last vertex, carries the table of the G that produced it.
+A child X = P_i + a(M) is dropped when G's table maps the mask M minus b
+to an index j < i.  This is exact: X - b is G + a(M minus b), so it is
+isomorphic to P_j by some map f, and X is isomorphic to P_j plus a vertex
+on f(N_X(b)): the walk over P_j, which comes earlier, meets X's class at
+that mask (or X has a forbidden pattern and is never kept).  By
+induction on the parent index, the first parent whose walk meets a
+class never drops it, so the level keeps the same representatives,
+codes and sizes, whatever the worker count.  A parent without a table
+(the seeds, a level resumed from a checkpoint) drops nothing, and the
+last level builds no tables and keeps ``known`` a set of leaf codes.
+
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
 (recorded, never extended) or properly contains one (hence no extension
@@ -53,6 +72,7 @@ import contextlib
 import itertools
 import json
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -130,10 +150,16 @@ def _bad_masks(parent: Graph, forbidden: tuple[Graph, ...]) -> bytearray:
     return bad
 
 
-def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
+def _expand_parent(
+    parent: Graph,
+    cfg: SearchConfig,
+    known: dict[bytes, bytes] | set[bytes],
+    prior: array | None = None,
+    index: int = 0,
+) -> tuple[list[tuple[bytes, Graph]], list[bytes | None] | None]:
     """The admissible one-vertex extensions of ``parent`` (with codes) that
     are new to ``known``, one per orbit of the parent's automorphisms on
-    neighbourhood masks.
+    neighbourhood masks, and the parent's class table.
 
     Masks are walked in ascending order.  The first free mask of an orbit
     is kept and its whole orbit marked done: the later members give
@@ -144,6 +170,14 @@ def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
     the first child of each class is the one returned.  Each child's
     search starts from the parent generators that fix its mask, extended
     by ``w -> w``.
+
+    ``prior`` is the earlier-parent table of ``parent``, the parent at
+    ``index`` in its level, and ``b`` its last vertex: a child whose mask
+    minus ``b`` is mapped to an index below ``index`` is dropped before
+    any labelling (see the module docstring).  When ``known`` is a dict
+    from leaf code to class code, the class table maps each free mask of
+    a child that was labelled to its child's class code (None elsewhere);
+    with a set it is None.
     """
     n = parent.n
     bad = _bad_masks(parent, cfg.forbidden)
@@ -152,19 +186,23 @@ def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
     fixing_w = [s + (n,) for s in gens]  # each extended by w -> w
     nbrs = [list(bits(row)) for row in parent.adj]
     wbit = 1 << n
+    low = (wbit >> 1) - 1  # every vertex but b
     done = bytearray(1 << n)
+    classes = [None] * (1 << n) if type(known) is dict else None
     out = []
     for mask in range(1, 1 << n):
         if bad[mask] or done[mask]:
             continue
+        orbit = [mask]
         if images:
-            orbit = [mask]
             done[mask] = 1
             for m in orbit:
                 for img in images:
                     if not done[img[m]]:
                         done[img[m]] = 1
                         orbit.append(img[m])
+        if prior is not None and -1 < prior[mask & low] < index:
+            continue  # an earlier parent already produced this child's class
         adj = list(parent.adj)
         child_nbrs = nbrs[:]
         for u in bits(mask):
@@ -175,11 +213,15 @@ def _expand_parent(parent: Graph, cfg: SearchConfig, known: set[bytes]):
         child_nbrs.append(list(bits(mask)))
         auts = [s for s, img in zip(fixing_w, images) if img[mask] == mask]
         result = canon._search(n + 1, adj, child_nbrs, known, auts)
-        if result is not None:
+        if type(result) is tuple:
             child = Graph(n + 1, adj, _checked=True)
             child._canon = result
             out.append((result[0], child))
-    return out
+            result = result[0]
+        if classes is not None:
+            for m in orbit:
+                classes[m] = result
+    return out, classes
 
 
 def _mask_images(perm: tuple[int, ...]) -> list[int]:
@@ -191,34 +233,83 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
     return img
 
 
-def _expand_chunk(parents: list[Graph], cfg: SearchConfig) -> list[tuple[bytes, Graph]]:
-    """The ``(code, child)`` pairs of ``parents`` in parent order, the
-    parents sharing one set of leaf codes."""
-    known: set[bytes] = set()
-    return [pair for parent in parents for pair in _expand_parent(parent, cfg, known)]
+def _expand_chunk(
+    parents: list[Graph],
+    priors: list[array | None],
+    start: int,
+    cfg: SearchConfig,
+    record: bool,
+) -> list[tuple[list[tuple[bytes, Graph]], list[bytes | None] | None]]:
+    """:func:`_expand_parent` on each of ``parents`` in order, ``parents[i]``
+    being the parent at ``start + i`` in its level, all sharing one
+    ``known``: a dict from leaf code to class code if ``record``, else a
+    set of leaf codes."""
+    known: dict[bytes, bytes] | set[bytes] = {} if record else set()
+    return [
+        _expand_parent(parent, cfg, known, prior, start + i)
+        for i, (parent, prior) in enumerate(zip(parents, priors))
+    ]
 
 
 def _next_level(
-    parents: list[Graph], cfg: SearchConfig, pool: ProcessPoolExecutor | None
-) -> list[Graph]:
-    """One augmentation level, deduplicated and sorted by canonical code.
+    parents: list[Graph],
+    priors: list[array | None],
+    cfg: SearchConfig,
+    pool: ProcessPoolExecutor | None,
+    record: bool = False,
+) -> tuple[list[Graph], dict[Graph, tuple[bytes, list[bytes | None]]]]:
+    """One augmentation level, deduplicated and sorted by canonical code,
+    and, if ``record``, each child's code and the class table of the
+    parent that produced it.
 
-    Without a pool the whole level is one chunk; a pool maps
+    ``priors[i]`` is the earlier-parent table of ``parents[i]``.  Without
+    a pool the whole level is one chunk; a pool maps
     :func:`_expand_chunk` over about four chunks per worker, and ``seen``
     drops the duplicates that fall in different chunks.  Either way the
     first child of each class in parent order is kept.
     """
     if pool is None:
-        results = [_expand_chunk(parents, cfg)]
+        results = [_expand_chunk(parents, priors, 0, cfg, record)]
     else:
         size = max(1, len(parents) // (cfg.workers * 4))
-        chunks = [parents[i : i + size] for i in range(0, len(parents), size)]
-        results = pool.map(_expand_chunk, chunks, itertools.repeat(cfg))
+        starts = range(0, len(parents), size)
+        results = pool.map(
+            _expand_chunk,
+            [parents[i : i + size] for i in starts],
+            [priors[i : i + size] for i in starts],
+            starts,
+            itertools.repeat(cfg),
+            itertools.repeat(record),
+        )
     seen: dict[bytes, Graph] = {}
+    made: dict[bytes, list[bytes | None]] = {}
     for result in results:
-        for code, child in result:
-            seen.setdefault(code, child)
-    return [seen[code] for code in sorted(seen)]
+        for children, classes in result:
+            for code, child in children:
+                if code not in seen:
+                    seen[code] = child
+                    if record:
+                        made[code] = classes
+    level = [seen[code] for code in sorted(seen)]
+    return level, {seen[code]: (code, classes) for code, classes in made.items()}
+
+
+def _earlier_parent_tables(
+    parents: list[Graph], made_by: dict[Graph, tuple[bytes, list[bytes | None]]]
+) -> list[array | None]:
+    """Each parent's earlier-parent table: the class table of the parent
+    that produced it, each class replaced by its index in ``parents`` (-1
+    for a class that is not a parent), or None for every parent when
+    ``made_by`` is empty.  Parents of one producer share one table."""
+    if not made_by:
+        return [None] * len(parents)
+    index = {made_by[g][0]: i for i, g in enumerate(parents)}
+    tables: dict[int, array] = {}
+    for g in parents:
+        classes = made_by[g][1]
+        if id(classes) not in tables:
+            tables[id(classes)] = array("i", [index.get(c, -1) for c in classes])
+    return [tables[id(made_by[g][1])] for g in parents]
 
 
 def _pool(cfg: SearchConfig):
@@ -240,10 +331,13 @@ def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
     """Every connected pattern-free graph with 1 <= n <= n_max, one per
     isomorphism class, in (order, canonical code) order."""
     level = _seeds(cfg)
+    priors: list[array | None] = [None] * len(level)
     with _pool(cfg) as pool:
-        for _ in range(cfg.n_max - 1):
+        for n in range(2, cfg.n_max + 1):
             yield from level
-            level = _next_level(level, cfg, pool)
+            level, made_by = _next_level(level, priors, cfg, pool, n < cfg.n_max)
+            priors = _earlier_parent_tables(level, made_by)
+            del made_by  # the class tables, no longer needed
     yield from level
 
 
@@ -285,12 +379,15 @@ def enumerate_critical(
         if log:
             log(f"resumed at level {start_n}")
 
+    priors: list[array | None] = [None] * len(extendable)
     with _pool(cfg) as pool:
         for n in range(start_n + 1, cfg.n_max + 1):
             t0 = time.monotonic()
-            level = _next_level(extendable, cfg, pool)
+            level, made_by = _next_level(extendable, priors, cfg, pool, n < cfg.n_max)
             level_sizes[n] = len(level)
             extendable = _sift_level(level, cfg, found)
+            priors = _earlier_parent_tables(extendable, made_by)
+            del made_by  # the class tables, no longer needed
             if log:
                 log(
                     f"level {n}: {len(level)} graphs, "
@@ -381,18 +478,19 @@ def _load_checkpoint(path, cfg):
             raise ValueError(f"checkpoint field {name!r} is missing or malformed")
     if payload["config"] != _config_fingerprint(cfg):
         raise ValueError("checkpoint was produced by a different configuration")
-    if payload["level"] > cfg.n_max:
+    level = payload["level"]
+    if level < 1:
+        raise ValueError(f"checkpoint field 'level' is {level}, below 1")
+    if level > cfg.n_max:
         # Its obstructions and level sizes would reach beyond n_max.
-        raise ValueError(
-            f"checkpoint is at level {payload['level']}, above n_max {cfg.n_max}"
-        )
+        raise ValueError(f"checkpoint is at level {level}, above n_max {cfg.n_max}")
     extendable = [codec.from_graph6(line) for line in payload["extendable"]]
-    found = []
-    for line in payload["obstructions"]:
-        g = codec.from_graph6(line)
-        found.append((canon.canonical_code(g), g))
+    obstructions = [codec.from_graph6(line) for line in payload["obstructions"]]
+    if any(g.n != level for g in extendable) or any(g.n > level for g in obstructions):
+        raise ValueError(f"checkpoint field 'level' is {level}, which its graphs do not match")
+    found = [(canon.canonical_code(g), g) for g in obstructions]
     level_sizes = {int(k): v for k, v in payload["level_sizes"].items()}
-    return extendable, found, payload["level"], level_sizes
+    return extendable, found, level, level_sizes
 
 
 # -- nice critical graphs ----------------------------------------------------

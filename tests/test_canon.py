@@ -337,6 +337,21 @@ def test_canonical_code_caches_only_a_completed_search():
     assert canon.canonical_code(h) == canon.canonical_code(g)
 
 
+def test_a_known_dict_maps_leaf_codes_to_their_class():
+    """A dict ``known`` gets the leaf codes a set gets, each mapped to the
+    code of the graph whose search met it; a relabelling's search returns
+    that code at its first leaf, and ``canonical_code`` gives None for it."""
+    rng = random.Random(37)
+    for g in _named_graphs():
+        as_set, as_dict = set(), {}
+        want = canon._canonical(g)
+        assert canon._canonical(g, as_set) == canon._canonical(g, as_dict) == want
+        assert set(as_dict) == as_set and set(as_dict.values()) == {want[0]}
+        h = _shuffled(g, rng)
+        assert _counting_leaves(h, as_dict) == (want[0], 1)
+        assert canon.canonical_code(h, known=as_dict) is None
+
+
 # -- networkx oracle -------------------------------------------------------
 
 

@@ -277,6 +277,28 @@ def test_enumerate_refuses_a_checkpoint_beyond_max_n(tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1 and "level 7" in captured.err
 
 
+def test_enumerate_refuses_a_checkpoint_at_a_level_its_graphs_do_not_match(tmp_path, capsys):
+    """A checkpoint written by a run to n <= 4 holds 4-vertex graphs; at a
+    level below 1 a resumed run would regrow levels it had counted (or,
+    with no graphs left, count levels below 1), and at any other level
+    its level sizes and obstructions would be wrong."""
+    ck = tmp_path / "ck.json"
+    argv = ["enumerate", "--mode", "critical", "--k", "3", "--resume", str(ck)]
+    assert main([*argv, "--max-n", "4"]) == 0
+    written = json.loads(ck.read_text())
+    assert written["level"] == 4 and written["extendable"] and written["obstructions"]
+    capsys.readouterr()
+    empty = {**written, "extendable": [], "obstructions": []}
+    for payload in [{**written, "level": level} for level in (0, -3, 3, 5)] + [
+        {**empty, "level": 0}
+    ]:
+        ck.write_text(json.dumps(payload))
+        assert main([*argv, "--max-n", "5"]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "'level'" in captured.err
+
+
 # -- reduce -------------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Induced-subgraph detection against injective-map enumeration oracles."""
 
+import itertools
 import random
 import sys
 
@@ -444,6 +445,73 @@ def test_generic_matcher_matches_oracle(g):
         assert (emb is None) == (brute_induced_copy(g, pattern) is None)
         if emb is not None:
             assert detect.verify_embedding(g, pattern, emb)
+
+
+def _to_networkx(nx, g):
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges())
+    return gx
+
+
+def _random_graph(rng, n, p):
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def test_max_clique_matches_networkx_on_larger_graphs():
+    """n = 10..40 from sparse to dense: the clique found is a clique, as
+    large as networkx's maximum clique (unit weights)."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1709)
+    sizes = set()
+    for _ in range(30):
+        n = rng.randint(10, 40)
+        g = _random_graph(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.85)))
+        found = detect.max_clique(g)
+        assert all(g.has_edge(u, v) for u, v in itertools.combinations(found, 2))
+        _, size = nx.max_weight_clique(_to_networkx(nx, g), weight=None)
+        assert len(found) == size, (n, g.m)
+        sizes.add(size)
+    assert len(sizes) > 4
+
+
+GENERIC_PATTERNS = [
+    Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]),  # claw
+    Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)]),  # P1 + P4
+    Graph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)]),  # paw
+    Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]),  # bull
+    Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),  # house
+    Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),  # 3K2
+    families.empty_graph(3),
+]
+
+
+def test_generic_matcher_matches_networkx_on_larger_graphs():
+    """n = 10..40: ``_match`` finds a copy exactly when networkx's induced
+    ``GraphMatcher`` does, and the copy it returns is induced; up to 16
+    vertices ``iter_induced_copies`` yields as many copies as networkx
+    finds isomorphisms."""
+    nx = pytest.importorskip("networkx")
+    GraphMatcher = nx.algorithms.isomorphism.GraphMatcher
+    rng = random.Random(1711)
+    answers = set()
+    for _ in range(24):
+        n = rng.randint(10, 40)
+        g = _random_graph(rng, n, rng.choice((0.05, 0.15, 0.5, 0.8)))
+        host = _to_networkx(nx, g)
+        for pattern in GENERIC_PATTERNS + [_random_graph(rng, rng.randint(4, 6), 0.5)]:
+            emb = detect._match(g, pattern)
+            matcher = GraphMatcher(host, _to_networkx(nx, pattern))
+            assert (emb is not None) == matcher.subgraph_is_isomorphic(), (n, pattern.adj)
+            if emb is not None:
+                assert detect.verify_embedding(g, pattern, emb)
+            if n <= 16:
+                copies = sum(1 for _ in detect.iter_induced_copies(g, pattern))
+                assert copies == sum(1 for _ in matcher.subgraph_isomorphisms_iter())
+            answers.add(emb is None)
+    assert answers == {True, False}
 
 
 @settings(max_examples=60)

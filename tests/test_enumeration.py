@@ -9,7 +9,7 @@ import json
 import pytest
 
 from conftest import all_graphs, count_calls
-from p6c4 import canon, coloring, detect, enumeration, families, structure
+from p6c4 import canon, codec, coloring, detect, enumeration, families, structure
 from p6c4.enumeration import (
     NiceWitness,
     SearchConfig,
@@ -132,7 +132,7 @@ def _first_occurrences(pairs) -> dict[bytes, tuple[int, ...]]:
 def test_orbit_pruning_keeps_every_first_occurrence():
     cfg = p6c4_config(n_max=7)
     for parent in enumerate_family(cfg):
-        new = enumeration._expand_parent(parent, cfg, set())
+        new, _ = enumeration._expand_parent(parent, cfg, set())
         ref = _reference_expand(parent, P6C4)
         assert _first_occurrences(new) == _first_occurrences(ref)
 
@@ -150,7 +150,7 @@ def test_shared_leaf_codes_keep_the_reference_level(k):
         for parent in parents:
             for code, child in _reference_expand(parent, P6C4):
                 first.setdefault(code, child)
-        level = enumeration._next_level(parents, cfg, None)
+        level, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
         assert [g.adj for g in level] == [first[code].adj for code in sorted(first)]
 
 
@@ -180,12 +180,12 @@ def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
         known, known_without, seen = set(), set(), {}
         for parent in parents:
             leaves = 0
-            got = enumeration._expand_parent(parent, cfg, known)
+            got, _ = enumeration._expand_parent(parent, cfg, known)
             with_leaves += leaves
             with monkeypatch.context() as m:
                 m.setattr(canon, "_search", lambda n, adj, nbrs, known, auts: search(n, adj, nbrs, known))
                 leaves = 0
-                want = enumeration._expand_parent(parent, cfg, known_without)
+                want, _ = enumeration._expand_parent(parent, cfg, known_without)
                 without_leaves += leaves
             assert [(code, g.adj, canon.canonical_order(g)) for code, g in got] == [
                 (code, g.adj, canon.canonical_order(g)) for code, g in want
@@ -197,6 +197,62 @@ def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
         assert known == known_without
         level = [seen[code] for code in sorted(seen)]
     assert with_leaves < without_leaves
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_earlier_parent_test_never_changes_a_level(k, monkeypatch):
+    """Ablation of the earlier-parent test: with every table withheld, so
+    that no child is dropped before labelling, the labelled levels and
+    obstructions of the search to n <= 8 are the same, with one worker and
+    with two; with the tables, one worker runs fewer canonical searches."""
+    real_sift = enumeration._sift_level
+
+    def run(workers):
+        levels = []
+
+        def sift(level, cfg, found):
+            levels.append([g.adj for g in level])
+            return real_sift(level, cfg, found)
+
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_sift_level", sift)
+            searches = count_calls(m, canon, "_search")
+            result = enumerate_critical(p6c4_config(k=k, n_max=8, workers=workers))
+        return levels, [codec.to_graph6(e.graph) for e in result.obstructions], len(searches)
+
+    on, on_two = run(1), run(2)
+    monkeypatch.setattr(
+        enumeration, "_earlier_parent_tables", lambda parents, made_by: [None] * len(parents)
+    )
+    off, off_two = run(1), run(2)
+    assert len(on[0]) == 8 and on[1]
+    assert on[:2] == on_two[:2] == off[:2] == off_two[:2]
+    assert on[2] < off[2]
+
+
+def test_earlier_parent_tables_index_the_parents():
+    """Each entry of a parent's table is the index of the class its
+    producer's child falls in, for every free mask whose child was
+    labelled, or -1; the last level builds no tables."""
+    cfg = p6c4_config(n_max=6)
+    parents, priors, hits = enumeration._seeds(cfg), [None], 0
+    for n in range(2, 6):
+        level, made_by = enumeration._next_level(parents, priors, cfg, None, record=True)
+        assert set(made_by) == set(level)
+        priors = enumeration._earlier_parent_tables(level, made_by)
+        index = {canon.canonical_code(g): i for i, g in enumerate(level)}
+        for g, table in zip(level, priors):
+            producer = Graph(g.n - 1, tuple(row & ~(1 << (g.n - 1)) for row in g.adj[:-1]))
+            assert len(table) == 1 << producer.n and table[0] == -1
+            for mask, j in enumerate(table):
+                if j >= 0:
+                    assert index[canon.canonical_code(producer.add_vertex(mask))] == j
+                    hits += 1
+        parents = level
+    assert hits
+    last, made_by = enumeration._next_level(parents, priors, cfg, None)
+    assert made_by == {}
+    assert enumeration._earlier_parent_tables(last, made_by) == [None] * len(last)
 
 
 # -- minimal obstructions -------------------------------------------------------
@@ -318,13 +374,15 @@ def test_checkpoint_resume_matches_fresh_run(tmp_path):
     assert ck.exists()
 
     messages = []
-    cfg_long = p6c4_config(k=3, n_max=6)
+    cfg_long = p6c4_config(k=3, n_max=7)
     resumed = enumerate_critical(cfg_long, checkpoint=ck, log=messages.append)
     assert any("resumed at level 4" in m for m in messages)
 
     fresh = enumerate_critical(cfg_long)
-    assert [canon.canonical_code(e.graph) for e in resumed.obstructions] == [
-        canon.canonical_code(e.graph) for e in fresh.obstructions
+    # The resumed level has no earlier-parent tables; the representatives,
+    # labels included, must still be the fresh run's.
+    assert [codec.to_graph6(e.graph) for e in resumed.obstructions] == [
+        codec.to_graph6(e.graph) for e in fresh.obstructions
     ]
     assert resumed.level_sizes == fresh.level_sizes
 
