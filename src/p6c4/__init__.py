@@ -3,6 +3,8 @@ four-cycle: certified 3/4-coloring, five-cycle neighborhood structure,
 clique-cutset decomposition, obstruction catalogs, and hardness gadgets.
 """
 
+__version__ = "0.1.0"  # set before the submodules, which read it
+
 from .graphs import Graph, induced_subgraph
 from .codec import Graph6Error, from_graph6, to_graph6
 from .canon import canonical_code, is_isomorphic
@@ -24,8 +26,6 @@ from .enumeration import (
     find_nice_critical,
 )
 from .reductions import SatInstance, build_ghi, build_nae, check_equivalence
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Certificate",

@@ -7,6 +7,16 @@ obstruction catalog.  A strictly (P6,C4)-free input that fails to match
 the catalog is reported as ``uncataloged`` — that outcome would falsify
 the finiteness theorems this package is built around, so tests treat it
 as a trap.  Vertex subsets (atoms, deletion trials) are host vertex masks.
+
+The exact colorer (:func:`_color_within`) is DSATUR with
+conflict-directed backjumping: each frame of its search keeps a conflict
+mask, the depths of the frames whose colors caused its failures, and a
+frame that runs out of colors jumps straight back to the deepest frame in
+its mask.  The frames it skips lie inside a nogood, so they hold no
+coloring, and every caller gets the same first coloring, or None, that
+the search backtracking one frame at a time would return.  On the
+hardness gadgets, whose unsatisfiable clauses fail far below the choices
+that caused them, this skips most of the search.
 """
 
 from __future__ import annotations
@@ -78,8 +88,39 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
     degree inside it, highest first.  The lowest vertex of the first
     degree mask that meets the highest non-empty bucket maximizes
     (saturation, degree) with the lowest index among ties, which is
-    exactly the scan's choice; so the search tree, and every coloring and
-    None it returns, are those of the scan.
+    exactly the scan's choice.
+
+    Failures jump back over the frames that played no part in them
+    (conflict-directed backjumping, Prosser 1993).  Each frame keeps a
+    conflict mask of frame depths below its own.  At a dead end, where an
+    uncolored neighbour u of the top frame's vertex sees all k colors,
+    the top frame's mask gains, for each color, the depth of the
+    shallowest colored neighbour of u in that color (the top frame
+    itself left out).  When a frame runs out of colors, its mask gains
+    the same reasons for its own vertex, for the colors its neighbours
+    hold.  An empty mask then means no coloring at all; otherwise every
+    frame above the mask's deepest depth d is popped without trying its
+    other colors, and the mask, minus d, is merged into frame d.
+
+    Every mask is a nogood.  Write C(M) for the colors that the frames in
+    a frame's mask M hold; C(M) with any color already tried or blocked
+    on the frame's own vertex extends to no coloring of ``g[within]``.  A
+    dead end's reasons leave u no color; a tried color whose subtree
+    failed is covered by the mask merged back from above; a color that a
+    neighbour holds is covered by that neighbour.  A color above the
+    symmetry cap is never tried, but it shares the nogood of the cap
+    color, which is: no frame of that nogood holds either color (both lie
+    above every color in use below the frame), so swapping the two colors
+    turns a coloring with one into a coloring with the other.  So once a
+    frame is out of colors, C(M) alone extends to no coloring.  Every
+    frame between d and the top, with all the subtrees still untried
+    under them, extends C(M) and holds no coloring: the plain search,
+    backtracking one frame at a time, would explore them in vain and
+    come back to frame d in the same state.  So the search returns the
+    plain search's first coloring, or None, and every caller sees the
+    same answers.  The reasons are computed only at dead ends and at
+    exhausted frames; an ordinary frame pays for the depth of its vertex
+    and its mask.
     """
     adj, n = g.adj, g.n
     color = [0] * n
@@ -96,8 +137,11 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
     nsat = [0] * n  # nbr_used[v].bit_count()
     sat = [within] + [0] * k  # sat[k] holds dead vertices until backtracking
     caps = [(1 << min(k, c + 1)) - 1 for c in range(k + 1)]  # caps[used_max]: colors open
+    depth = [0] * n  # the frame depth of each chosen vertex
     uncolored = within
-    frames: list[list] = []  # [vertex, untried colors, used_max before it, touched]
+    # [vertex, untried colors, used_max before it, touched, conflict mask
+    # of depths, or -1 once jumped over]
+    frames: list[list] = []
     used_max = 0
     while uncolored:
         s = k - 1
@@ -111,13 +155,12 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
         vb &= -vb
         v = vb.bit_length() - 1
         sat[s] ^= vb
-        frames.append([v, ~nbr_used[v] & caps[used_max], used_max, ()])
+        depth[v] = len(frames)
+        frames.append([v, ~nbr_used[v] & caps[used_max], used_max, (), 0])
         dead = True
-        while dead:  # the next color on top of the stack, backtracking as needed
-            if not frames:
-                return None
+        while dead:  # the next color on top of the stack, backjumping as needed
             frame = frames[-1]
-            v, avail, base, touched = frame
+            v, avail, base, touched, conflict = frame
             if color[v]:  # take back the color tried last
                 cbit = 1 << (color[v] - 1)
                 for u in touched:
@@ -129,9 +172,19 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
                     sat[s - 1] |= ub
                 color[v] = 0
                 uncolored |= 1 << v
-            if not avail:
+            if not avail:  # out of colors, or jumped over
                 frames.pop()
                 sat[nsat[v]] |= 1 << v
+                if conflict < 0:
+                    continue
+                conflict |= _first_depths(adj[v] & (within ^ uncolored), color, depth)
+                if not conflict:
+                    return None
+                d = conflict.bit_length() - 1
+                frames[d][4] |= conflict ^ 1 << d
+                for skipped in frames[d + 1 :]:
+                    skipped[1] = 0
+                    skipped[4] = -1
                 continue
             cbit = avail & -avail
             c = color[v] = cbit.bit_length()
@@ -152,10 +205,24 @@ def _color_within(g: Graph, k: int, within: int) -> list[int] | None:
                     touched.append(u)
                     if s == k:  # a dead end: later neighbours stay untouched
                         dead = True
+                        colored = within ^ uncolored ^ 1 << v
+                        frame[4] = conflict | _first_depths(adj[u] & colored, color, depth)
                         break
             frame[1], frame[3] = avail ^ cbit, touched
             used_max = c if c > base else base
     return color
+
+
+def _first_depths(vs: int, color: list[int], depth: list[int]) -> int:
+    """A mask of frame depths: for each color on the vertices of ``vs``,
+    the depth of the shallowest one in that color."""
+    by_color: dict[int, int] = {}
+    for w in bits(vs):
+        by_color[color[w]] = by_color.get(color[w], 0) | 1 << depth[w]
+    out = 0
+    for m in by_color.values():
+        out |= m & -m
+    return out
 
 
 def chromatic_number(g: Graph) -> int:

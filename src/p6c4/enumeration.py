@@ -34,9 +34,11 @@ to a graph already kept is recognised at its first search leaf and
 dropped there; the first child of each class still runs its whole
 search.  A serial run makes the whole level one chunk; with several
 workers, each task is one chunk, parents and children cross the process
-boundary as :class:`~p6c4.graphs.Graph` objects, and the merge keeps the
-first child of each class in parent order.  So the level keeps the same
-representatives whatever the worker count.
+boundary as :class:`~p6c4.graphs.Graph` objects, each with its canonical
+search result beside it (a graph pickles without it), and the merge keeps
+the first child of each class in parent order.  So the level keeps the
+same representatives whatever the worker count, and no worker searches a
+parent again for its automorphisms.
 
 Many children are dropped before any labelling by the earlier-parent
 test.  While a level is built, each parent G records a class table: for
@@ -80,7 +82,7 @@ from pathlib import Path
 from typing import Iterator
 
 from .graphs import Graph, bits, induced_subgraph, mask_of
-from . import canon, codec, coloring, detect, families, structure
+from . import __version__, canon, codec, coloring, detect, families, structure
 
 
 @dataclass(frozen=True)
@@ -235,20 +237,29 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
 
 def _expand_chunk(
     parents: list[Graph],
+    canons: list[tuple | None],
     priors: list[array | None],
     start: int,
     cfg: SearchConfig,
     record: bool,
-) -> list[tuple[list[tuple[bytes, Graph]], list[bytes | None] | None]]:
+) -> list[tuple[list[tuple[bytes, Graph, tuple]], list[bytes | None] | None]]:
     """:func:`_expand_parent` on each of ``parents`` in order, ``parents[i]``
     being the parent at ``start + i`` in its level, all sharing one
     ``known``: a dict from leaf code to class code if ``record``, else a
-    set of leaf codes."""
+    set of leaf codes.
+
+    A graph pickles without its canonical search result, so results
+    travel beside the graphs: ``canons[i]`` (or None) is attached to
+    ``parents[i]`` before its expansion, which then needs no search for
+    the parent's automorphisms, and each child comes back as ``(code,
+    child, its search result)``."""
     known: dict[bytes, bytes] | set[bytes] = {} if record else set()
-    return [
-        _expand_parent(parent, cfg, known, prior, start + i)
-        for i, (parent, prior) in enumerate(zip(parents, priors))
-    ]
+    out = []
+    for i, (parent, result, prior) in enumerate(zip(parents, canons, priors)):
+        parent._canon = result
+        children, classes = _expand_parent(parent, cfg, known, prior, start + i)
+        out.append(([(code, child, child._canon) for code, child in children], classes))
+    return out
 
 
 def _next_level(
@@ -268,14 +279,16 @@ def _next_level(
     drops the duplicates that fall in different chunks.  Either way the
     first child of each class in parent order is kept.
     """
+    canons = [g._canon for g in parents]
     if pool is None:
-        results = [_expand_chunk(parents, priors, 0, cfg, record)]
+        results = [_expand_chunk(parents, canons, priors, 0, cfg, record)]
     else:
         size = max(1, len(parents) // (cfg.workers * 4))
         starts = range(0, len(parents), size)
         results = pool.map(
             _expand_chunk,
             [parents[i : i + size] for i in starts],
+            [canons[i : i + size] for i in starts],
             [priors[i : i + size] for i in starts],
             starts,
             itertools.repeat(cfg),
@@ -285,8 +298,9 @@ def _next_level(
     made: dict[bytes, list[bytes | None]] = {}
     for result in results:
         for children, classes in result:
-            for code, child in children:
+            for code, child, found in children:
                 if code not in seen:
+                    child._canon = found
                     seen[code] = child
                     if record:
                         made[code] = classes
@@ -439,9 +453,12 @@ def _sift_level(level, cfg, found) -> list[Graph]:
 
 
 def _config_fingerprint(cfg: SearchConfig) -> dict:
+    """What a checkpoint must match to be resumed: the search's k and
+    forbidden patterns, and the package version that wrote it."""
     return {
         "k": cfg.k,
         "forbidden": sorted(codec.to_graph6(f) for f in cfg.forbidden),
+        "version": __version__,
     }
 
 
@@ -476,6 +493,9 @@ def _load_checkpoint(path, cfg):
         value = payload.get(name)
         if type(value) is not kind or kind is list and any(type(s) is not str for s in value):
             raise ValueError(f"checkpoint field {name!r} is missing or malformed")
+    written = payload["config"].get("version")
+    if written != __version__:
+        raise ValueError(f"checkpoint was written by p6c4 version {written!r}, not {__version__!r}")
     if payload["config"] != _config_fingerprint(cfg):
         raise ValueError("checkpoint was produced by a different configuration")
     level = payload["level"]

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from conftest import stack_depth
+import p6c4
 from p6c4 import codec, coloring, detect, families
 from p6c4.cli import main
 from p6c4.graphs import Graph
@@ -275,6 +276,26 @@ def test_enumerate_refuses_a_checkpoint_beyond_max_n(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1 and "level 7" in captured.err
+
+
+def test_enumerate_refuses_a_checkpoint_of_another_version(tmp_path, capsys):
+    """A checkpoint records the package version that wrote it; another
+    version's search may keep other graphs, so its levels are refused,
+    and so is a checkpoint that records no version."""
+    ck = tmp_path / "ck.json"
+    argv = ["enumerate", "--mode", "critical", "--k", "3", "--resume", str(ck)]
+    assert main([*argv, "--max-n", "4"]) == 0
+    written = json.loads(ck.read_text())
+    assert written["config"]["version"] == p6c4.__version__
+    capsys.readouterr()
+    unversioned = {**written, "config": {**written["config"]}}
+    del unversioned["config"]["version"]
+    for payload in ({**written, "config": {**written["config"], "version": "0.0.1"}}, unversioned):
+        ck.write_text(json.dumps(payload))
+        assert main([*argv, "--max-n", "5"]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and "version" in captured.err
 
 
 def test_enumerate_refuses_a_checkpoint_at_a_level_its_graphs_do_not_match(tmp_path, capsys):

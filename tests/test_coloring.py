@@ -30,6 +30,7 @@ from p6c4.coloring import (
     minimize_obstruction,
     verify_coloring,
     _color_within,
+    _first_depths,
 )
 from p6c4.enumeration import NiceWitness
 from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
@@ -167,16 +168,18 @@ def test_color_within_is_k_color_of_the_induced_subgraph(g, mask, k):
 C7_WITNESS = NiceWitness((0, 2, 4), 2)
 
 
-def _gadget_sample(seed: int, per_stratum: int) -> list[tuple[Graph, bool]]:
+def _gadget_sample(
+    seed: int, per_stratum: int, clause_counts: tuple[int, ...] = (1, 2)
+) -> list[tuple[Graph, bool]]:
     """Seeded NAE gadgets and CNF gadgets over the seven-cycle, both with
-    palette 4, for instances with 1-3 variables and 1-2 clauses: up to
-    ``per_stratum`` satisfiable and as many unsatisfiable instances for
-    each flavor, variable count and clause count, each graph with whether
-    its instance is satisfiable."""
+    palette 4, for instances with 1-3 variables and each of
+    ``clause_counts`` clauses: up to ``per_stratum`` satisfiable and as
+    many unsatisfiable instances for each flavor, variable count and
+    clause count, each graph with whether its instance is satisfiable."""
     rng = random.Random(seed)
     out = []
     for flavor in (NAE, CNF):
-        for n_vars, m in itertools.product((1, 2, 3), (1, 2)):
+        for n_vars, m in itertools.product((1, 2, 3), clause_counts):
             bodies = list(itertools.combinations_with_replacement(all_clauses(n_vars, flavor), m))
             rng.shuffle(bodies)
             left = {True: per_stratum, False: per_stratum}
@@ -201,6 +204,45 @@ def test_k_color_matches_the_recursive_reference_on_gadgets():
         got = k_color(g, 4)
         assert got == _reference_k_color(g, 4)
         assert (got is not None) == sat
+
+
+# The NAE instance whose gadget took the most frames before backjumping:
+# 69,880, against 1,503 at most for any NAE instance with at most 3
+# variables and 3 clauses since.
+WORST_NAE = SatInstance(3, ((1, 2, 3), (1, 2, 3), (2, 2, 2)), NAE)
+
+
+def test_backjumping_keeps_the_reference_colorings_on_three_clause_gadgets():
+    """Three-clause gadgets are where backjumping skips most of the search:
+    an unsatisfiable clause fails far below the choices that caused it.
+    The colorings and None answers are still those of the chronological
+    reference, on the whole gadget and on seeded random vertex masks."""
+    sample = _gadget_sample(1818, per_stratum=2, clause_counts=(3,))
+    assert sat_brute(WORST_NAE) is None
+    sample.append((build_nae(WORST_NAE).graph, False))
+    # CNF gadgets over C7 with 1 and 3 variables, NAE gadgets with 3
+    assert {(g.n, sat) for g, sat in sample} >= set(
+        itertools.product((24, 30, 57), (True, False))
+    )
+    rng = random.Random(1819)
+    for g, sat in sample:
+        got = k_color(g, 4)
+        assert got == _reference_k_color(g, 4)
+        assert (got is not None) == sat
+        for _ in range(2):
+            keep = rng.uniform(0.8, 1.0)
+            mask = sum(1 << v for v in range(g.n) if rng.random() < keep)
+            assert _color_within(g, 4, mask) == _reference_color_within(g, 4, mask)
+
+
+def test_first_depths_names_the_shallowest_vertex_of_each_color():
+    """A conflict reason: for each color among the given vertices, the
+    depth of the shallowest frame that gave one of them that color."""
+    color = [1, 2, 1, 2, 3, 1]
+    depth = [4, 1, 2, 5, 0, 3]
+    assert _first_depths(0b111111, color, depth) == 1 << 2 | 1 << 1 | 1 << 0
+    assert _first_depths(0b101001, color, depth) == 1 << 3 | 1 << 5
+    assert _first_depths(0, color, depth) == 0
 
 
 def test_color_within_matches_the_reference_on_larger_random_graphs():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import pickle
 
 import pytest
 
@@ -317,6 +318,48 @@ def test_worker_count_does_not_change_results_at_k4():
     two = enumerate_critical(p6c4_config(k=4, n_max=8, workers=2))
     assert [e.graph.adj for e in one.obstructions] == [e.graph.adj for e in two.obstructions]
     assert one.level_sizes == two.level_sizes
+
+
+def test_pickled_parents_need_no_search_with_their_results_beside_them(monkeypatch):
+    """A parent that crossed a process boundary has lost its canonical
+    search result; handed back beside it, the expansion runs one search
+    per labelled child and none for the parent, the same searches as on
+    the parents that never left, and each child's result comes back
+    beside it."""
+    cfg = p6c4_config(k=4, n_max=7)
+    parents, found = enumeration._seeds(cfg), []
+    for _ in range(2, 7):
+        level, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
+        parents = enumeration._sift_level(level, cfg, found)
+    n = parents[0].n
+    canons = [g._canon for g in parents]
+    assert all(canons) and all(g.n == n for g in parents)
+    priors = [None] * len(parents)
+
+    def expand(graphs, results):
+        with monkeypatch.context() as m:
+            calls = count_calls(m, canon, "_search")
+            out = enumeration._expand_chunk(graphs, results, priors, 0, cfg, False)
+        return out, [(args[0], args[1]) for args in calls]
+
+    home, home_searches = expand(parents, canons)
+    trip, trip_searches = expand(pickle.loads(pickle.dumps(parents)), canons)
+    bare, bare_searches = expand(pickle.loads(pickle.dumps(parents)), [None] * len(parents))
+    assert home_searches and all(size == n + 1 for size, _ in home_searches)
+    assert trip_searches == home_searches
+    assert sum(size == n for size, _ in bare_searches) == len(parents)
+    assert [size for size, _ in bare_searches].count(n + 1) == len(home_searches)
+
+    def children(chunk):
+        return [(code, child, result) for kids, _ in chunk for code, child, result in kids]
+
+    assert [(c, g.adj, r) for c, g, r in children(trip)] == [
+        (c, g.adj, r) for c, g, r in children(home)
+    ]
+    assert [(c, g.adj) for c, g, _ in children(bare)] == [(c, g.adj) for c, g, _ in children(home)]
+    for code, child, result in children(trip):
+        assert result is child._canon and result[0] == code
+        assert result[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
 
 
 def _reference_sift_level(level, cfg, found):
