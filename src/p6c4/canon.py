@@ -42,18 +42,17 @@ The search is one explicit loop over a stack of open nodes, so its depth
 is not bounded by Python's recursion limit.
 
 A caller that keeps one graph per class (the enumerator, per level) can
-pass ``known``, a set of leaf codes or a dict from leaf code to the code
-of its class: the search stops at the first leaf whose code is in
-``known`` and returns None, or for a dict the class code that leaf maps
-to, and a search that completes adds all its leaf codes to it (for a
-dict, each mapped to the code it found).  This is exact.  A leaf code is
-the code of one relabelling of the graph, so meeting a known one proves
-the graph isomorphic to one already searched, and a graph of a new class
-never meets one, so its search runs to the end unchanged.  The search
-tree depends only on the graph's structure, and orbit pruning skips only
-subtrees whose leaf codes repeat ones already explored, so a completed
-search meets every leaf code of its class: an isomorphic graph stops at
-its first leaf.
+hand :func:`_search` ``known``, a dict from leaf code to the code of its
+class: the search stops at the first leaf whose code is in ``known`` and
+returns the class code that leaf maps to, and a search that completes
+maps every leaf code it met to the code it found.  This is exact.  A
+leaf code is the code of one relabelling of the graph, so meeting a
+known one proves the graph isomorphic to one already searched, and a
+graph of a new class never meets one, so its search runs to the end
+unchanged.  The search tree depends only on the graph's structure, and
+orbit pruning skips only subtrees whose leaf codes repeat ones already
+explored, so a completed search meets every leaf code of its class: an
+isomorphic graph stops at its first leaf.
 
 A caller may also hand the search automorphisms of the graph that it
 knows beforehand.  The enumerator does: a child ``G + w`` of a parent
@@ -65,8 +64,8 @@ reason orbit pruning is: a subtree is skipped only when an automorphism
 fixing its path maps an explored sibling onto it, and then its leaves
 are images of explored leaves with the same codes.  So the first leaf
 that reaches the least code is never skipped, and the code, the
-canonical order and the set of leaf codes a completed search adds to
-``known`` do not change.  Only the generators do: fewer are found, and
+canonical order and the leaf codes a completed search maps in ``known``
+do not change.  Only the generators do: fewer are found, and
 the inherited ones come first.
 """
 
@@ -158,12 +157,12 @@ def _search(
     n: int,
     adj: tuple[int, ...],
     nbrs: list[list[int]],
-    known: set[bytes] | dict[bytes, bytes] | None = None,
+    known: dict[bytes, bytes] | None = None,
     auts: Sequence[tuple[int, ...]] = (),
-) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]] | bytes | None:
+) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]] | bytes:
     """The search as one explicit loop: ``(code, order, generators)``, or
     for a graph that meets a leaf code in ``known`` the class code it maps
-    to (None when ``known`` is a set).
+    to (see the module docstring).
 
     ``adj`` holds the rows and ``nbrs[v]`` the neighbours of ``v`` of an
     ``n``-vertex graph.  ``auts`` are automorphisms of that graph known
@@ -177,12 +176,11 @@ def _search(
     computed from, and the individualized ``path`` leading to it.  Each
     pass of the outer loop refines one node, handles it as a leaf or pushes
     its frame, and then moves to the next child of the deepest open node.
-    ``known`` works as in :func:`canonical_code`.
     """
     best_code: bytes | None = None
     best_order: list[int] | None = None
     gens: list[tuple[int, ...]] = list(auts)
-    met: list[bytes] = []  # leaf codes, added to ``known`` on completion
+    met: list[bytes] = []  # leaf codes, mapped in ``known`` on completion
 
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
@@ -204,7 +202,7 @@ def _search(
             code = _code_under(n, adj, order)
             if known is not None:
                 if code in known:
-                    return known[code] if type(known) is dict else None
+                    return known[code]
                 met.append(code)
             if best_code is None or code < best_code:
                 best_code, best_order = code, order
@@ -248,48 +246,21 @@ def _search(
         else:
             break  # no open node left: the search is complete
     assert best_code is not None and best_order is not None
-    if type(known) is dict:
+    if known is not None:
         known.update(dict.fromkeys(met, best_code))
-    elif known is not None:
-        known.update(met)
     return best_code, tuple(best_order), tuple(gens)
 
 
-def _canonical(
-    g: Graph, known: set[bytes] | dict[bytes, bytes] | None = None
-) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]] | bytes | None:
+def _canonical(g: Graph) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """:func:`_search` on ``g`` with no automorphisms known beforehand."""
-    return _search(g.n, g.adj, [list(bits(row)) for row in g.adj], known)
+    return _search(g.n, g.adj, [list(bits(row)) for row in g.adj])
 
 
-def canonical_code(
-    g: Graph, *, known: set[bytes] | dict[bytes, bytes] | None = None
-) -> bytes | None:
-    """Isomorphism-invariant code: equal codes iff isomorphic graphs.
-
-    ``known`` is a set of leaf codes, or a dict from leaf code to the code
-    of its class, shared by the callers that keep one graph per class.  A
-    leaf code is the code of one relabelling of ``g``, so a leaf whose
-    code is in ``known`` shows that ``g`` is isomorphic to a graph whose
-    search put it there; the search then stops and returns None.  A graph
-    of a new class never meets such a code, so its search runs to the end
-    unchanged, returns its code and adds every leaf code it met to
-    ``known`` (to a dict, each mapped to that code).  That search meets
-    every leaf code of the class: the search tree is built from the
-    graph's structure alone, and orbit pruning skips only subtrees whose
-    leaf codes repeat ones already explored.  So an isomorphic graph
-    stops at its first leaf.  With ``known``, the search runs even when a
-    code is cached, and its result is cached only when it completes.
-    """
-    if known is None:
-        if g._canon is None:
-            g._canon = _canonical(g)
-        return g._canon[0]
-    result = _canonical(g, known)
-    if type(result) is not tuple:
-        return None
-    g._canon = result
-    return result[0]
+def canonical_code(g: Graph) -> bytes:
+    """Isomorphism-invariant code: equal codes iff isomorphic graphs."""
+    if g._canon is None:
+        g._canon = _canonical(g)
+    return g._canon[0]
 
 
 def canonical_order(g: Graph) -> tuple[int, ...]:

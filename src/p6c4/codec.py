@@ -108,20 +108,21 @@ def to_graph6(g: Graph) -> str:
 def from_edge_list(obj: Any) -> Graph:
     """Build a graph from ``{"n": int, "edges": [[u, v], ...]}``.
 
-    Self-loops and repeated edges are rejected.
+    Every count and endpoint must be an int (not a bool or a float);
+    self-loops and repeated edges are rejected.
     """
     if isinstance(obj, (str, bytes)):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError('edge-list JSON must be {"n": int, "edges": [[u, v], ...]}')
-    n = obj["n"]
-    if not isinstance(n, int) or n < 0:
+    n, edges = obj["n"], obj["edges"]
+    if type(n) is not int or n < 0:
         raise ValueError("n must be a non-negative integer")
-    edges = []
-    for e in obj["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+    if not isinstance(edges, (list, tuple)):
+        raise ValueError("edges must be a list of [u, v] pairs")
+    for e in edges:
+        if not (isinstance(e, (list, tuple)) and len(e) == 2 and all(type(x) is int for x in e)):
             raise ValueError(f"bad edge entry {e!r}")
-        edges.append((int(e[0]), int(e[1])))
     return Graph.from_edges(n, edges)
 
 

@@ -322,7 +322,12 @@ def catalog_load(path: str | Path) -> list[ObstructionEntry]:
     manifest_path = path.with_suffix(".json")
     if not manifest_path.exists():
         return [ObstructionEntry(f"entry_{i}", -1, h, "unknown") for i, h in enumerate(graphs)]
-    metas = json.loads(manifest_path.read_text())["entries"]
+    manifest = json.loads(manifest_path.read_text())
+    metas = manifest.get("entries") if isinstance(manifest, dict) else None
+    if not isinstance(metas, list) or not all(
+        isinstance(m, dict) and {"id", "k", "provenance"} <= m.keys() for m in metas
+    ):
+        raise ValueError('catalog manifest needs an "entries" list of objects with id, k and provenance')
     if len(metas) != len(graphs) or any(
         m.get("line", line) != line for m, line in zip(metas, lines)
     ):

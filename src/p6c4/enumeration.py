@@ -28,26 +28,26 @@ built from the parent's, and a :class:`~p6c4.graphs.Graph` is made only
 for a child that is kept, carrying its search result.
 
 A level is expanded in chunks of parents (:func:`_expand_chunk`), and
-the parents of a chunk share one set of canonical-search leaf codes
-(``known``, as in :func:`p6c4.canon.canonical_code`).  A child isomorphic
-to a graph already kept is recognised at its first search leaf and
-dropped there; the first child of each class still runs its whole
-search.  A serial run makes the whole level one chunk; with several
-workers, each task is one chunk, parents and children cross the process
-boundary as :class:`~p6c4.graphs.Graph` objects, each with its canonical
-search result beside it (a graph pickles without it), and the merge keeps
-the first child of each class in parent order.  So the level keeps the
-same representatives whatever the worker count, and no worker searches a
-parent again for its automorphisms.
+the parents of a chunk share one dict ``known`` from canonical-search
+leaf code to class code (see :mod:`p6c4.canon`).  A child isomorphic to
+a graph already kept is recognised at its first search leaf and dropped
+there; the first child of each class still runs its whole search.  A
+serial run makes the whole level one chunk; with several workers, each
+task is one chunk, parents and children cross the process boundary as
+:class:`~p6c4.graphs.Graph` objects, which pickle with their canonical
+search results, and the merge keeps the first child of each class in
+parent order.  So the level keeps the same representatives whatever the
+worker count, and no worker searches a parent again for its
+automorphisms.
 
 Many children are dropped before any labelling by the earlier-parent
 test.  While a level is built, each parent G records a class table: for
 every free mask M whose child was labelled, the class of G + a(M) (a
-kept child's code, or the class whose leaf code a duplicate met; so
-``known`` maps each leaf code to its class's code).  Once the level is
-sorted and sifted, the classes become indices into the next parent list
-(-1 for a class that is not a parent), and every parent P_i = G + b,
-with b its last vertex, carries the table of the G that produced it.
+kept child's code, or the class code a duplicate's first leaf maps to
+in ``known``).  Once the level is sorted and sifted, the classes
+become indices into the next parent list (-1 for a class that is not a
+parent), and every parent P_i = G + b, with b its last vertex, carries
+the table of the G that produced it.
 A child X = P_i + a(M) is dropped when G's table maps the mask M minus b
 to an index j < i.  This is exact: X - b is G + a(M minus b), so it is
 isomorphic to P_j by some map f, and X is isomorphic to P_j plus a vertex
@@ -57,7 +57,9 @@ induction on the parent index, the first parent whose walk meets a
 class never drops it, so the level keeps the same representatives,
 codes and sizes, whatever the worker count.  A parent without a table
 (the seeds, a level resumed from a checkpoint) drops nothing, and the
-last level builds no tables and keeps ``known`` a set of leaf codes.
+last level builds no tables.  Both searches run this level loop
+(:func:`_grow`), which stops at ``n_max`` or at a level with nothing to
+extend.
 
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
@@ -155,7 +157,8 @@ def _bad_masks(parent: Graph, forbidden: tuple[Graph, ...]) -> bytearray:
 def _expand_parent(
     parent: Graph,
     cfg: SearchConfig,
-    known: dict[bytes, bytes] | set[bytes],
+    known: dict[bytes, bytes],
+    record: bool = False,
     prior: array | None = None,
     index: int = 0,
 ) -> tuple[list[tuple[bytes, Graph]], list[bytes | None] | None]:
@@ -166,20 +169,19 @@ def _expand_parent(
     Masks are walked in ascending order.  The first free mask of an orbit
     is kept and its whole orbit marked done: the later members give
     children isomorphic to the kept one, which the level deduplication
-    would drop anyway, so skipping them changes no output.  ``known`` holds
-    the leaf codes of the graphs kept so far; a child isomorphic to one of
-    them stops its canonical search at its first leaf and is left out, so
-    the first child of each class is the one returned.  Each child's
-    search starts from the parent generators that fix its mask, extended
-    by ``w -> w``.
+    would drop anyway, so skipping them changes no output.  ``known`` maps
+    the leaf codes of the graphs kept so far to their classes; a child
+    isomorphic to one of them stops its canonical search at its first leaf
+    and is left out, so the first child of each class is the one returned.
+    Each child's search starts from the parent generators that fix its
+    mask, extended by ``w -> w``.
 
     ``prior`` is the earlier-parent table of ``parent``, the parent at
     ``index`` in its level, and ``b`` its last vertex: a child whose mask
     minus ``b`` is mapped to an index below ``index`` is dropped before
-    any labelling (see the module docstring).  When ``known`` is a dict
-    from leaf code to class code, the class table maps each free mask of
-    a child that was labelled to its child's class code (None elsewhere);
-    with a set it is None.
+    any labelling (see the module docstring).  If ``record``, the class
+    table maps each free mask of a child that was labelled to its child's
+    class code (None elsewhere); otherwise it is None.
     """
     n = parent.n
     bad = _bad_masks(parent, cfg.forbidden)
@@ -190,7 +192,7 @@ def _expand_parent(
     wbit = 1 << n
     low = (wbit >> 1) - 1  # every vertex but b
     done = bytearray(1 << n)
-    classes = [None] * (1 << n) if type(known) is dict else None
+    classes = [None] * (1 << n) if record else None
     out = []
     for mask in range(1, 1 << n):
         if bad[mask] or done[mask]:
@@ -237,29 +239,19 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
 
 def _expand_chunk(
     parents: list[Graph],
-    canons: list[tuple | None],
     priors: list[array | None],
     start: int,
     cfg: SearchConfig,
     record: bool,
-) -> list[tuple[list[tuple[bytes, Graph, tuple]], list[bytes | None] | None]]:
+) -> list[tuple[list[tuple[bytes, Graph]], list[bytes | None] | None]]:
     """:func:`_expand_parent` on each of ``parents`` in order, ``parents[i]``
     being the parent at ``start + i`` in its level, all sharing one
-    ``known``: a dict from leaf code to class code if ``record``, else a
-    set of leaf codes.
-
-    A graph pickles without its canonical search result, so results
-    travel beside the graphs: ``canons[i]`` (or None) is attached to
-    ``parents[i]`` before its expansion, which then needs no search for
-    the parent's automorphisms, and each child comes back as ``(code,
-    child, its search result)``."""
-    known: dict[bytes, bytes] | set[bytes] = {} if record else set()
-    out = []
-    for i, (parent, result, prior) in enumerate(zip(parents, canons, priors)):
-        parent._canon = result
-        children, classes = _expand_parent(parent, cfg, known, prior, start + i)
-        out.append(([(code, child, child._canon) for code, child in children], classes))
-    return out
+    ``known``."""
+    known: dict[bytes, bytes] = {}
+    return [
+        _expand_parent(parent, cfg, known, record, prior, start + i)
+        for i, (parent, prior) in enumerate(zip(parents, priors))
+    ]
 
 
 def _next_level(
@@ -274,33 +266,28 @@ def _next_level(
     parent that produced it.
 
     ``priors[i]`` is the earlier-parent table of ``parents[i]``.  Without
-    a pool the whole level is one chunk; a pool maps
-    :func:`_expand_chunk` over about four chunks per worker, and ``seen``
-    drops the duplicates that fall in different chunks.  Either way the
-    first child of each class in parent order is kept.
+    a pool the whole level is one chunk, the lists themselves (a copy would
+    raise the peak memory); a pool maps :func:`_expand_chunk` over about
+    four chunks per worker, and ``seen`` drops the duplicates that fall in
+    different chunks.  Either way the first child of each class in parent
+    order is kept.
     """
-    canons = [g._canon for g in parents]
-    if pool is None:
-        results = [_expand_chunk(parents, canons, priors, 0, cfg, record)]
-    else:
-        size = max(1, len(parents) // (cfg.workers * 4))
-        starts = range(0, len(parents), size)
-        results = pool.map(
-            _expand_chunk,
-            [parents[i : i + size] for i in starts],
-            [canons[i : i + size] for i in starts],
-            [priors[i : i + size] for i in starts],
-            starts,
-            itertools.repeat(cfg),
-            itertools.repeat(record),
-        )
+    size = max(1, len(parents) // (cfg.workers * 4) if pool else len(parents))
+    starts = range(0, len(parents), size)
+    results = (pool.map if pool else map)(
+        _expand_chunk,
+        [parents[i : i + size] for i in starts] if pool else [parents],
+        [priors[i : i + size] for i in starts] if pool else [priors],
+        starts,
+        itertools.repeat(cfg),
+        itertools.repeat(record),
+    )
     seen: dict[bytes, Graph] = {}
     made: dict[bytes, list[bytes | None]] = {}
     for result in results:
         for children, classes in result:
-            for code, child, found in children:
+            for code, child in children:
                 if code not in seen:
-                    child._canon = found
                     seen[code] = child
                     if record:
                         made[code] = classes
@@ -326,14 +313,6 @@ def _earlier_parent_tables(
     return [tables[id(made_by[g][1])] for g in parents]
 
 
-def _pool(cfg: SearchConfig):
-    """A process pool of ``cfg.workers`` workers, or for one worker a
-    context that gives None, so the levels run in this process."""
-    if cfg.workers > 1:
-        return ProcessPoolExecutor(cfg.workers)
-    return contextlib.nullcontext()
-
-
 def _seeds(cfg: SearchConfig) -> list[Graph]:
     empty = Graph(0, ())
     if _bad_masks(empty, cfg.forbidden)[0]:
@@ -341,18 +320,33 @@ def _seeds(cfg: SearchConfig) -> list[Graph]:
     return [empty.add_vertex(0)]
 
 
+def _grow(
+    cfg: SearchConfig, parents: list[Graph], start_n: int, keep
+) -> Iterator[tuple[int, list[Graph], list[Graph]]]:
+    """The level loop: from ``parents`` on ``start_n`` vertices, build each
+    level up to ``n_max`` and yield ``(n, level, keep(level))``, the graphs
+    that ``keep`` picks being the next level's parents.  The loop stops
+    before it would build a level from no parents.  One worker builds the
+    levels in this process, without a pool."""
+    priors: list[array | None] = [None] * len(parents)
+    with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
+        for n in range(start_n + 1, cfg.n_max + 1):
+            if not parents:
+                return
+            level, made_by = _next_level(parents, priors, cfg, pool, n < cfg.n_max)
+            parents = keep(level)
+            priors = _earlier_parent_tables(parents, made_by)
+            del made_by  # the class tables, no longer needed
+            yield n, level, parents
+
+
 def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
     """Every connected pattern-free graph with 1 <= n <= n_max, one per
     isomorphism class, in (order, canonical code) order."""
-    level = _seeds(cfg)
-    priors: list[array | None] = [None] * len(level)
-    with _pool(cfg) as pool:
-        for n in range(2, cfg.n_max + 1):
-            yield from level
-            level, made_by = _next_level(level, priors, cfg, pool, n < cfg.n_max)
-            priors = _earlier_parent_tables(level, made_by)
-            del made_by  # the class tables, no longer needed
-    yield from level
+    seeds = _seeds(cfg)
+    yield from seeds
+    for _, level, _ in _grow(cfg, seeds, 1, list):
+        yield from level
 
 
 def is_minimal_obstruction(g: Graph, k: int) -> bool:
@@ -393,25 +387,19 @@ def enumerate_critical(
         if log:
             log(f"resumed at level {start_n}")
 
-    priors: list[array | None] = [None] * len(extendable)
-    with _pool(cfg) as pool:
-        for n in range(start_n + 1, cfg.n_max + 1):
-            t0 = time.monotonic()
-            level, made_by = _next_level(extendable, priors, cfg, pool, n < cfg.n_max)
-            level_sizes[n] = len(level)
-            extendable = _sift_level(level, cfg, found)
-            priors = _earlier_parent_tables(extendable, made_by)
-            del made_by  # the class tables, no longer needed
-            if log:
-                log(
-                    f"level {n}: {len(level)} graphs, "
-                    f"{len(found)} obstructions so far "
-                    f"({time.monotonic() - t0:.1f}s)"
-                )
-            if checkpoint:
-                _save_checkpoint(checkpoint, cfg, extendable, found, n, level_sizes)
-            if not extendable:
-                break
+    t0 = time.monotonic()
+    sift = lambda level: _sift_level(level, cfg, found)
+    for n, level, extendable in _grow(cfg, extendable, start_n, sift):
+        level_sizes[n] = len(level)
+        if log:
+            log(
+                f"level {n}: {len(level)} graphs, "
+                f"{len(found)} obstructions so far "
+                f"({time.monotonic() - t0:.1f}s)"
+            )
+        if checkpoint:
+            _save_checkpoint(checkpoint, cfg, extendable, found, n, level_sizes)
+        t0 = time.monotonic()
 
     found.sort(key=lambda cg: cg[0])
     entries = [

@@ -41,8 +41,9 @@ class Graph:
     ``_cutset`` is :func:`p6c4.structure.find_clique_cutset`'s answer.
     ``_canon`` and ``_found`` start as ``None``; ``_cutset`` starts as
     ``False``, because ``None`` there is an answer (no clique cutset).
-    A graph pickles as its rows alone, so it crosses a process boundary
-    without its memos and arrives with fresh slots.
+    A graph pickles as its rows and ``_canon``, so a canonical search
+    result crosses a process boundary with its graph; the answer caches
+    do not, and arrive fresh.
     """
 
     __slots__ = ("n", "adj", "_canon", "_found", "_cutset")
@@ -184,10 +185,16 @@ class Graph:
         return hash((self.n, self.adj))
 
     def __reduce__(self):
-        return (Graph, (self.n, self.adj, True))
+        return (_unpickle, (self.n, self.adj, self._canon))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _unpickle(n: int, adj: tuple[int, ...], canon) -> Graph:
+    g = Graph(n, adj, _checked=True)
+    g._canon = canon
+    return g
 
 
 def induced_subgraph(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -35,14 +35,14 @@ class SatInstance:
     def __post_init__(self):
         if self.flavor not in (CNF, NAE):
             raise ValueError(f"unknown flavor {self.flavor!r}")
-        if self.n_vars < 1:
-            raise ValueError("need at least one variable")
+        if type(self.n_vars) is not int or self.n_vars < 1:
+            raise ValueError(f"need a positive int variable count, not {self.n_vars!r}")
         for clause in self.clauses:
             if len(clause) != 3:
                 raise ValueError(f"clause {clause} does not have three literals")
             for lit in clause:
-                if lit == 0 or abs(lit) > self.n_vars:
-                    raise ValueError(f"literal {lit} out of range")
+                if type(lit) is not int or lit == 0 or abs(lit) > self.n_vars:
+                    raise ValueError(f"literal {lit!r} is not an int in range")
                 if self.flavor == NAE and lit < 0:
                     raise ValueError("NAE instances take positive literals only")
 
@@ -439,5 +439,7 @@ def read_nae_json(text: str) -> SatInstance:
         raise ValueError(f"bad NAE JSON: {exc}") from exc
     if not isinstance(payload, dict) or "n" not in payload or "clauses" not in payload:
         raise ValueError('NAE JSON needs keys "n" and "clauses"')
-    clauses = tuple(tuple(cl) for cl in payload["clauses"])
-    return SatInstance(int(payload["n"]), clauses, NAE)
+    clauses = payload["clauses"]
+    if not isinstance(clauses, list) or not all(isinstance(cl, list) for cl in clauses):
+        raise ValueError('NAE "clauses" must be a list of [i, j, k] lists')
+    return SatInstance(payload["n"], tuple(map(tuple, clauses)), NAE)

@@ -264,21 +264,31 @@ def test_search_needs_no_recursion():
 # -- early stop on a known leaf code ---------------------------------------
 
 
-def _counting_leaves(g, known):
-    """``canon._canonical(g, known)`` and the number of leaves it reached."""
-    calls = 0
+def _search_known(g, known):
+    """:func:`canon._search` on ``g`` with the dict ``known``."""
+    return canon._search(g.n, g.adj, [list(bits(row)) for row in g.adj], known)
+
+
+def _leaves(g, known):
+    """``_search_known(g, known)`` and the codes of the leaves it reached."""
+    codes = []
     real = canon._code_under
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def recorded(*args):
+        codes.append(real(*args))
+        return codes[-1]
 
-    canon._code_under = counted
+    canon._code_under = recorded
     try:
-        return canon._canonical(g, known), calls
+        return _search_known(g, known), codes
     finally:
         canon._code_under = real
+
+
+def _counting_leaves(g, known):
+    """``_search_known(g, known)`` and the number of leaves it reached."""
+    result, codes = _leaves(g, known)
+    return result, len(codes)
 
 
 def _shuffled(g, rng):
@@ -289,15 +299,17 @@ def _shuffled(g, rng):
 
 def _check_early_stop(g, rng):
     """Once ``g``'s search has filled ``known``, a relabelling of ``g`` stops
-    at its first leaf, and a graph with one pair flipped (another edge
-    count, so not isomorphic) gets the triple it gets without ``known``."""
-    known = set()
-    assert canon._canonical(g, known) == canon._canonical(g)
-    assert _counting_leaves(_shuffled(g, rng), known) == (None, 1)
+    at its first leaf with ``g``'s code, and a graph with one pair flipped
+    (another edge count, so not isomorphic) gets the triple it gets
+    without ``known``."""
+    known = {}
+    want = canon._canonical(g)
+    assert _search_known(g, known) == want
+    assert _counting_leaves(_shuffled(g, rng), known) == (want[0], 1)
     if g.n >= 2:
         u, v = rng.sample(range(g.n), 2)
         h = _flip(g, u, v)
-        assert canon._canonical(h, set(known)) == canon._canonical(h)
+        assert _search_known(h, dict(known)) == canon._canonical(h)
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,44 +324,35 @@ def test_known_leaf_code_stops_at_the_first_leaf_on_named_graphs():
         _check_early_stop(g, rng)
 
 
-def test_one_known_set_across_the_family():
+def test_one_known_dict_across_the_family():
     """The family members with n <= 7 are pairwise non-isomorphic: sharing
-    one ``known`` set, each gets the triple it gets alone, and afterwards a
-    relabelling of each stops at its first leaf."""
+    one ``known`` dict, each gets the triple it gets alone, and afterwards
+    a relabelling of each stops at its first leaf with that graph's code."""
     rng = random.Random(31)
     family = list(enumerate_family(p6c4_config(n_max=7)))
-    known = set()
+    known = {}
     for g in family:
         fresh = codec.from_graph6(codec.to_graph6(g))
-        assert canon._canonical(fresh, known) == canon._canonical(fresh)
+        assert _search_known(fresh, known) == canon._canonical(fresh)
     for g in family:
-        assert _counting_leaves(_shuffled(g, rng), known) == (None, 1)
-
-
-def test_canonical_code_caches_only_a_completed_search():
-    g = families.petersen_graph()
-    known = set()
-    assert canon.canonical_code(g, known=known) == canon.canonical_code(families.petersen_graph())
-    assert g._canon is not None
-    h = _shuffled(g, random.Random(5))
-    assert canon.canonical_code(h, known=known) is None
-    assert h._canon is None
-    assert canon.canonical_code(h) == canon.canonical_code(g)
+        assert _counting_leaves(_shuffled(g, rng), known) == (canon.canonical_code(g), 1)
 
 
 def test_a_known_dict_maps_leaf_codes_to_their_class():
-    """A dict ``known`` gets the leaf codes a set gets, each mapped to the
-    code of the graph whose search met it; a relabelling's search returns
-    that code at its first leaf, and ``canonical_code`` gives None for it."""
+    """A completed search maps every leaf code it met, and no other, to
+    the code it found: its leaves are those of the search without
+    ``known``.  A relabelling's search returns that code at its first
+    leaf.  ``canonical_code`` takes no ``known``."""
     rng = random.Random(37)
     for g in _named_graphs():
-        as_set, as_dict = set(), {}
-        want = canon._canonical(g)
-        assert canon._canonical(g, as_set) == canon._canonical(g, as_dict) == want
-        assert set(as_dict) == as_set and set(as_dict.values()) == {want[0]}
+        known = {}
+        want, leaves = _leaves(g, known)
+        assert want == canon._canonical(g)
+        assert known == dict.fromkeys(leaves, want[0])
         h = _shuffled(g, rng)
-        assert _counting_leaves(h, as_dict) == (want[0], 1)
-        assert canon.canonical_code(h, known=as_dict) is None
+        assert _counting_leaves(h, known) == (want[0], 1)
+    with pytest.raises(TypeError):
+        canon.canonical_code(g, known=known)
 
 
 # -- networkx oracle -------------------------------------------------------

@@ -320,6 +320,27 @@ def test_enumerate_refuses_a_checkpoint_at_a_level_its_graphs_do_not_match(tmp_p
         assert len(captured.err.splitlines()) == 1 and "'level'" in captured.err
 
 
+def test_enumerate_resumed_manifest_matches_a_fresh_one(tmp_path, capsys):
+    """At k = 1 the search runs out of graphs to extend after level 2.
+    Resuming its checkpoint, to the same or a larger max-n, builds no
+    empty level, and neither does a search whose seed level is empty."""
+    ck = str(tmp_path / "ck.json")
+
+    def manifest(max_n, *argv):
+        code, payload = run_cli(
+            capsys, "enumerate", "--mode", "critical", "--k", "1", "--workers", "1",
+            "--max-n", str(max_n), *argv,
+        )
+        assert code == 0
+        return payload["manifest"]
+
+    fresh = {max_n: manifest(max_n) for max_n in (3, 4)}
+    assert fresh[3]["level_sizes"] == fresh[4]["level_sizes"] == {"1": 1, "2": 1}
+    for max_n in (3, 3, 4, 4):
+        assert manifest(max_n, "--resume", ck) == fresh[max_n]
+    assert manifest(3, "--forbid", "g6:@")["level_sizes"] == {"1": 0}
+
+
 # -- reduce -------------------------------------------------------------------------
 
 
@@ -409,6 +430,36 @@ def test_catalog_honors_environment_directory(tmp_path, capsys, monkeypatch):
 
 
 # -- plumbing -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("color", '{"n": 3, "edges": 5}'),
+        ("color", '{"n": 3, "edges": [[0, null]]}'),
+        ("color", '{"n": 3, "edges": [[0, 1.7]]}'),
+        ("reduce", '{"n": 3, "clauses": 5}'),
+        ("reduce", '{"n": 3, "clauses": [[1, 2, "a"]]}'),
+        ("catalog", "{}"),
+        ("catalog", "[]"),
+    ],
+)
+def test_malformed_json_exits_65(tmp_path, capsys, command, text):
+    """Edge lists, NAE instances and catalog manifests of the wrong shape
+    are data errors, not crashes."""
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    if command == "color":
+        argv = ["color", "--k", "3", "--in", str(path)]
+    elif command == "reduce":
+        argv = ["reduce", "nae", "--instance", str(path)]
+    else:
+        path.with_suffix(".g6").write_text(codec.to_graph6(families.complete_graph(4)) + "\n")
+        argv = ["catalog", "verify", "--k", "3", "--file", str(path.with_suffix(".g6"))]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 65 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_missing_file_exit_code(capsys):

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import pickle
+import re
 
 import pytest
 
@@ -133,14 +134,14 @@ def _first_occurrences(pairs) -> dict[bytes, tuple[int, ...]]:
 def test_orbit_pruning_keeps_every_first_occurrence():
     cfg = p6c4_config(n_max=7)
     for parent in enumerate_family(cfg):
-        new, _ = enumeration._expand_parent(parent, cfg, set())
+        new, _ = enumeration._expand_parent(parent, cfg, {})
         ref = _reference_expand(parent, P6C4)
         assert _first_occurrences(new) == _first_occurrences(ref)
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_shared_leaf_codes_keep_the_reference_level(k):
-    """Ablation of the level-wide set of leaf codes: each level of the
+    """Ablation of the level-wide dict of leaf codes: each level of the
     obstruction search is the labelled level that every mask of every
     parent, each child fully labelled, gives by first occurrence."""
     cfg = p6c4_config(k=k, n_max=7)
@@ -178,7 +179,7 @@ def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
     with_leaves = without_leaves = 0
     for _ in range(2, cfg.n_max + 1):
         parents = enumeration._sift_level(level, cfg, found)
-        known, known_without, seen = set(), set(), {}
+        known, known_without, seen = {}, {}, {}
         for parent in parents:
             leaves = 0
             got, _ = enumeration._expand_parent(parent, cfg, known)
@@ -286,6 +287,24 @@ def test_enumerate_critical_small_run():
     assert run.level_sizes[4] == 5
 
 
+def test_enumerate_critical_logs_one_line_per_level_built(tmp_path):
+    """One ``level n:`` line per level built, n = 2..n_max in order, each
+    with its level's size; a resumed run logs where it resumed, then only
+    the levels above.  perfbench times the levels by these lines."""
+
+    def levels(lines):
+        return [tuple(map(int, re.match(r"level (\d+): (\d+) graphs,", s).groups())) for s in lines]
+
+    ck, lines = tmp_path / "ck.json", []
+    run = enumerate_critical(p6c4_config(k=3, n_max=5), checkpoint=ck, log=lines.append)
+    assert levels(lines) == [(n, run.level_sizes[n]) for n in range(2, 6)]
+    lines.clear()
+    resumed = enumerate_critical(p6c4_config(k=3, n_max=7), checkpoint=ck, log=lines.append)
+    assert lines[0] == "resumed at level 5"
+    assert levels(lines[1:]) == [(n, resumed.level_sizes[n]) for n in (6, 7)]
+    assert resumed.level_sizes == enumerate_critical(p6c4_config(k=3, n_max=7)).level_sizes
+
+
 def test_enumerate_critical_finds_both_small_obstructions():
     run = enumerate_critical(p6c4_config(k=3, n_max=6))
     got = {canon.canonical_code(e.graph) for e in run.obstructions}
@@ -320,45 +339,43 @@ def test_worker_count_does_not_change_results_at_k4():
     assert one.level_sizes == two.level_sizes
 
 
-def test_pickled_parents_need_no_search_with_their_results_beside_them(monkeypatch):
-    """A parent that crossed a process boundary has lost its canonical
-    search result; handed back beside it, the expansion runs one search
-    per labelled child and none for the parent, the same searches as on
-    the parents that never left, and each child's result comes back
-    beside it."""
+def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
+    """A parent that crossed a process boundary keeps its canonical search
+    result: the expansion runs one search per labelled child and none for
+    the parent, the same searches as on the parents that never left, and
+    each child's result comes back with it through a pickle round trip.
+    A parent without its result runs one more search."""
     cfg = p6c4_config(k=4, n_max=7)
     parents, found = enumeration._seeds(cfg), []
     for _ in range(2, 7):
         level, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
         parents = enumeration._sift_level(level, cfg, found)
     n = parents[0].n
-    canons = [g._canon for g in parents]
-    assert all(canons) and all(g.n == n for g in parents)
+    assert all(g._canon for g in parents) and all(g.n == n for g in parents)
     priors = [None] * len(parents)
 
-    def expand(graphs, results):
+    def expand(graphs):
         with monkeypatch.context() as m:
             calls = count_calls(m, canon, "_search")
-            out = enumeration._expand_chunk(graphs, results, priors, 0, cfg, False)
+            out = enumeration._expand_chunk(graphs, priors, 0, cfg, False)
         return out, [(args[0], args[1]) for args in calls]
 
-    home, home_searches = expand(parents, canons)
-    trip, trip_searches = expand(pickle.loads(pickle.dumps(parents)), canons)
-    bare, bare_searches = expand(pickle.loads(pickle.dumps(parents)), [None] * len(parents))
+    home, home_searches = expand(parents)
+    trip, trip_searches = expand(pickle.loads(pickle.dumps(parents)))
+    bare, bare_searches = expand([Graph(g.n, g.adj) for g in parents])
     assert home_searches and all(size == n + 1 for size, _ in home_searches)
     assert trip_searches == home_searches
     assert sum(size == n for size, _ in bare_searches) == len(parents)
     assert [size for size, _ in bare_searches].count(n + 1) == len(home_searches)
 
     def children(chunk):
-        return [(code, child, result) for kids, _ in chunk for code, child, result in kids]
+        return [(code, child, child._canon) for kids, _ in chunk for code, child in kids]
 
-    assert [(c, g.adj, r) for c, g, r in children(trip)] == [
-        (c, g.adj, r) for c, g, r in children(home)
-    ]
+    returned = children(pickle.loads(pickle.dumps(trip)))
+    assert [(c, g.adj, r) for c, g, r in returned] == [(c, g.adj, r) for c, g, r in children(home)]
     assert [(c, g.adj) for c, g, _ in children(bare)] == [(c, g.adj) for c, g, _ in children(home)]
-    for code, child, result in children(trip):
-        assert result is child._canon and result[0] == code
+    for code, child, result in returned:
+        assert result[0] == code
         assert result[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
 
 

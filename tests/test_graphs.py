@@ -50,7 +50,7 @@ def test_clique_and_independent_masks():
     assert e.is_clique(mask_of([2]))
 
 
-def test_pickle_carries_rows_without_memos():
+def test_pickle_carries_rows_and_canon_without_answer_caches():
     g = families.wheel_graph(5)
     canon.canonical_code(g)
     detect.find_induced_copy(g, families.path_graph(4))
@@ -58,7 +58,9 @@ def test_pickle_carries_rows_without_memos():
     assert g._canon is not None and g._found and g._cutset is None
     h = pickle.loads(pickle.dumps(g))
     assert h == g and h.adj == g.adj
-    assert (h._canon, h._found, h._cutset) == (None, None, False)
+    assert (h._canon, h._found, h._cutset) == (g._canon, None, False)
+    bare = pickle.loads(pickle.dumps(families.wheel_graph(5)))
+    assert (bare._canon, bare._found, bare._cutset) == (None, None, False)
 
 
 def test_relabel_and_equality():
