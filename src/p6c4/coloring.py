@@ -308,13 +308,19 @@ def manifest_entry(e: ObstructionEntry) -> dict:
     }
 
 
+# Checked with ``type(...) is``, so a bool ``k`` is refused too.
+_ENTRY_FIELDS = {"id": str, "k": int, "provenance": str}
+
+
 def catalog_load(path: str | Path) -> list[ObstructionEntry]:
     """Read a catalog and its manifest sidecar, if there is one.
 
-    Each manifest entry must match its graph6 line: the counts must agree,
-    and an entry's ``line`` field, where present, must equal the line, so a
-    graph6 file replaced without its manifest is rejected rather than
-    paired with the wrong ids.
+    Each manifest entry needs a string ``id``, an integer ``k``, a string
+    ``provenance`` and, if it has one, an object ``verified``; anything
+    else raises ``ValueError``.  Each entry must match its graph6 line: the
+    counts must agree, and an entry's ``line`` field, where present, must
+    equal the line, so a graph6 file replaced without its manifest is
+    rejected rather than paired with the wrong ids.
     """
     path = Path(path)
     lines = codec.graph6_lines(path.read_text())
@@ -325,9 +331,15 @@ def catalog_load(path: str | Path) -> list[ObstructionEntry]:
     manifest = json.loads(manifest_path.read_text())
     metas = manifest.get("entries") if isinstance(manifest, dict) else None
     if not isinstance(metas, list) or not all(
-        isinstance(m, dict) and {"id", "k", "provenance"} <= m.keys() for m in metas
+        isinstance(m, dict)
+        and all(type(m.get(name)) is kind for name, kind in _ENTRY_FIELDS.items())
+        and isinstance(m.get("verified", {}), dict)
+        for m in metas
     ):
-        raise ValueError('catalog manifest needs an "entries" list of objects with id, k and provenance')
+        raise ValueError(
+            'catalog manifest needs an "entries" list of objects with a string id, '
+            "an integer k, a string provenance and, if present, an object verified"
+        )
     if len(metas) != len(graphs) or any(
         m.get("line", line) != line for m, line in zip(metas, lines)
     ):

@@ -21,8 +21,9 @@ least minimum vertex of a path that the decision search found.
 
 Neither loop grows a dead or repeated path: :func:`_iter_cycles` drops a
 partial ring once no vertex can close it, and :func:`_has_induced_path`
-grows a path with equal arms from one arm only.  Neither prune changes an
-answer (see each docstring).
+grows a path with equal arms from one arm only.  :func:`iter_induced_copies`
+drops a placement that leaves a later pattern vertex no host vertex.  No
+prune changes an answer (see each docstring).
 
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, mask_of
+from .graphs import Graph, bits
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,10 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
     a wheel's rim first, so it finds the least ring with a common
     neighbour, and :func:`_iter_cycles` yields rings in ascending order).
     It is memoized in ``g._found``, keyed by the pattern's labelled
-    adjacency.
+    adjacency.  A cycle C_l is not searched for when the memo already says
+    that ``g`` has no P_t labelled in path order for some t < l: deleting
+    one vertex of a C_l leaves an induced P_{l-1}, and every shorter path
+    lies inside that.
     """
     key = (pattern.n, pattern.adj)
     memo = g._found
@@ -343,7 +347,9 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
     elif key in memo:
         return memo[key]
     kind, size, in_order = _pattern_shape(pattern)
-    if in_order and kind == "path":
+    if kind == "cycle" and any(memo.get(path, ()) is None for path in _shorter_paths(size)):
+        emb = None  # a C_l contains an induced P_t for every t < l
+    elif in_order and kind == "path":
         emb = find_induced_path(g, size)
     elif in_order and kind == "cycle":
         emb = find_induced_cycle(g, size)
@@ -357,51 +363,123 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
     return emb
 
 
+@lru_cache(maxsize=64)
+def _shorter_paths(l: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The memo keys of P_1, ..., P_{l-1}, each labelled in path order."""
+    return tuple(
+        (t, tuple((1 << i >> 1) | (1 << i + 1 if i < t - 1 else 0) for i in range(t)))
+        for t in range(1, l)
+    )
+
+
 def _match(g: Graph, pattern: Graph) -> Embedding | None:
     """Generic matcher: the first copy :func:`iter_induced_copies` yields."""
     return next(iter_induced_copies(g, pattern), None)
 
 
-def iter_induced_copies(g: Graph, pattern: Graph) -> Iterator[Embedding]:
+def iter_induced_copies(
+    g: Graph, pattern: Graph, top: int | None = None
+) -> Iterator[Embedding]:
     """Every induced copy of ``pattern`` in ``g``, in ascending order of vmap.
 
     Pattern vertices 0, 1, ... are assigned in turn, each to the free host
     vertices that keep every edge and non-edge so far, lowest first; a host
     vertex of smaller degree than the pattern vertex is never tried.
+    ``room[i][k]`` holds the vertices position k may still take once
+    positions 0..i-1 are assigned, and a placement that leaves some later
+    position no vertex is not grown (forward checking).  No copy lies
+    below such a placement, so the copies and their order are unchanged.
+
+    With ``top``, only the copies whose largest vertex is ``top``, each
+    once, in no promised order.  Such a copy puts exactly one pattern
+    vertex y on ``top``, so the same loop runs once per y on the pattern
+    relabelled from y in BFS order (:func:`_rooted`), with ``top`` the one
+    host vertex for y's position and the vertices below ``top`` for the
+    others; each copy found is mapped back to the pattern's labels.
     """
     p = pattern.n
-    if p == 0:
-        yield Embedding(0, ())
-        return
-    if p > g.n:
-        return
-    adj, padj = g.adj, pattern.adj
-    fits = [
-        mask_of(v for v in range(g.n) if adj[v].bit_count() >= prow.bit_count())
-        for prow in padj
-    ]
+    if top is None:
+        if p == 0:
+            yield Embedding(0, ())
+            return
+        if p > g.n:
+            return
+        runs = [(None, pattern.adj, [row.bit_count() for row in pattern.adj])]
+        domain = first = g.full_mask()
+    else:
+        if not 0 < p <= top + 1:
+            return
+        runs = _rooted(pattern)
+        domain, first = (1 << top) - 1, 1 << top
+    adj = g.adj
+    at_least = [0] * p  # host vertices of degree at least d, d < p
+    for v, row in enumerate(adj):
+        d = row.bit_count()
+        at_least[d if d < p else p - 1] |= 1 << v
+    for d in range(p - 2, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    fits = [m & domain for m in at_least]
     assign = [0] * p
     cand = [0] * p  # untried host vertices for each assigned position
-    cand[0] = fits[0]
-    i = 0
-    while i >= 0:
-        c = cand[i]
-        if not c:
-            i -= 1
-            continue
-        low = c & -c
-        cand[i] = c ^ low
-        assign[i] = low.bit_length() - 1
-        if i + 1 == p:
-            yield Embedding(p, tuple(assign))
-            continue
-        i += 1
-        allowed = fits[i]
-        prow = padj[i]
-        for j in range(i):
-            u = assign[j]
-            allowed &= (adj[u] if prow >> j & 1 else ~adj[u]) & ~(1 << u)
-        cand[i] = allowed
+    room = [[0] * p for _ in range(p)]
+    for pos, padj, pdeg in runs:
+        room[0][:] = [fits[d] for d in pdeg]
+        cand[0] = at_least[pdeg[0]] & first
+        i = 0
+        while i >= 0:
+            c = cand[i]
+            if not c:
+                i -= 1
+                continue
+            low = c & -c
+            cand[i] = c ^ low
+            v = assign[i] = low.bit_length() - 1
+            if i + 1 == p:
+                vmap = tuple(assign) if pos is None else tuple([assign[j] for j in pos])
+                yield Embedding(p, vmap)
+                continue
+            row = adj[v]
+            miss = ~row ^ low
+            now, after = room[i], room[i + 1]
+            for k in range(i + 1, p):
+                left = now[k] & (row if padj[k] >> i & 1 else miss)
+                if not left:
+                    break
+                after[k] = left
+            else:
+                i += 1
+                cand[i] = after[i]
+
+
+@lru_cache(maxsize=64)
+def _rooted(
+    pattern: Graph,
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """For each pattern vertex y, the pattern relabelled in BFS order from
+    y (continuing from the least unvisited vertex if it is disconnected),
+    as ``(pos, rows, degrees)``: ``pos[x]`` is the new label of vertex x.
+    Every later position then meets an earlier one where it can, so the
+    matcher narrows its candidates from the first placements."""
+    out = []
+    for y in range(pattern.n):
+        order, seen = [], 0
+        for start in (y, *range(pattern.n)):
+            if seen >> start & 1:
+                continue
+            i = len(order)
+            order.append(start)
+            seen |= 1 << start
+            while i < len(order):
+                new = pattern.adj[order[i]] & ~seen
+                seen |= new
+                order.extend(bits(new))
+                i += 1
+        pos = [0] * pattern.n
+        for label, x in enumerate(order):
+            pos[x] = label
+        rows = pattern.relabel(tuple(pos)).adj
+        out.append((tuple(pos), rows, tuple(row.bit_count() for row in rows)))
+    return tuple(out)
 
 
 def is_free(

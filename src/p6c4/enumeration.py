@@ -12,7 +12,17 @@ smaller connected family member.
 Each parent is analysed once.  A table indexed by neighbourhood mask
 (:func:`_bad_masks`) marks the masks that put a forbidden pattern through
 the new vertex; it is built from the induced copies of each pattern minus
-one vertex in the parent, so it is exact for any pattern.  Masks are then
+one vertex in the parent, so it is exact for any pattern.  The table of a
+parent P = G + b, with b its last vertex, comes from the table of the
+parent G that produced it: a copy in P that avoids b is a copy in G and
+makes mask M bad exactly when it makes M minus b bad for G, so P's table
+is G's table twice over (the second half for the masks that contain b),
+and only the copies whose largest vertex is b are enumerated and added.
+The producer's table travels with its children to the next level, beside
+its class table (below); a parent without one (a seed, a level resumed
+from a checkpoint) folds the same rule over its vertices from the empty
+graph.  Either way each copy is counted once, at its largest vertex, and
+the table is the one a pass over every copy gives.  Masks are then
 walked in ascending order, and the parent's automorphisms (kept by
 :mod:`p6c4.canon`) skip every mask in the orbit of one already taken: its
 child is isomorphic to an earlier child of the same parent.  Only the
@@ -109,6 +119,14 @@ def p6c4_config(**kw) -> SearchConfig:
     return SearchConfig(**kw)
 
 
+# What a parent records for its children when a level is built (its class
+# table and forbidden-mask table), and what each child inherits from it as
+# a parent of the next level (the class table turned into parent indices,
+# and the same forbidden-mask table).
+Recorded = tuple[list[bytes | None], bytearray]
+Inherited = tuple[array, bytearray]
+
+
 @lru_cache(maxsize=64)
 def _vertex_deleted(pat: Graph) -> tuple[tuple[Graph, int], ...]:
     """``(H - x, N_H(x) as a mask of H - x)`` for one ``x`` per orbit of the
@@ -124,7 +142,9 @@ def _vertex_deleted(pat: Graph) -> tuple[tuple[Graph, int], ...]:
     return tuple(out)
 
 
-def _bad_masks(parent: Graph, forbidden: tuple[Graph, ...]) -> bytearray:
+def _bad_masks(
+    parent: Graph, forbidden: tuple[Graph, ...], base: bytearray | None = None
+) -> bytearray:
     """``bad[M]`` is 1 iff ``parent.add_vertex(M)`` has a forbidden pattern
     through the new vertex ``w``.
 
@@ -132,25 +152,38 @@ def _bad_masks(parent: Graph, forbidden: tuple[Graph, ...]) -> bytearray:
     induced copy of ``H - x`` in the parent on a vertex set S, and ``w``
     sees exactly the image R of ``N_H(x)`` inside S.  So the bad masks are
     ``R | sub`` for every such (S, R) and every ``sub`` outside S.
+
+    The table doubles one vertex at a time.  Let P = G + b, with b the last
+    vertex of P.  A copy in P either avoids b, and is then a copy in G with
+    the same (S, R), or has b as its largest vertex.  So ``bad_P`` is
+    ``bad_G + bad_G`` (entry M is ``bad_G[M minus b]``) with the masks of
+    the copies whose largest vertex is b added.  ``base`` is the table of
+    ``parent`` minus its last vertex; without it the rule folds over the
+    vertices 0, ..., n-1 from the empty graph's one-entry table (bad iff a
+    pattern has one vertex), so each copy is counted once, at its largest
+    vertex.
     """
-    full = parent.full_mask()
-    bad = bytearray(1 << parent.n)
-    pairs = set()
-    for pat in forbidden:
-        for sub, nbrs in _vertex_deleted(pat):
-            for emb in detect.iter_induced_copies(parent, sub):
+    pieces = [piece for pat in forbidden for piece in _vertex_deleted(pat)]
+    if base is None:
+        bad, start = bytearray([any(sub.n == 0 for sub, _ in pieces)]), 0
+    else:
+        bad, start = base, parent.n - 1
+    for b in range(start, parent.n):
+        bad = bad + bad  # a new table: ``base`` is shared by its siblings
+        pairs = set()
+        for sub, nbrs in pieces:
+            for emb in detect.iter_induced_copies(parent, sub, b):
                 vmap = emb.vmap
-                pairs.add(
-                    (mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs)))
-                )
-    for s_mask, r_mask in pairs:
-        rest = full & ~s_mask
-        sub = rest
-        while True:
-            bad[r_mask | sub] = 1
-            if not sub:
-                break
-            sub = (sub - 1) & rest
+                pairs.add((mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs))))
+        full = (2 << b) - 1
+        for s_mask, r_mask in pairs:
+            rest = full & ~s_mask
+            sub = rest
+            while True:
+                bad[r_mask | sub] = 1
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
     return bad
 
 
@@ -159,12 +192,12 @@ def _expand_parent(
     cfg: SearchConfig,
     known: dict[bytes, bytes],
     record: bool = False,
-    prior: array | None = None,
+    inherited: Inherited | None = None,
     index: int = 0,
-) -> tuple[list[tuple[bytes, Graph]], list[bytes | None] | None]:
+) -> tuple[list[tuple[bytes, Graph]], Recorded | None]:
     """The admissible one-vertex extensions of ``parent`` (with codes) that
     are new to ``known``, one per orbit of the parent's automorphisms on
-    neighbourhood masks, and the parent's class table.
+    neighbourhood masks, and the parent's class and forbidden-mask tables.
 
     Masks are walked in ascending order.  The first free mask of an orbit
     is kept and its whole orbit marked done: the later members give
@@ -176,15 +209,20 @@ def _expand_parent(
     Each child's search starts from the parent generators that fix its
     mask, extended by ``w -> w``.
 
-    ``prior`` is the earlier-parent table of ``parent``, the parent at
-    ``index`` in its level, and ``b`` its last vertex: a child whose mask
-    minus ``b`` is mapped to an index below ``index`` is dropped before
-    any labelling (see the module docstring).  If ``record``, the class
-    table maps each free mask of a child that was labelled to its child's
-    class code (None elsewhere); otherwise it is None.
+    ``inherited`` holds what ``parent``, the parent at ``index`` in its
+    level, takes from the parent G that produced it: the earlier-parent
+    table ``prior`` and G's forbidden-mask table.  With ``b`` the last
+    vertex, a child whose mask minus ``b`` is mapped by ``prior`` to an
+    index below ``index`` is dropped before any labelling (see the module
+    docstring), and the parent's own forbidden-mask table is built from
+    G's (:func:`_bad_masks`).  If ``record``, the second value is the
+    parent's class table, which maps each free mask of a child that was
+    labelled to its child's class code (None elsewhere), and its
+    forbidden-mask table; otherwise it is None.
     """
     n = parent.n
-    bad = _bad_masks(parent, cfg.forbidden)
+    prior, base = inherited or (None, None)
+    bad = _bad_masks(parent, cfg.forbidden, base)
     gens = canon.automorphism_generators(parent)
     images = [_mask_images(s) for s in gens]
     fixing_w = [s + (n,) for s in gens]  # each extended by w -> w
@@ -225,7 +263,7 @@ def _expand_parent(
         if classes is not None:
             for m in orbit:
                 classes[m] = result
-    return out, classes
+    return out, (classes, bad) if record else None
 
 
 def _mask_images(perm: tuple[int, ...]) -> list[int]:
@@ -239,77 +277,79 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
 
 def _expand_chunk(
     parents: list[Graph],
-    priors: list[array | None],
+    inherited: list[Inherited | None],
     start: int,
     cfg: SearchConfig,
     record: bool,
-) -> list[tuple[list[tuple[bytes, Graph]], list[bytes | None] | None]]:
+) -> list[tuple[list[tuple[bytes, Graph]], Recorded | None]]:
     """:func:`_expand_parent` on each of ``parents`` in order, ``parents[i]``
     being the parent at ``start + i`` in its level, all sharing one
     ``known``."""
     known: dict[bytes, bytes] = {}
     return [
-        _expand_parent(parent, cfg, known, record, prior, start + i)
-        for i, (parent, prior) in enumerate(zip(parents, priors))
+        _expand_parent(parent, cfg, known, record, tables, start + i)
+        for i, (parent, tables) in enumerate(zip(parents, inherited))
     ]
 
 
 def _next_level(
     parents: list[Graph],
-    priors: list[array | None],
+    inherited: list[Inherited | None],
     cfg: SearchConfig,
     pool: ProcessPoolExecutor | None,
     record: bool = False,
-) -> tuple[list[Graph], dict[Graph, tuple[bytes, list[bytes | None]]]]:
+) -> tuple[list[Graph], dict[Graph, tuple[bytes, Recorded]]]:
     """One augmentation level, deduplicated and sorted by canonical code,
-    and, if ``record``, each child's code and the class table of the
-    parent that produced it.
+    and, if ``record``, each child's code and the class and forbidden-mask
+    tables of the parent that produced it.
 
-    ``priors[i]`` is the earlier-parent table of ``parents[i]``.  Without
-    a pool the whole level is one chunk, the lists themselves (a copy would
-    raise the peak memory); a pool maps :func:`_expand_chunk` over about
-    four chunks per worker, and ``seen`` drops the duplicates that fall in
-    different chunks.  Either way the first child of each class in parent
-    order is kept.
+    ``inherited[i]`` is what ``parents[i]`` takes from its producer (see
+    :func:`_expand_parent`).  Without a pool the whole level is one chunk,
+    the lists themselves (a copy would raise the peak memory); a pool maps
+    :func:`_expand_chunk` over about four chunks per worker, and ``seen``
+    drops the duplicates that fall in different chunks.  Either way the
+    first child of each class in parent order is kept.
     """
     size = max(1, len(parents) // (cfg.workers * 4) if pool else len(parents))
     starts = range(0, len(parents), size)
     results = (pool.map if pool else map)(
         _expand_chunk,
         [parents[i : i + size] for i in starts] if pool else [parents],
-        [priors[i : i + size] for i in starts] if pool else [priors],
+        [inherited[i : i + size] for i in starts] if pool else [inherited],
         starts,
         itertools.repeat(cfg),
         itertools.repeat(record),
     )
     seen: dict[bytes, Graph] = {}
-    made: dict[bytes, list[bytes | None]] = {}
+    made: dict[bytes, Recorded] = {}
     for result in results:
-        for children, classes in result:
+        for children, tables in result:
             for code, child in children:
                 if code not in seen:
                     seen[code] = child
                     if record:
-                        made[code] = classes
+                        made[code] = tables
     level = [seen[code] for code in sorted(seen)]
-    return level, {seen[code]: (code, classes) for code, classes in made.items()}
+    return level, {seen[code]: (code, tables) for code, tables in made.items()}
 
 
 def _earlier_parent_tables(
-    parents: list[Graph], made_by: dict[Graph, tuple[bytes, list[bytes | None]]]
-) -> list[array | None]:
-    """Each parent's earlier-parent table: the class table of the parent
-    that produced it, each class replaced by its index in ``parents`` (-1
-    for a class that is not a parent), or None for every parent when
-    ``made_by`` is empty.  Parents of one producer share one table."""
+    parents: list[Graph], made_by: dict[Graph, tuple[bytes, Recorded]]
+) -> list[Inherited | None]:
+    """What each parent inherits from the parent that produced it: that
+    producer's class table, each class replaced by its index in
+    ``parents`` (-1 for a class that is not a parent), and its
+    forbidden-mask table; or None for every parent when ``made_by`` is
+    empty.  Parents of one producer share one pair of tables, so a chunk
+    sent to a worker pickles each pair once."""
     if not made_by:
         return [None] * len(parents)
     index = {made_by[g][0]: i for i, g in enumerate(parents)}
-    tables: dict[int, array] = {}
+    tables: dict[int, Inherited] = {}
     for g in parents:
-        classes = made_by[g][1]
-        if id(classes) not in tables:
-            tables[id(classes)] = array("i", [index.get(c, -1) for c in classes])
+        classes, bad = recorded = made_by[g][1]
+        if id(recorded) not in tables:
+            tables[id(recorded)] = (array("i", [index.get(c, -1) for c in classes]), bad)
     return [tables[id(made_by[g][1])] for g in parents]
 
 
@@ -328,15 +368,15 @@ def _grow(
     that ``keep`` picks being the next level's parents.  The loop stops
     before it would build a level from no parents.  One worker builds the
     levels in this process, without a pool."""
-    priors: list[array | None] = [None] * len(parents)
+    inherited: list[Inherited | None] = [None] * len(parents)
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
         for n in range(start_n + 1, cfg.n_max + 1):
             if not parents:
                 return
-            level, made_by = _next_level(parents, priors, cfg, pool, n < cfg.n_max)
+            level, made_by = _next_level(parents, inherited, cfg, pool, n < cfg.n_max)
             parents = keep(level)
-            priors = _earlier_parent_tables(parents, made_by)
-            del made_by  # the class tables, no longer needed
+            inherited = _earlier_parent_tables(parents, made_by)
+            del made_by  # the producers' tables, no longer needed
             yield n, level, parents
 
 

@@ -415,6 +415,43 @@ def test_catalog_lookup(tmp_path, capsys):
     assert code == 0 and payload["match"] is None
 
 
+@pytest.mark.parametrize("action", ["verify", "lookup"])
+def test_catalog_manifest_with_wrong_field_types_exits_65(tmp_path, capsys, action):
+    """A manifest entry whose fields have the wrong types is a data error:
+    no report, no match."""
+    path = tmp_path / "cat.g6"
+    path.write_text(codec.to_graph6(families.complete_graph(4)) + "\n")
+    path.with_suffix(".json").write_text(
+        json.dumps({"entries": [{"id": 5, "k": "x", "provenance": None, "verified": 7}]})
+    )
+    argv = ["catalog", action, "--k", "3", "--file", str(path)]
+    if action == "lookup":
+        argv += ["--in", write_graph(tmp_path, families.complete_graph(4), "k4.g6")]
+    code = main(argv)
+    assert code == 65 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"id": 5, "k": 3, "provenance": "p"},
+        {"id": "K4", "k": "3", "provenance": "p"},
+        {"id": "K4", "k": True, "provenance": "p"},
+        {"id": "K4", "k": 3, "provenance": None},
+        {"id": "K4", "k": 3, "provenance": "p", "verified": [True]},
+    ],
+)
+def test_catalog_load_checks_each_field_type(tmp_path, entry):
+    path = tmp_path / "cat.g6"
+    path.write_text(codec.to_graph6(families.complete_graph(4)) + "\n")
+    path.with_suffix(".json").write_text(json.dumps({"entries": [entry]}))
+    with pytest.raises(ValueError):
+        coloring.catalog_load(path)
+    good = {"id": "K4", "k": 3, "provenance": "p", "verified": {}}
+    path.with_suffix(".json").write_text(json.dumps({"entries": [good]}))
+    assert [(e.id, e.k) for e in coloring.catalog_load(path)] == [("K4", 3)]
+
+
 def test_catalog_lookup_requires_input(capsys):
     code = main(["catalog", "lookup", "--k", "3"])
     capsys.readouterr()

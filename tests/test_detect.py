@@ -14,7 +14,7 @@ from conftest import (
     graphs,
     stack_depth,
 )
-from p6c4 import detect, families
+from p6c4 import coloring, detect, families
 from p6c4.enumeration import NiceWitness
 from p6c4.graphs import Graph
 from p6c4.reductions import NAE, SatInstance, build_ghi, build_nae
@@ -514,6 +514,62 @@ def test_generic_matcher_matches_networkx_on_larger_graphs():
     assert answers == {True, False}
 
 
+def _reference_iter_induced_copies(g, pattern):
+    """The matcher without forward checking: each position's candidates
+    are worked out only when it is reached."""
+    p = pattern.n
+    if p == 0:
+        yield ()
+        return
+    if p > g.n:
+        return
+    adj, padj = g.adj, pattern.adj
+    fits = [
+        sum(1 << v for v in range(g.n) if adj[v].bit_count() >= prow.bit_count())
+        for prow in padj
+    ]
+    assign = [0] * p
+    cand = [0] * p
+    cand[0] = fits[0]
+    i = 0
+    while i >= 0:
+        c = cand[i]
+        if not c:
+            i -= 1
+            continue
+        low = c & -c
+        cand[i] = c ^ low
+        assign[i] = low.bit_length() - 1
+        if i + 1 == p:
+            yield tuple(assign)
+            continue
+        i += 1
+        allowed = fits[i]
+        for j in range(i):
+            u = assign[j]
+            allowed &= (adj[u] if padj[i] >> j & 1 else ~adj[u]) & ~(1 << u)
+        cand[i] = allowed
+
+
+def test_forward_checking_keeps_every_copy_in_order():
+    """Ablation of forward checking in ``iter_induced_copies``: on random
+    hosts with 8 to 20 vertices, sparse to dense, the copies of every
+    generic pattern and catalog entry come out as the plain loop yields
+    them, in the same order."""
+    rng = random.Random(2026)
+    patterns = GENERIC_PATTERNS + [families.wheel_graph(5), families.path_graph(5)]
+    for k in (3, 4):
+        patterns += [e.graph for e in coloring.catalog_load(coloring.default_catalog_path(k))]
+    total = 0
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(8, 20), rng.choice((0.15, 0.3, 0.5, 0.7)))
+        for pattern in patterns:
+            got = [emb.vmap for emb in detect.iter_induced_copies(g, pattern)]
+            assert got == list(_reference_iter_induced_copies(g, pattern)), (g.adj, pattern.adj)
+            total += len(got)
+    assert total
+
+
 @settings(max_examples=60)
 @given(graphs(max_n=7))
 def test_iter_induced_copies_yields_every_copy_in_order(g):
@@ -534,6 +590,59 @@ def test_iter_induced_copies_yields_every_copy_in_order(g):
         assert copies == sorted(set(brute_induced_copies(g, pattern)))
         first = next(detect.iter_induced_copies(g, pattern), None)
         assert first == detect._match(g, pattern)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=9))
+def test_rooted_copies_are_the_copies_with_that_largest_vertex(g):
+    """With ``top``, ``iter_induced_copies`` yields each copy whose largest
+    vertex is ``top`` exactly once, for connected, disconnected, symmetric
+    and one-vertex patterns, and nothing for the empty pattern."""
+    claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    for pattern in [
+        families.empty_graph(0),
+        families.empty_graph(1),
+        families.empty_graph(3),
+        families.path_graph(5),
+        families.cycle_graph(4),
+        families.complete_graph(3),
+        families.wheel_graph(5),
+        claw,
+        Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)]),  # P1 + P4
+        Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),  # 3K2
+    ]:
+        every = list(detect.iter_induced_copies(g, pattern))
+        for top in range(g.n):
+            rooted = [emb.vmap for emb in detect.iter_induced_copies(g, pattern, top)]
+            assert len(rooted) == len(set(rooted))
+            assert sorted(rooted) == [e.vmap for e in every if e.vmap and max(e.vmap) == top]
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs(max_n=12))
+def test_cycle_answers_after_path_queries_match_the_ring_search(g):
+    """Once a path P_t is known absent, every C_l with l > t is answered
+    without a ring search, and the answers are the ring search's."""
+    for t in (3, 4, 5):
+        detect.find_induced_copy(g, families.path_graph(t))
+        for l in range(3, 10):
+            ring = next(detect._iter_cycles(g, l), None)
+            want = None if ring is None else detect.Embedding(l, ring)
+            assert detect.find_induced_copy(g, families.cycle_graph(l)) == want
+
+
+def test_path_free_gadgets_skip_the_longer_ring_searches(monkeypatch):
+    """The CNF audit's queries on a P7-free gadget: P7, then C8 and C9
+    without a ring search; C6 still needs one."""
+    rings = count_calls(monkeypatch, detect, "_iter_cycles")
+    for g in _gadgets()[:3]:
+        assert detect.find_induced_copy(g, families.path_graph(7)) is None
+        for l in (8, 9):
+            assert detect.find_induced_copy(g, families.cycle_graph(l)) is None
+        assert not rings
+        detect.find_induced_copy(g, families.cycle_graph(6))
+        assert len(rings) == 1
+        rings.clear()
 
 
 @settings(max_examples=60)

@@ -6,11 +6,13 @@ import io
 import itertools
 import json
 import pickle
+import random
 import re
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import all_graphs, count_calls
+from conftest import all_graphs, count_calls, graphs
 from p6c4 import canon, codec, coloring, detect, enumeration, families, structure
 from p6c4.enumeration import (
     NiceWitness,
@@ -22,7 +24,7 @@ from p6c4.enumeration import (
     nice_check,
     p6c4_config,
 )
-from p6c4.graphs import Graph
+from p6c4.graphs import Graph, bits, mask_of
 
 
 P6C4 = (families.path_graph(6), families.cycle_graph(4))
@@ -111,6 +113,93 @@ def test_bad_mask_table_matches_has_pattern_through(name, small_free_family):
             child = parent.add_vertex(mask)
             hit = any(detect.has_pattern_through(child, pat, parent.n) for pat in forbidden)
             assert bad[mask] == hit, (parent.adj, mask)
+
+
+def _reference_bad_masks(parent, forbidden):
+    """The forbidden-mask table built in one pass over every copy of each
+    pattern minus one vertex, with no table one vertex smaller."""
+    full = parent.full_mask()
+    bad = bytearray(1 << parent.n)
+    pairs = set()
+    for pat in forbidden:
+        for sub, nbrs in enumeration._vertex_deleted(pat):
+            for emb in detect.iter_induced_copies(parent, sub):
+                vmap = emb.vmap
+                pairs.add((mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs))))
+    for s_mask, r_mask in pairs:
+        rest = full & ~s_mask
+        sub = rest
+        while True:
+            bad[r_mask | sub] = 1
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return bad
+
+
+def _without_last(g):
+    """``g`` minus its last vertex."""
+    return Graph(g.n - 1, tuple(row & ~(1 << (g.n - 1)) for row in g.adj[:-1]))
+
+
+def _assert_tables_match_the_reference(g, forbidden):
+    """The fold and the doubling of the reference table one vertex smaller
+    both give the reference table of ``g``, and leave that smaller table
+    as it was."""
+    want = _reference_bad_masks(g, forbidden)
+    assert enumeration._bad_masks(g, forbidden) == want, g.adj
+    if g.n:
+        base = _reference_bad_masks(_without_last(g), forbidden)
+        kept = bytes(base)
+        assert enumeration._bad_masks(g, forbidden, base) == want, g.adj
+        assert base == kept
+
+
+@pytest.mark.parametrize("name", sorted(FORBID_SETS))
+def test_bad_mask_tables_match_the_reference_on_the_family(name, small_free_family):
+    for parent in small_free_family:
+        _assert_tables_match_the_reference(parent, FORBID_SETS[name])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(max_n=12))
+def test_bad_mask_tables_match_the_reference(g):
+    for forbidden in FORBID_SETS.values():
+        _assert_tables_match_the_reference(g, forbidden)
+
+
+def test_bad_mask_tables_match_the_reference_on_larger_graphs():
+    rng = random.Random(2020)
+    for n in range(13, 17):
+        p = rng.choice((0.2, 0.35, 0.5))
+        g = Graph.from_edges(
+            n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        )
+        for forbidden in FORBID_SETS.values():
+            _assert_tables_match_the_reference(g, forbidden)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_inherited_mask_tables_match_the_reference(k, monkeypatch):
+    """Every parent of the obstruction search to n <= 8 gets the reference
+    table, and every parent above the seed level builds it from the table
+    its producer handed down, which is the producer's own table."""
+    cfg = p6c4_config(k=k, n_max=8)
+    real = enumeration._bad_masks
+    built = []
+
+    def checked(parent, forbidden, base=None):
+        bad = real(parent, forbidden, base)
+        assert bad == _reference_bad_masks(parent, forbidden), parent.adj
+        if base is not None:
+            assert base == _reference_bad_masks(_without_last(parent), forbidden)
+        built.append((parent.n, base is not None))
+        return bad
+
+    monkeypatch.setattr(enumeration, "_bad_masks", checked)
+    enumerate_critical(cfg)
+    assert all(inherits for n, inherits in built if n >= 2)
+    assert len([n for n, _ in built if n >= 2]) > 100
 
 
 def _reference_expand(parent, forbidden):
@@ -243,8 +332,9 @@ def test_earlier_parent_tables_index_the_parents():
         assert set(made_by) == set(level)
         priors = enumeration._earlier_parent_tables(level, made_by)
         index = {canon.canonical_code(g): i for i, g in enumerate(level)}
-        for g, table in zip(level, priors):
-            producer = Graph(g.n - 1, tuple(row & ~(1 << (g.n - 1)) for row in g.adj[:-1]))
+        for g, (table, bad) in zip(level, priors):
+            producer = _without_last(g)
+            assert bad == _reference_bad_masks(producer, P6C4)
             assert len(table) == 1 << producer.n and table[0] == -1
             for mask, j in enumerate(table):
                 if j >= 0:
