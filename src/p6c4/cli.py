@@ -86,14 +86,7 @@ def cmd_color(args) -> int:
         if col is None:
             _emit({"result": "not-colorable", "k": args.k}, args.out)
             return EXIT_OBSTRUCTED
-        _emit(
-            {
-                "result": "colored",
-                "k": args.k,
-                "coloring": {str(v): c for v, c in col.as_dict().items()},
-            },
-            args.out,
-        )
+        _emit(coloring.Certificate("colored", args.k, coloring=col).to_json(), args.out)
         return EXIT_OK
 
     cert = coloring.certify_color(g, args.k, strict=False)
@@ -172,10 +165,12 @@ def _forbidden(spec: str) -> tuple[tuple[Graph, ...], list[str]]:
 
 def cmd_enumerate(args) -> int:
     forbidden, names = _forbidden(args.forbid)
-    workers = args.workers if args.workers else (os.cpu_count() or 1)
+    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     k = args.k if args.k is not None else 3
     if args.mode in ("critical", "nice") and args.k is None:
         raise ValueError(f"--k is required for mode {args.mode}")
+    if args.mode != "critical" and args.resume:
+        raise ValueError(f"--resume applies to mode critical only, not {args.mode}")
     cfg = enumeration.SearchConfig(k=k, n_max=args.max_n, forbidden=forbidden, workers=workers)
     manifest: dict = {
         "mode": args.mode,

@@ -7,32 +7,32 @@ design; inputs here are desk-scale.
 An :class:`Embedding` maps pattern vertices to host vertices and must
 preserve both edges and non-edges (induced copies throughout).
 
-There is one search per shape, each an explicit loop over per-position
+There are four searches, each an explicit loop over per-position
 candidate masks (no recursion, so long patterns are fine):
-:func:`find_induced_path` for induced paths, :func:`_iter_cycles` for
-induced cycles (it lists every ring once; :func:`find_induced_cycle` takes
-the first), and :func:`iter_induced_copies` for any other pattern.
-:func:`find_induced_path` runs in two stages: the decision search
-:func:`_has_induced_path` grows each induced path once, as two arms from
-its minimum vertex, so a P_t-free host (the usual case for freeness
-checks) is settled without naming a witness; only when a path exists does
-the lexicographic witness loop run to name the first one, starting at the
-least minimum vertex of a path that the decision search found.
+:func:`_has_induced_path` decides whether an induced path exists,
+:func:`_iter_cycles` lists every induced cycle once (as a ring),
+:func:`_first_cliques` grows cliques, and :func:`iter_induced_copies` matches
+any pattern.  Everything else is derived from these.  The decision search
+grows each induced path once, as two arms from its minimum vertex, so a
+P_t-free host (the usual case for freeness checks) is settled without
+naming a witness; only when a path exists does :func:`find_induced_path`
+ask the matcher for the first one.  :func:`find_induced_cycle` takes the
+first ring, and :func:`has_clique` and :func:`max_clique` share the clique
+loop, which goes on from each K_k to look for a K_{k+1}.
 
-Neither loop grows a dead or repeated path: :func:`_iter_cycles` drops a
-partial ring once no vertex can close it, and :func:`_has_induced_path`
-grows a path with equal arms from one arm only.  :func:`iter_induced_copies`
+No loop grows a dead or repeated path: :func:`_iter_cycles` drops a
+partial ring once no vertex can close it, :func:`_has_induced_path` grows a
+path with equal arms from one arm only, and :func:`iter_induced_copies`
 drops a placement that leaves a later pattern vertex no host vertex.  No
 prune changes an answer (see each docstring).
 
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
 labelled in path or ring order to :func:`find_induced_path` or
-:func:`find_induced_cycle`, a wheel labelled rim first in ring order to
-:func:`_find_wheel` (the first ring with a common neighbour), a complete
-graph to :func:`has_clique`, and anything else to the generic matcher
-:func:`_match`.  All five return the same first embedding, so the dispatch
-changes no answer.  Answers are memoized on the host graph (see
+:func:`find_induced_cycle`, a complete graph to :func:`has_clique`, and
+anything else, wheels included, to the generic matcher :func:`_match`.
+All four return the same first embedding, so the dispatch changes no
+answer.  Answers are memoized on the host graph (see
 :class:`p6c4.graphs.Graph`), so repeating a search on one graph is free.
 
 :func:`has_pattern_through` (a copy using a given vertex) is the test
@@ -135,51 +135,23 @@ def _has_induced_path(adj: tuple[int, ...], n: int, t: int) -> int:
 def find_induced_path(g: Graph, t: int) -> Embedding | None:
     """First induced path on ``t`` vertices, as a P_t embedding in path order.
 
-    Two stages.  For ``t >= 3``, :func:`_has_induced_path` first decides
-    whether any induced P_t exists, growing each path once from its minimum
-    vertex; on a P_t-free graph that is the whole search.  Only if one
-    exists does the witness search below name the first: from each start s
-    in turn, the path grows at its right end, lowest candidate first.
-    ``block[i]`` holds the vertices no later position may use once
-    ``path[i]`` is placed: the path so far and the neighbours of
-    ``path[0..i-1]``.  The decision search also gives the least minimum
-    ``s0`` of an induced P_t, so no P_t uses a vertex below ``s0``: the
-    witness search starts at ``s0`` with those vertices blocked, which
-    changes no answer.
+    For ``t >= 3``, :func:`_has_induced_path` first decides whether any
+    induced P_t exists, growing each path once from its minimum vertex; on
+    a P_t-free graph that is the whole search.  Only if one exists does the
+    generic matcher name the first, with P_t labelled in path order.
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    if t > g.n:
+    if t > g.n or t >= 3 and _has_induced_path(g.adj, g.n, t) < 0:
         return None
-    if t == 1:
-        return Embedding(1, (0,))
-    adj = g.adj
-    s0 = _has_induced_path(adj, g.n, t) if t >= 3 else 0
-    if s0 < 0:
-        return None
-    below = (1 << s0) - 1
-    path = [0] * t
-    block = [0] * t
-    cand = [0] * t  # untried vertices for each placed position
-    for s in range(s0, g.n):
-        path[0] = s
-        block[0] = below | 1 << s
-        cand[1] = adj[s] & ~below
-        i = 1
-        while i:
-            c = cand[i]
-            if not c:
-                i -= 1
-                continue
-            low = c & -c
-            cand[i] = c ^ low
-            v = path[i] = low.bit_length() - 1
-            if i == t - 1:
-                return Embedding(t, tuple(path))
-            block[i] = block[i - 1] | low | adj[path[i - 1]]
-            i += 1
-            cand[i] = adj[v] & ~block[i - 1]
-    return None
+    return _match(g, _path(t))
+
+
+@lru_cache(maxsize=64)
+def _path(t: int) -> Graph:
+    """P_t labelled in path order."""
+    rows = tuple((1 << i >> 1) | (1 << i + 1 if i < t - 1 else 0) for i in range(t))
+    return Graph(t, rows, True)
 
 
 # -- induced cycles --------------------------------------------------------
@@ -245,62 +217,24 @@ def find_all_induced_cycles(g: Graph, l: int) -> list[Embedding]:
     return [Embedding(l, ring) for ring in _iter_cycles(g, l)]
 
 
-def _find_wheel(g: Graph, l: int) -> Embedding | None:
-    """First induced W_l (rim 0..l-1 in ring order, hub l): the first ring
-    :func:`_iter_cycles` yields that has a common neighbour, with the lowest
-    such hub."""
-    adj = g.adj
-    for ring in _iter_cycles(g, l):
-        hubs = g.full_mask()
-        for v in ring:
-            hubs &= adj[v]
-        if hubs:
-            return Embedding(l + 1, ring + ((hubs & -hubs).bit_length() - 1,))
-    return None
-
-
 # -- cliques ---------------------------------------------------------------
 
 
-def max_clique(g: Graph) -> frozenset[int]:
-    """An exact maximum clique: the :func:`has_clique` loop, backtracking
-    once a position cannot beat the best clique found so far."""
-    adj = g.adj
-    best: list[int] = []
-    clique: list[int] = []
-    cand = [g.full_mask()]
-    while cand:
-        i = len(clique)
-        c = cand[i]
-        if i + c.bit_count() <= len(best):
-            cand.pop()
-            del clique[-1:]
-            continue
-        if not c:
-            best = clique[:]
-            continue
-        low = c & -c
-        cand[i] = c ^ low
-        clique.append(low.bit_length() - 1)
-        cand.append(cand[i] & adj[clique[-1]])
-    return frozenset(best)
-
-
-def has_clique(g: Graph, k: int) -> Embedding | None:
-    """The first K_k in ascending vertex order, or None (early-exit search).
+def _first_cliques(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
+    """The first K_k in ascending vertex order, then the first K_{k+1},
+    and so on up to the first maximum clique.
 
     The clique grows in ascending order, lowest candidate first;
     ``cand[i]`` holds the untried vertices above ``clique[i - 1]`` adjacent
     to all of ``clique[:i]``, and a position backtracks once too few remain
-    to finish.
+    to reach k.  Each K_k found raises k by one and the search goes on from
+    it: the search meets cliques in ascending order, and every K_{k+1}
+    starts with a K_k no earlier than this one, so the next clique yielded
+    is the first K_{k+1}.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > g.n:
-        return None
     adj = g.adj
-    clique = [0] * k
-    cand = [0] * k  # untried vertices for each placed position
+    clique = [0] * g.n
+    cand = [0] * (g.n + 1)  # untried vertices for each placed position
     cand[0] = g.full_mask()
     i = 0
     while i >= 0:
@@ -312,10 +246,26 @@ def has_clique(g: Graph, k: int) -> Embedding | None:
         cand[i] = c ^ low
         v = clique[i] = low.bit_length() - 1
         if i == k - 1:
-            return Embedding(k, tuple(clique))
+            yield tuple(clique[:k])
+            k += 1
         i += 1
         cand[i] = (c ^ low) & adj[v]
-    return None
+
+
+def has_clique(g: Graph, k: int) -> Embedding | None:
+    """The first K_k in ascending vertex order, or None (early-exit search)."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    clique = next(_first_cliques(g, k), None)
+    return None if clique is None else Embedding(k, clique)
+
+
+def max_clique(g: Graph) -> frozenset[int]:
+    """An exact maximum clique: the first in ascending vertex order."""
+    clique: tuple[int, ...] = ()
+    for clique in _first_cliques(g, 1):
+        pass
+    return frozenset(clique)
 
 
 # -- general patterns ------------------------------------------------------
@@ -326,19 +276,14 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
 
     Dispatches on the pattern's shape: a path labelled 0-1-...-(t-1) goes to
     :func:`find_induced_path`, a cycle labelled around its ring to
-    :func:`find_induced_cycle`, a wheel W_l (l >= 4) whose rim is labelled
-    0-1-...-(l-1)-0 and whose hub is l to :func:`_find_wheel`, a complete
-    graph on four or more vertices to :func:`has_clique`, and any other
-    pattern, other labellings of a wheel included, to :func:`_match`.
+    :func:`find_induced_cycle`, a complete graph on four or more vertices
+    to :func:`has_clique`, and any other pattern to :func:`_match`.
 
-    The answer is the generic matcher's in every case (the matcher places
-    a wheel's rim first, so it finds the least ring with a common
-    neighbour, and :func:`_iter_cycles` yields rings in ascending order).
-    It is memoized in ``g._found``, keyed by the pattern's labelled
-    adjacency.  A cycle C_l is not searched for when the memo already says
-    that ``g`` has no P_t labelled in path order for some t < l: deleting
-    one vertex of a C_l leaves an induced P_{l-1}, and every shorter path
-    lies inside that.
+    The answer is the generic matcher's in every case.  It is memoized in
+    ``g._found``, keyed by the pattern's labelled adjacency.  A cycle C_l
+    is not searched for when the memo already says that ``g`` has no P_t
+    labelled in path order for some t < l: deleting one vertex of a C_l
+    leaves an induced P_{l-1}, and every shorter path lies inside that.
     """
     key = (pattern.n, pattern.adj)
     memo = g._found
@@ -347,29 +292,18 @@ def find_induced_copy(g: Graph, pattern: Graph) -> Embedding | None:
     elif key in memo:
         return memo[key]
     kind, size, in_order = _pattern_shape(pattern)
-    if kind == "cycle" and any(memo.get(path, ()) is None for path in _shorter_paths(size)):
+    if kind == "cycle" and any(memo.get((t, _path(t).adj), ()) is None for t in range(1, size)):
         emb = None  # a C_l contains an induced P_t for every t < l
     elif in_order and kind == "path":
         emb = find_induced_path(g, size)
     elif in_order and kind == "cycle":
         emb = find_induced_cycle(g, size)
-    elif in_order and kind == "wheel":
-        emb = _find_wheel(g, size)
     elif kind == "complete":
         emb = has_clique(g, size)
     else:
         emb = _match(g, pattern)
     memo[key] = emb
     return emb
-
-
-@lru_cache(maxsize=64)
-def _shorter_paths(l: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The memo keys of P_1, ..., P_{l-1}, each labelled in path order."""
-    return tuple(
-        (t, tuple((1 << i >> 1) | (1 << i + 1 if i < t - 1 else 0) for i in range(t)))
-        for t in range(1, l)
-    )
 
 
 def _match(g: Graph, pattern: Graph) -> Embedding | None:
@@ -495,16 +429,14 @@ def is_free(
 
 @lru_cache(maxsize=64)
 def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
-    """Classify a pattern as ('path', t), ('cycle', l), ('wheel', l),
-    ('complete', n) or ('generic', n).
+    """Classify a pattern as ('path', t), ('cycle', l), ('complete', n) or
+    ('generic', n).
 
     The third field says whether a path is labelled 0-1-...-(t-1) and a
     cycle 0-1-...-(l-1)-0; only then do the specialized finders' embeddings
-    map pattern vertex ``i`` the way the generic matcher's do.  A wheel,
-    l >= 4, is a rim labelled 0-1-...-(l-1)-0 and a hub l that sees the
-    whole rim; any other labelling of it is generic.  Every labelling of a
-    complete graph is in order; K1, K2 and K3 are the path or cycle they
-    equal, and K4 is W3.
+    map pattern vertex ``i`` the way the generic matcher's do.  Every
+    labelling of a complete graph is in order; K1, K2 and K3 are the path
+    or cycle they equal.
     """
     n = pat.n
     degs = sorted(pat.degree(v) for v in range(n))
@@ -514,11 +446,6 @@ def _pattern_shape(pat: Graph) -> tuple[str, int, bool]:
     if n >= 3 and pat.is_connected() and degs == [2] * n:
         in_order = all(pat.adj[i] >> ((i + 1) % n) & 1 for i in range(n))
         return "cycle", n, in_order
-    l = n - 1
-    if l >= 4 and degs == [3] * l + [l] and pat.adj[l] == (1 << l) - 1 and all(
-        pat.adj[i] >> ((i + 1) % l) & 1 for i in range(l)
-    ):
-        return "wheel", l, True
     if n >= 4 and degs == [n - 1] * n:
         return "complete", n, True
     return "generic", n, False

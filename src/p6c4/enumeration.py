@@ -355,7 +355,8 @@ def _earlier_parent_tables(
 
 def _seeds(cfg: SearchConfig) -> list[Graph]:
     empty = Graph(0, ())
-    if _bad_masks(empty, cfg.forbidden)[0]:
+    # Every graph contains K0, which has no vertex to delete for the table.
+    if any(pat.n == 0 for pat in cfg.forbidden) or _bad_masks(empty, cfg.forbidden)[0]:
         return []
     return [empty.add_vertex(0)]
 
@@ -536,8 +537,12 @@ def _load_checkpoint(path, cfg):
     obstructions = [codec.from_graph6(line) for line in payload["obstructions"]]
     if any(g.n != level for g in extendable) or any(g.n > level for g in obstructions):
         raise ValueError(f"checkpoint field 'level' is {level}, which its graphs do not match")
+    levels = {str(n): n for n in range(1, level + 1)}
+    sizes = payload["level_sizes"]
+    if sizes.keys() != levels.keys() or any(type(v) is not int or v < 0 for v in sizes.values()):
+        raise ValueError(f"checkpoint field 'level_sizes' needs a count per level 1 to {level}")
+    level_sizes = {levels[key]: v for key, v in sizes.items()}
     found = [(canon.canonical_code(g), g) for g in obstructions]
-    level_sizes = {int(k): v for k, v in payload["level_sizes"].items()}
     return extendable, found, level, level_sizes
 
 

@@ -243,22 +243,68 @@ def test_enumerate_critical_requires_k(capsys):
     assert code == 65
 
 
+def test_enumerate_rejects_zero_workers(capsys):
+    """``--workers 0`` is refused like any other count below 1, not taken
+    as one worker per CPU."""
+    for workers in ("0", "-1"):
+        code = main(["enumerate", "--mode", "family", "--max-n", "3", "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 65 and captured.out == ""
+        assert "workers" in captured.err
+
+
+def test_enumerate_refuses_resume_outside_critical_mode(tmp_path, capsys):
+    ck = tmp_path / "ck.json"
+    for mode in ("family", "nice"):
+        argv = ["enumerate", "--mode", mode, "--k", "3", "--max-n", "4", "--resume", str(ck)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 65 and captured.out == ""
+        assert "--resume" in captured.err
+    assert not ck.exists()
+
+
+def test_enumerate_with_the_empty_graph_forbidden_finds_nothing(capsys):
+    """Every graph contains K0, so forbidding it leaves no graph at all."""
+    for mode in ("family", "critical"):
+        code, payload = run_cli(
+            capsys, "enumerate", "--mode", mode, "--k", "3", "--max-n", "3",
+            "--forbid", "g6:?",
+        )
+        assert code == 0
+        assert payload["graphs"] == [] and payload["manifest"]["count"] == 0
+    assert payload["manifest"]["level_sizes"] == {"1": 0}
+
+
 def test_enumerate_rejects_a_malformed_checkpoint(tmp_path, capsys):
+    """A missing or mistyped field is refused.  Level sizes go into the
+    manifest as they stand, so a resumed run takes only one count, a
+    non-negative int, for each level from 1 to the checkpoint's level."""
     ck = tmp_path / "ck.json"
     argv = ["enumerate", "--mode", "critical", "--k", "3", "--max-n", "4", "--resume", str(ck)]
     assert main([*argv, "--workers", "1"]) == 0
-    no_extendable = json.loads(ck.read_text())
+    written = json.loads(ck.read_text())
+    no_extendable = {**written}
     del no_extendable["extendable"]
     bad_line = {**no_extendable, "extendable": [1]}
+    sizes = written["level_sizes"]
+    assert sizes == {"1": 1, "2": 1, "3": 2, "4": 5}
+    bad_sizes = [
+        {"1": "abc", "2": [1]},
+        *({**sizes, key: bad} for key, bad in (("1", True), ("1", -1), ("1", 1.0), ("2", [1]))),
+        *({**sizes, key: 1} for key in ("5", "0", "01", "x")),
+        {},
+        {key: v for key, v in sizes.items() if key != "2"},
+    ]
     capsys.readouterr()
-    for payload, field in (
+    for payload, field in [
         ({}, "config"),
         ([], "object"),
         (no_extendable, "extendable"),
         (bad_line, "extendable"),
-    ):
+    ] + [({**written, "level_sizes": bad}, "'level_sizes'") for bad in bad_sizes]:
         ck.write_text(json.dumps(payload))
-        assert main(argv) == 65
+        assert main(argv) == 65, payload
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1 and field in captured.err
