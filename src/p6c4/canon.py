@@ -38,6 +38,25 @@ against ``2c`` for the rest of its cell) splits its cell into ``[v]``
 followed by the rest, after which only the cells next to ``v`` can split.
 So the search tree, codes, orders and generators are the plain rule's.
 
+The first round after individualizing ``v`` needs no keys.  The partition
+was equitable before ``v`` left its cell, whose start is ``o``: the
+vertices of any one cell had equal tuples.  Within a cell, a neighbour
+of ``v`` now has one ``o`` (for ``[v]``) where a non-neighbour has
+``o + 1`` (for the rest of the old cell), all else equal, and no id lies
+between the two, so the neighbours' tuple is the smaller one.  Each cell
+next to ``v`` thus splits into its neighbours of ``v`` followed by the
+rest, or not at all, and the general rounds continue from the pieces
+moved.  The scan for the cell to branch on starts just after ``[v]``:
+the cells before it are singletons already, and refinement only splits
+cells.
+
+Orbit pruning at a node uses the orbits of the generators that fix its
+individualized path.  Each open node keeps its own orbit labels and
+folds in only the generators found since it last looked, joining the
+orbits of ``u`` and ``s[u]`` for every vertex ``u`` of each such ``s``.
+The orbits are those a fresh pass over all the generators gives, so the
+pruning is the same.
+
 The search is one explicit loop over a stack of open nodes, so its depth
 is not bounded by Python's recursion limit.
 
@@ -76,60 +95,12 @@ from typing import Sequence
 from .graphs import Graph, bits
 
 
-def _split(
-    cls: list[int],
-    cells: list[list[int]],
-    o: int,
-    pieces: list[list[int]],
-    moved: list[int],
-) -> None:
-    """Put ``pieces`` in place of the cell at ``o``, in order, and append to
-    ``moved`` the vertices of every piece but the largest (the first
-    largest on ties)."""
-    big = max(pieces, key=len)
-    for i, piece in enumerate(pieces):
-        cells[o] = piece
-        if i:
-            for v in piece:
-                cls[v] = o
-        if piece is not big:
-            moved.extend(piece)
-        o += len(piece)
-
-
-def _refine(
-    nbrs: list[list[int]], cls: list[int], cells: list[list[int]], moved: list[int]
-) -> None:
-    """Refine the partition in place until it is stable.
-
-    ``moved`` holds the vertices of the pieces split off last (all but one
-    piece per split cell).  Each round re-splits only the cells next to
-    them that have more than one vertex, computing every key from the
-    partition as the round found it,
-    and then collects the new pieces for the next round.
-    """
-    while moved:
-        todo = {o for v in moved for u in nbrs[v] if len(cells[o := cls[u]]) > 1}
-        splits = []
-        for o in todo:
-            cell = cells[o]
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                key = tuple(sorted([cls[u] for u in nbrs[v]]))
-                groups.setdefault(key, []).append(v)
-            if len(groups) > 1:
-                splits.append((o, [groups[k] for k in sorted(groups)]))
-        moved = []
-        for o, pieces in splits:
-            _split(cls, cells, o, pieces, moved)
-
-
 def _code_under(n: int, adj: tuple[int, ...], order: list[int]) -> bytes:
     acc = 0
-    for i in range(n):
+    for i in range(n - 1):
         row = adj[order[i]]
-        for j in range(i + 1, n):
-            acc = (acc << 1) | (row >> order[j] & 1)
+        for w in order[i + 1 :]:
+            acc = (acc << 1) | (row >> w & 1)
     nbytes = (n * (n - 1) // 2 + 7) // 8
     return n.to_bytes(4, "big") + acc.to_bytes(nbytes, "big")
 
@@ -172,27 +143,62 @@ def _search(
     ``stack`` holds a frame per open node on the current path: its
     partition (``cls``, ``cells``), the start ``o`` of the cell it branches
     on, the index of the next vertex of that cell to try, the vertices
-    already branched on, the generator count its ``orbit`` labels were
-    computed from, and the individualized ``path`` leading to it.  Each
-    pass of the outer loop refines one node, handles it as a leaf or pushes
-    its frame, and then moves to the next child of the deepest open node.
+    already branched on, the number of generators folded into its orbit
+    labels ``orbit`` (None until the first fold), and the mask ``path`` of
+    the vertices individualized on the way to it.  ``fixed[j]`` masks the
+    fixed points of ``gens[j]`` (filled when a fold first needs it), so a
+    generator fixes a path when its mask covers the path's.
+
+    Each pass of the outer loop refines one node, handles it as a leaf or
+    pushes its frame, and then moves to the next child of the deepest open
+    node.  ``splits`` holds the splits of the round about to be applied,
+    each a cell start and the pieces that take the cell's place: the
+    degree classes at the root, and the first round's splits after an
+    individualization.
     """
     best_code: bytes | None = None
     best_order: list[int] | None = None
     gens: list[tuple[int, ...]] = list(auts)
+    fixed: list[int] = []  # fixed-point masks of the first generators
     met: list[bytes] = []  # leaf codes, mapped in ``known`` on completion
 
+    # The root's first round ranks by degree.
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(adj[v].bit_count(), []).append(v)
-    cls, cells, moved = [0] * n, [[]] * n, []  # _split fills every cell start
-    if n:
-        _split(cls, cells, 0, [by_degree[d] for d in sorted(by_degree)], moved)
-    path: tuple[int, ...] = ()
+    cls, cells = [0] * n, [[]] * n  # the splits set every cell start
+    splits = [(0, [by_degree[d] for d in sorted(by_degree)])] if n else []
+    path = 0  # the individualized vertices, as a mask
     stack: list[list] = []
+    o = 0  # where the scan for a cell to branch on starts
     while True:
-        _refine(nbrs, cls, cells, moved)
-        o = 0
+        while splits:  # apply a round, then find the next one's splits
+            moved = []
+            for c, pieces in splits:
+                big = max(pieces, key=len)  # the first largest on ties
+                for j, piece in enumerate(pieces):
+                    cells[c] = piece
+                    if j:
+                        for v in piece:
+                            cls[v] = c
+                    if piece is not big:
+                        moved += piece
+                    c += len(piece)
+            splits = []
+            key_of = cls.__getitem__
+            for c in {key_of(u) for v in moved for u in nbrs[v]}:
+                members = cells[c]
+                if len(members) == 1:
+                    continue
+                groups: dict[tuple[int, ...], list[int]] = {}
+                for v in members:
+                    key = tuple(sorted(map(key_of, nbrs[v])))
+                    if key in groups:
+                        groups[key].append(v)
+                    else:
+                        groups[key] = [v]
+                if len(groups) > 1:
+                    splits.append((c, [groups[key] for key in sorted(groups)]))
         while o < n and len(cells[o]) == 1:
             o += 1
         if o < n:  # branch on the first cell with more than one vertex
@@ -223,10 +229,21 @@ def _search(
                 if branched and gens:
                     # Skip u if an automorphism fixing the individualized
                     # path maps an already-branched vertex to it.
-                    if len(gens) != ngens:
+                    if ngens < len(gens):
+                        if orbit is None:
+                            orbit = list(range(n))
+                        for s in gens[len(fixed) :]:
+                            fixed.append(sum(1 << a for a in range(n) if s[a] == a))
+                        for j in range(ngens, len(gens)):
+                            if fixed[j] & path == path:
+                                s = gens[j]
+                                for a in range(n):
+                                    x, y = orbit[a], orbit[s[a]]
+                                    if x != y:
+                                        orbit = [y if z == x else z for z in orbit]
                         ngens = len(gens)
-                        orbit = orbits(n, [s for s in gens if all(s[w] == w for w in path)])
-                    if any(orbit[u] == orbit[w] for w in branched):
+                    x = orbit[u]
+                    if any(orbit[w] == x for w in branched):
                         continue
                 v = u
                 break
@@ -241,7 +258,17 @@ def _search(
             cells[o], cells[o + 1] = [v], rest
             for u in rest:
                 cls[u] = o + 1
-            moved, path = [v], path + (v,)
+            path |= 1 << v
+            # The first round: each cell next to v splits into its
+            # neighbours of v followed by the rest, or not at all.
+            row = adj[v]
+            for c in {cls[u] for u in nbrs[v]}:
+                members = cells[c]
+                if len(members) > 1:
+                    inside = [u for u in members if row >> u & 1]
+                    if len(inside) < len(members):
+                        splits.append((c, [inside, [u for u in members if not row >> u & 1]]))
+            o += 1
             break
         else:
             break  # no open node left: the search is complete

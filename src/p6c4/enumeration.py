@@ -74,10 +74,16 @@ extend.
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
 (recorded, never extended) or properly contains one (hence no extension
-can be minimal).  Each graph of a level costs one coloring search; a
-non-colorable one with a vertex of degree below k is not minimal (that
-vertex extends any k-coloring of the rest), so the deletion checks run
-only on graphs of minimum degree at least k.
+can be minimal).  Every graph it extends comes with a k-coloring, and
+each child inherits one when its mask misses a color class: the new
+vertex takes the smallest such color.  A child with an inherited
+coloring is kept with no coloring search; only the others (the seeds,
+the children of parents resumed from a checkpoint, and masks that meet
+all k classes) cost one.  Colorings travel with their level, to the
+workers and back, and are dropped with it; the family search carries
+none.  A non-colorable graph with a vertex of degree below k is not
+minimal (that vertex extends any k-coloring of the rest), so the
+deletion checks run only on graphs of minimum degree at least k.
 """
 
 from __future__ import annotations
@@ -194,10 +200,12 @@ def _expand_parent(
     record: bool = False,
     inherited: Inherited | None = None,
     index: int = 0,
-) -> tuple[list[tuple[bytes, Graph]], Recorded | None]:
-    """The admissible one-vertex extensions of ``parent`` (with codes) that
-    are new to ``known``, one per orbit of the parent's automorphisms on
-    neighbourhood masks, and the parent's class and forbidden-mask tables.
+    colors: bytes | None = None,
+) -> tuple[list[tuple[bytes, Graph, bytes | None]], Recorded | None]:
+    """The admissible one-vertex extensions of ``parent`` (with codes and
+    colorings) that are new to ``known``, one per orbit of the parent's
+    automorphisms on neighbourhood masks, and the parent's class and
+    forbidden-mask tables.
 
     Masks are walked in ascending order.  The first free mask of an orbit
     is kept and its whole orbit marked done: the later members give
@@ -219,6 +227,11 @@ def _expand_parent(
     parent's class table, which maps each free mask of a child that was
     labelled to its child's class code (None elsewhere), and its
     forbidden-mask table; otherwise it is None.
+
+    ``colors`` is a k-coloring of ``parent`` (``colors[v]`` the color of
+    ``v``, in 1..k) or None.  Each child whose mask misses a color class
+    gets it extended by the smallest such color for the new vertex; the
+    other children, and every child of a parent without one, get None.
     """
     n = parent.n
     prior, base = inherited or (None, None)
@@ -231,6 +244,13 @@ def _expand_parent(
     low = (wbit >> 1) - 1  # every vertex but b
     done = bytearray(1 << n)
     classes = [None] * (1 << n) if record else None
+    # Each color class as a vertex mask, with the coloring a child gets when
+    # its new vertex takes that color (one object for all such children).
+    palette = []
+    if colors is not None:
+        for color in range(1, cfg.k + 1):
+            members = mask_of(v for v, c in enumerate(colors) if c == color)
+            palette.append((members, colors + bytes((color,))))
     out = []
     for mask in range(1, 1 << n):
         if bad[mask] or done[mask]:
@@ -258,7 +278,8 @@ def _expand_parent(
         if type(result) is tuple:
             child = Graph(n + 1, adj, _checked=True)
             child._canon = result
-            out.append((result[0], child))
+            extended = next((ext for members, ext in palette if not mask & members), None)
+            out.append((result[0], child, extended))
             result = result[0]
         if classes is not None:
             for m in orbit:
@@ -281,14 +302,17 @@ def _expand_chunk(
     start: int,
     cfg: SearchConfig,
     record: bool,
-) -> list[tuple[list[tuple[bytes, Graph]], Recorded | None]]:
+    colorings: list[bytes | None] | None = None,
+) -> list[tuple[list[tuple[bytes, Graph, bytes | None]], Recorded | None]]:
     """:func:`_expand_parent` on each of ``parents`` in order, ``parents[i]``
-    being the parent at ``start + i`` in its level, all sharing one
-    ``known``."""
+    being the parent at ``start + i`` in its level with the coloring
+    ``colorings[i]`` (none without the list), all sharing one ``known``."""
     known: dict[bytes, bytes] = {}
     return [
-        _expand_parent(parent, cfg, known, record, tables, start + i)
-        for i, (parent, tables) in enumerate(zip(parents, inherited))
+        _expand_parent(parent, cfg, known, record, tables, start + i, col)
+        for i, (parent, tables, col) in enumerate(
+            zip(parents, inherited, colorings or itertools.repeat(None))
+        )
     ]
 
 
@@ -298,39 +322,50 @@ def _next_level(
     cfg: SearchConfig,
     pool: ProcessPoolExecutor | None,
     record: bool = False,
-) -> tuple[list[Graph], dict[Graph, tuple[bytes, Recorded]]]:
+    colorings: list[bytes | None] | None = None,
+) -> tuple[list[Graph], list[bytes | None], dict[Graph, tuple[bytes, Recorded]]]:
     """One augmentation level, deduplicated and sorted by canonical code,
-    and, if ``record``, each child's code and the class and forbidden-mask
-    tables of the parent that produced it.
+    the coloring each of its graphs inherited (or None), and, if
+    ``record``, each child's code and the class and forbidden-mask tables
+    of the parent that produced it.
 
-    ``inherited[i]`` is what ``parents[i]`` takes from its producer (see
-    :func:`_expand_parent`).  Without a pool the whole level is one chunk,
-    the lists themselves (a copy would raise the peak memory); a pool maps
-    :func:`_expand_chunk` over about four chunks per worker, and ``seen``
-    drops the duplicates that fall in different chunks.  Either way the
-    first child of each class in parent order is kept.
+    ``inherited[i]`` is what ``parents[i]`` takes from its producer, and
+    ``colorings[i]`` is a k-coloring of it or None (see
+    :func:`_expand_parent`); without ``colorings`` no child inherits one.
+    Without a pool the whole level is one chunk, the lists themselves (a
+    copy would raise the peak memory); a pool maps :func:`_expand_chunk`
+    over about four chunks per worker, each with its parents' colorings,
+    and ``seen`` drops the duplicates that fall in different chunks.
+    Either way the first child of each class in parent order is kept,
+    with the coloring it came back with.
     """
     size = max(1, len(parents) // (cfg.workers * 4) if pool else len(parents))
     starts = range(0, len(parents), size)
+    chunks = (lambda xs: [xs[i : i + size] for i in starts]) if pool else (lambda xs: [xs])
     results = (pool.map if pool else map)(
         _expand_chunk,
-        [parents[i : i + size] for i in starts] if pool else [parents],
-        [inherited[i : i + size] for i in starts] if pool else [inherited],
+        chunks(parents),
+        chunks(inherited),
         starts,
         itertools.repeat(cfg),
         itertools.repeat(record),
+        chunks(colorings) if colorings else itertools.repeat(None),
     )
-    seen: dict[bytes, Graph] = {}
+    # A class code -> its first (code, child, coloring), the very tuple the
+    # expansion returned, so no new tuple is made per child.
+    seen: dict[bytes, tuple[bytes, Graph, bytes | None]] = {}
     made: dict[bytes, Recorded] = {}
     for result in results:
         for children, tables in result:
-            for code, child in children:
-                if code not in seen:
-                    seen[code] = child
+            for kid in children:
+                if kid[0] not in seen:
+                    seen[kid[0]] = kid
                     if record:
-                        made[code] = tables
-    level = [seen[code] for code in sorted(seen)]
-    return level, {seen[code]: (code, tables) for code, tables in made.items()}
+                        made[kid[0]] = tables
+    kids = [seen[code] for code in sorted(seen)]
+    del seen
+    made_by = {child: (code, made[code]) for code, child, _ in kids if code in made}
+    return [kid[1] for kid in kids], [kid[2] for kid in kids], made_by
 
 
 def _earlier_parent_tables(
@@ -362,20 +397,25 @@ def _seeds(cfg: SearchConfig) -> list[Graph]:
 
 
 def _grow(
-    cfg: SearchConfig, parents: list[Graph], start_n: int, keep
+    cfg: SearchConfig, parents: list[Graph], colorings, start_n: int, keep
 ) -> Iterator[tuple[int, list[Graph], list[Graph]]]:
-    """The level loop: from ``parents`` on ``start_n`` vertices, build each
-    level up to ``n_max`` and yield ``(n, level, keep(level))``, the graphs
-    that ``keep`` picks being the next level's parents.  The loop stops
-    before it would build a level from no parents.  One worker builds the
-    levels in this process, without a pool."""
+    """The level loop: from ``parents`` on ``start_n`` vertices, with their
+    ``colorings`` (see :func:`_next_level`), build each level up to
+    ``n_max`` and yield ``(n, level, next parents)``.  ``keep(level,
+    colorings)``, given a level and the colorings its graphs inherited,
+    returns the graphs it picks as the next level's parents and their
+    colorings.  The loop stops before it would build a level from no
+    parents.  One worker builds the levels in this process, without a
+    pool."""
     inherited: list[Inherited | None] = [None] * len(parents)
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
         for n in range(start_n + 1, cfg.n_max + 1):
             if not parents:
                 return
-            level, made_by = _next_level(parents, inherited, cfg, pool, n < cfg.n_max)
-            parents = keep(level)
+            level, colorings, made_by = _next_level(
+                parents, inherited, cfg, pool, n < cfg.n_max, colorings
+            )
+            parents, colorings = keep(level, colorings)
             inherited = _earlier_parent_tables(parents, made_by)
             del made_by  # the producers' tables, no longer needed
             yield n, level, parents
@@ -386,7 +426,7 @@ def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
     isomorphism class, in (order, canonical code) order."""
     seeds = _seeds(cfg)
     yield from seeds
-    for _, level, _ in _grow(cfg, seeds, 1, list):
+    for _, level, _ in _grow(cfg, seeds, None, 1, lambda level, _: (level, None)):
         yield from level
 
 
@@ -422,15 +462,16 @@ def enumerate_critical(
         found: list[tuple[bytes, Graph]] = []
         start_n = 1
         level_sizes: dict[int, int] = {1: len(seeds)}
-        extendable = _sift_level(seeds, cfg, found)
+        extendable, colorings = _sift_level(seeds, cfg, found, None)
     else:
         extendable, found, start_n, level_sizes = state
+        colorings = None  # a checkpoint keeps no colorings
         if log:
             log(f"resumed at level {start_n}")
 
     t0 = time.monotonic()
-    sift = lambda level: _sift_level(level, cfg, found)
-    for n, level, extendable in _grow(cfg, extendable, start_n, sift):
+    sift = lambda level, colorings: _sift_level(level, cfg, found, colorings)
+    for n, level, extendable in _grow(cfg, extendable, colorings, start_n, sift):
         level_sizes[n] = len(level)
         if log:
             log(
@@ -461,24 +502,34 @@ def enumerate_critical(
     return CriticalRun(cfg.k, cfg.n_max, entries, level_sizes)
 
 
-def _sift_level(level, cfg, found) -> list[Graph]:
-    """Record this level's minimal obstructions; return what to extend."""
-    extendable = []
-    for g in level:
-        if coloring.k_color(g, cfg.k) is None:
-            # Non-colorable graphs are either minimal (recorded, and no
-            # extension of them can be minimal) or contain a smaller
-            # obstruction (so no extension can be minimal either).  A
-            # vertex of degree < k extends any k-coloring of the rest, so
-            # deleting it leaves a non-k-colorable graph: not minimal.
-            if g.min_degree() >= cfg.k and coloring._deletions_colorable(g, cfg.k):
-                assert (
-                    structure.find_clique_cutset(g) is None
-                ), "minimal obstruction with clique cutset"
-                found.append((canon.canonical_code(g), g))
-        else:
+def _sift_level(level, cfg, found, colorings=None) -> tuple[list[Graph], list[bytes]]:
+    """Record this level's minimal obstructions; return what to extend,
+    and a k-coloring of each.
+
+    ``colorings[i]`` is the coloring ``level[i]`` inherited from its
+    producer (see :func:`_expand_parent`) or None.  A graph with one is
+    kept with no search; only the others go to ``k_color``.
+    """
+    extendable, kept = [], []
+    for g, col in zip(level, colorings or itertools.repeat(None)):
+        if col is None:
+            found_col = coloring.k_color(g, cfg.k)
+            col = None if found_col is None else bytes(found_col.assignment)
+        if col is not None:
             extendable.append(g)
-    return extendable
+            kept.append(col)
+            continue
+        # Non-colorable graphs are either minimal (recorded, and no
+        # extension of them can be minimal) or contain a smaller
+        # obstruction (so no extension can be minimal either).  A
+        # vertex of degree < k extends any k-coloring of the rest, so
+        # deleting it leaves a non-k-colorable graph: not minimal.
+        if g.min_degree() >= cfg.k and coloring._deletions_colorable(g, cfg.k):
+            assert (
+                structure.find_clique_cutset(g) is None
+            ), "minimal obstruction with clique cutset"
+            found.append((canon.canonical_code(g), g))
+    return extendable, kept
 
 
 def _config_fingerprint(cfg: SearchConfig) -> dict:

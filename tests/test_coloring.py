@@ -456,6 +456,32 @@ def test_catalog_lookup_is_isomorphism_invariant():
     assert catalog_lookup(entries, families.cycle_graph(5)) is None
 
 
+# The k=4 obstructions on 10 and 11 vertices, which the n <= 11 search
+# added after the seven entries with at most 9 vertices.
+NEW_K4_LINES = ["IuQ`IvkUo", "IspHLcV}O", "IsOi^_]{O", "JsPL@[\\cNc_", "JspL@MOD^t?", "JsOk?zqBvd?"]
+
+
+def test_certify_color_names_each_k4_entry_found_at_n10_and_n11():
+    """The shipped k=4 catalog was searched to n <= 11: it keeps its seven
+    smaller entries first and lists the six larger ones after them, and
+    ``certify_color`` answers each of those, and a relabelling of it, with
+    that entry's id and an embedding of it."""
+    catalog = catalog_load(default_catalog_path(4))
+    manifest = json.loads(default_catalog_path(4).with_suffix(".json").read_text())
+    assert manifest["n_max_searched"] == 11
+    assert [e.graph.n for e in catalog[:7]] == [5, 7, 8, 9, 9, 9, 9]
+    assert [codec.to_graph6(e.graph) for e in catalog[7:]] == NEW_K4_LINES
+    rng = random.Random(41)
+    for entry in catalog[7:]:
+        perm = list(range(entry.graph.n))
+        rng.shuffle(perm)
+        for g in (entry.graph, entry.graph.relabel(perm)):
+            cert = certify_color(g, 4)
+            assert cert.result == "obstructed" and cert.obstruction_id == entry.id
+            emb = detect.Embedding(entry.graph.n, cert.obstruction_vertices)
+            assert detect.verify_embedding(g, entry.graph, emb)
+
+
 def test_catalog_verify_accepts_the_real_entries():
     report = catalog_verify(small_catalog(), 3)
     assert report["ok"]

@@ -225,7 +225,8 @@ def test_orbit_pruning_keeps_every_first_occurrence():
     for parent in enumerate_family(cfg):
         new, _ = enumeration._expand_parent(parent, cfg, {})
         ref = _reference_expand(parent, P6C4)
-        assert _first_occurrences(new) == _first_occurrences(ref)
+        kept = [(code, child) for code, child, _ in new]
+        assert _first_occurrences(kept) == _first_occurrences(ref)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -236,12 +237,12 @@ def test_shared_leaf_codes_keep_the_reference_level(k):
     cfg = p6c4_config(k=k, n_max=7)
     level, found = enumeration._seeds(cfg), []
     for _ in range(2, cfg.n_max + 1):
-        parents = enumeration._sift_level(level, cfg, found)
+        parents, _ = enumeration._sift_level(level, cfg, found)
         first: dict[bytes, Graph] = {}
         for parent in parents:
             for code, child in _reference_expand(parent, P6C4):
                 first.setdefault(code, child)
-        level, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
+        level, _, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
         assert [g.adj for g in level] == [first[code].adj for code in sorted(first)]
 
 
@@ -267,7 +268,7 @@ def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
     level, found = enumeration._seeds(cfg), []
     with_leaves = without_leaves = 0
     for _ in range(2, cfg.n_max + 1):
-        parents = enumeration._sift_level(level, cfg, found)
+        parents, _ = enumeration._sift_level(level, cfg, found)
         known, known_without, seen = {}, {}, {}
         for parent in parents:
             leaves = 0
@@ -278,10 +279,10 @@ def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
                 leaves = 0
                 want, _ = enumeration._expand_parent(parent, cfg, known_without)
                 without_leaves += leaves
-            assert [(code, g.adj, canon.canonical_order(g)) for code, g in got] == [
-                (code, g.adj, canon.canonical_order(g)) for code, g in want
+            assert [(code, g.adj, canon.canonical_order(g)) for code, g, _ in got] == [
+                (code, g.adj, canon.canonical_order(g)) for code, g, _ in want
             ]
-            for code, child in got:
+            for code, child, _ in got:
                 assert child._canon[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
                 assert all(child.relabel(s) == child for s in child._canon[2])
                 seen.setdefault(code, child)
@@ -301,9 +302,9 @@ def test_earlier_parent_test_never_changes_a_level(k, monkeypatch):
     def run(workers):
         levels = []
 
-        def sift(level, cfg, found):
+        def sift(level, cfg, found, colorings):
             levels.append([g.adj for g in level])
-            return real_sift(level, cfg, found)
+            return real_sift(level, cfg, found, colorings)
 
         with monkeypatch.context() as m:
             m.setattr(enumeration, "_sift_level", sift)
@@ -321,6 +322,73 @@ def test_earlier_parent_test_never_changes_a_level(k, monkeypatch):
     assert on[2] < off[2]
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_inherited_colorings_never_change_a_level(k, monkeypatch, tmp_path):
+    """Ablation of the colorings children inherit: with every inherited
+    coloring withheld, so that every graph of every level goes to
+    ``k_color``, the labelled levels, level sizes and obstructions of the
+    search to n <= 8 are the same, with one worker and with two.  With
+    the colorings, two workers make as few ``k_color`` calls as one, so
+    the colorings come back from the workers; and a run resumed from a
+    level-6 checkpoint, whose first resumed level inherits nothing,
+    equals a fresh run."""
+    real_sift = enumeration._sift_level
+
+    def run(workers, withhold, checkpoint=None, n_max=8):
+        levels = []
+
+        def sift(level, cfg, found, colorings):
+            levels.append([g.adj for g in level])
+            return real_sift(level, cfg, found, None if withhold else colorings)
+
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_sift_level", sift)
+            calls = count_calls(m, coloring, "k_color")
+            result = enumerate_critical(
+                p6c4_config(k=k, n_max=n_max, workers=workers), checkpoint=checkpoint
+            )
+        lines = [codec.to_graph6(e.graph) for e in result.obstructions]
+        return levels, result.level_sizes, lines, len(calls)
+
+    on, on_two = run(1, False), run(2, False)
+    off, off_two = run(1, True), run(2, True)
+    assert len(on[0]) == 8 and on[2]
+    assert on[:3] == on_two[:3] == off[:3] == off_two[:3]
+    assert off[3] == sum(map(len, off[0])) > on[3] == on_two[3]
+
+    ck = tmp_path / "ck.json"
+    run(1, False, ck, n_max=6)
+    resumed = run(1, False, ck)
+    assert resumed[0] == on[0][6:]
+    assert resumed[1:3] == on[1:3]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_k_color_runs_only_where_no_coloring_was_inherited(k, monkeypatch):
+    """In the obstruction search to n <= 8, ``k_color`` is called on
+    exactly the sifted graphs that inherited no coloring, in order, and
+    every inherited coloring is a proper coloring with palette 1..k."""
+    real_sift = enumeration._sift_level
+    uncolored, inherited = [], 0
+
+    def sift(level, cfg, found, colorings):
+        nonlocal inherited
+        for g, col in zip(level, colorings or itertools.repeat(None)):
+            if col is None:
+                uncolored.append(g)
+            else:
+                assert coloring.verify_coloring(g, coloring.Coloring(k, tuple(col))) == (True, None)
+                inherited += 1
+        return real_sift(level, cfg, found, colorings)
+
+    monkeypatch.setattr(enumeration, "_sift_level", sift)
+    calls = count_calls(monkeypatch, coloring, "k_color")
+    enumerate_critical(p6c4_config(k=k, n_max=8))
+    assert calls == [(g, k) for g in uncolored]
+    assert all(args[0] is g for args, g in zip(calls, uncolored))
+    assert inherited and calls
+
+
 def test_earlier_parent_tables_index_the_parents():
     """Each entry of a parent's table is the index of the class its
     producer's child falls in, for every free mask whose child was
@@ -328,7 +396,7 @@ def test_earlier_parent_tables_index_the_parents():
     cfg = p6c4_config(n_max=6)
     parents, priors, hits = enumeration._seeds(cfg), [None], 0
     for n in range(2, 6):
-        level, made_by = enumeration._next_level(parents, priors, cfg, None, record=True)
+        level, _, made_by = enumeration._next_level(parents, priors, cfg, None, record=True)
         assert set(made_by) == set(level)
         priors = enumeration._earlier_parent_tables(level, made_by)
         index = {canon.canonical_code(g): i for i, g in enumerate(level)}
@@ -342,7 +410,7 @@ def test_earlier_parent_tables_index_the_parents():
                     hits += 1
         parents = level
     assert hits
-    last, made_by = enumeration._next_level(parents, priors, cfg, None)
+    last, _, made_by = enumeration._next_level(parents, priors, cfg, None)
     assert made_by == {}
     assert enumeration._earlier_parent_tables(last, made_by) == [None] * len(last)
 
@@ -438,8 +506,8 @@ def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
     cfg = p6c4_config(k=4, n_max=7)
     parents, found = enumeration._seeds(cfg), []
     for _ in range(2, 7):
-        level, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
-        parents = enumeration._sift_level(level, cfg, found)
+        level, _, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
+        parents, _ = enumeration._sift_level(level, cfg, found)
     n = parents[0].n
     assert all(g._canon for g in parents) and all(g.n == n for g in parents)
     priors = [None] * len(parents)
@@ -459,7 +527,7 @@ def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
     assert [size for size, _ in bare_searches].count(n + 1) == len(home_searches)
 
     def children(chunk):
-        return [(code, child, child._canon) for kids, _ in chunk for code, child in kids]
+        return [(code, child, child._canon) for kids, _ in chunk for code, child, _ in kids]
 
     returned = children(pickle.loads(pickle.dumps(trip)))
     assert [(c, g.adj, r) for c, g, r in returned] == [(c, g.adj, r) for c, g, r in children(home)]
@@ -488,7 +556,11 @@ def test_low_degree_shortcut_never_changes_the_obstructions(k, monkeypatch):
     checks = count_calls(monkeypatch, coloring, "_deletions_colorable")
     fast = enumerate_critical(p6c4_config(k=k, n_max=8))
     fast_checks = len(checks)
-    monkeypatch.setattr(enumeration, "_sift_level", _reference_sift_level)
+    monkeypatch.setattr(
+        enumeration,
+        "_sift_level",
+        lambda level, cfg, found, colorings: (_reference_sift_level(level, cfg, found), None),
+    )
     slow = enumerate_critical(p6c4_config(k=k, n_max=8))
     assert [(e.id, e.graph.adj) for e in fast.obstructions] == [
         (e.id, e.graph.adj) for e in slow.obstructions
@@ -503,9 +575,9 @@ def test_containment_prune_never_changes_the_obstructions(monkeypatch):
     reference sift finds the same obstructions."""
     base = enumerate_critical(p6c4_config(k=3, n_max=7))
 
-    def sift_keeping_all(level, cfg, found):
+    def sift_keeping_all(level, cfg, found, colorings):
         _reference_sift_level(level, cfg, found)
-        return list(level)
+        return list(level), colorings
 
     monkeypatch.setattr(enumeration, "_sift_level", sift_keeping_all)
     other = enumerate_critical(p6c4_config(k=3, n_max=7))
