@@ -9,8 +9,9 @@ otherwise), re-verifies every catalog invariant, and writes the graph6
 files plus JSON manifests into ``src/p6c4/data/``.
 
 Each k's line reports its run time and the peak resident memory so far.
-A default run (k = 3 to n = 10, k = 4 to n = 11) takes about 3.5 minutes
-on one core with Python 3.11 and peaks near 650 MiB:
+A default run (k = 3 to n = 10, k = 4 to n = 11) takes about 2 minutes
+on one core with Python 3.11 and peaks near 140 MiB (the last level of
+each search is counted, not stored):
 
     python3 scripts/regenerate_catalogs.py --out src/p6c4/data
 """

@@ -126,10 +126,6 @@ def from_edge_list(obj: Any) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def to_edge_list(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
-
-
 def read_graph_text(text: str) -> Graph:
     """Parse a single graph from text: JSON edge list or one graph6 line.
 

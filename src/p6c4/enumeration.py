@@ -67,9 +67,11 @@ induction on the parent index, the first parent whose walk meets a
 class never drops it, so the level keeps the same representatives,
 codes and sizes, whatever the worker count.  A parent without a table
 (the seeds, a level resumed from a checkpoint) drops nothing, and the
-last level builds no tables.  Both searches run this level loop
-(:func:`_grow`), which stops at ``n_max`` or at a level with nothing to
-extend.
+last level builds no tables.  (A counted last level, below, runs no
+earlier-parent test: it would drop children that are counted there, and
+only the forbidden-mask tables pass down to it.)  Both searches run
+this level loop (:func:`_grow`), which stops at ``n_max`` or at a level
+with nothing to extend.
 
 The obstruction search additionally prunes extensions of graphs that are
 already non-k-colorable: such a graph either is a minimal obstruction
@@ -84,6 +86,67 @@ workers and back, and are dropped with it; the family search carries
 none.  A non-colorable graph with a vertex of degree below k is not
 minimal (that vertex extends any k-coloring of the rest), so the
 deletion checks run only on graphs of minimum degree at least k.
+
+The obstruction search never extends its last level (``n_max``), so it
+counts that level instead of building it (:func:`_count_level`), unless a
+checkpoint must list its graphs.  The parents are the k-colorable
+connected family members on ``n_max - 1`` vertices, one per class, and
+each class of the level is counted once, from one parent, by canonical
+deletion (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  For a child X = P + w, D(X) is the set of vertices v with X - v
+connected and k-colorable: exactly the v for which X - v is a parent, so
+D(X) holds w and is invariant under isomorphism.
+
+- **D(X) without coloring.**  Every minimal obstruction with fewer
+  vertices than X is found by then, and P is k-colorable, so every copy
+  of one in X goes through w, and X - v is k-colorable iff v lies on
+  every such copy.  ``core[M]`` (:func:`_core_masks`, built per parent
+  like :func:`_bad_masks` from the obstructions minus one vertex) is the
+  intersection of those copies, or every vertex when there is none, and
+  D(X) is the non-cut vertices of X in ``core[M]``.
+- **The canonical deletion.**  m(X) is the vertex of D(X) with the
+  largest invariant (its degree, then the sum of its neighbours'
+  degrees), and on a tie the tied vertex at the least position of X's
+  canonical order.  X is accepted iff w lies in the orbit of m(X) under
+  Aut(X).  A child whose w some vertex of D(X) beats is rejected, and one
+  whose w is the unique maximum accepted, both without labelling; only a
+  tie labels X, its search starting from the parent automorphisms that
+  fix the mask, and the orbits of the generators it returns decide.
+- **Exactly once.**  Let X be a class of the level and v = m(X).  X - v is
+  isomorphic to exactly one parent P.  Two children P + w with masks M1,
+  M2 are isomorphic by a map taking w to w iff some automorphism of P
+  maps M1 to M2, so the accepted children of P isomorphic to X are one
+  orbit of Aut(P) on masks, and no other parent has one.  The walk takes
+  one mask per orbit of the parent's generators, so this needs the
+  generators to generate all of Aut(P) (and, for ties, those of X all of
+  Aut(X)).  They do, although :mod:`p6c4.canon` compares each leaf only
+  with the best leaf so far.  Let ζ be the first leaf with the least code,
+  and Γ_i the automorphisms fixing the first i vertices individualized
+  on the way to ζ, and H_i the group of the generators that fix them.  A
+  vertex u of the next cell in the Γ_i-orbit of ζ's own choice u* is
+  explored after u* (an earlier one would reach the least code first),
+  and then its subtree meets a leaf with the least code, whose generator
+  maps u* to u and fixes those i vertices; or u is pruned, because an
+  element of H_i maps an explored vertex to it.  So H_i moves u* across
+  its whole Γ_i-orbit, and by induction down from the discrete leaf,
+  where Γ is trivial, H_i contains Γ_i; H_0 is Aut.
+- **Colorability.**  An accepted X with ``core[M]`` not every vertex
+  contains a smaller obstruction: it is counted, not minimal.  Otherwise X
+  is k-colorable if it inherits a coloring, or else if ``k_color`` finds
+  one; if not, it is a new minimal obstruction.
+- **The same representatives.**  A built level keeps, for each class,
+  the first child in (parent index, mask) order.  The parents that
+  produce X are those isomorphic to some X - v, so the first is P_E with
+  E the least parent index among the classes of the X - v; the
+  earlier-parent test never drops that child, and within P_E it is the
+  least mask M whose child is isomorphic to X, since a mask is skipped
+  only in the orbit of a smaller one.  :func:`_first_child` rebuilds
+  P_E + a(M) for each new obstruction: an isomorphism from X - v onto
+  P_E maps N(v) to one such mask, and all of them are the images of
+  these under the generators of P_E.
+
+So the level sizes, obstructions and their bytes are those of the built
+level, and a worker returns its chunk's count and obstructions only.
 """
 
 from __future__ import annotations
@@ -176,13 +239,8 @@ def _bad_masks(
         bad, start = base, parent.n - 1
     for b in range(start, parent.n):
         bad = bad + bad  # a new table: ``base`` is shared by its siblings
-        pairs = set()
-        for sub, nbrs in pieces:
-            for emb in detect.iter_induced_copies(parent, sub, b):
-                vmap = emb.vmap
-                pairs.add((mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs))))
         full = (2 << b) - 1
-        for s_mask, r_mask in pairs:
+        for s_mask, r_mask in _copy_pairs(parent, pieces, b):
             rest = full & ~s_mask
             sub = rest
             while True:
@@ -191,6 +249,96 @@ def _bad_masks(
                     break
                 sub = (sub - 1) & rest
     return bad
+
+
+def _copy_pairs(parent: Graph, pieces, top: int | None = None) -> set[tuple[int, int]]:
+    """``(S, R)`` as vertex masks for every induced copy of a piece ``(H -
+    x, N_H(x))`` in ``parent`` (with ``top``, only the copies whose largest
+    vertex is ``top``): S the copy's vertices, R the image of N_H(x)."""
+    pairs = set()
+    for sub, nbrs in pieces:
+        for emb in detect.iter_induced_copies(parent, sub, top):
+            vmap = emb.vmap
+            pairs.add((mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs))))
+    return pairs
+
+
+def _core_masks(parent: Graph, obstructions: list[Graph]) -> list[int]:
+    """``core[M]`` is the set of vertices, as a mask, that lie on every
+    induced copy of an obstruction in ``X = parent.add_vertex(M)`` through
+    its new vertex ``w``, or -1 (every vertex) where there is no such copy.
+
+    Such a copy puts ``w`` on a vertex x of an obstruction O and the rest
+    on a copy (S, R) of the piece ``(O - x, N_O(x))`` with ``M & S == R``,
+    as in :func:`_bad_masks`; its vertex set is S plus ``w``."""
+    n = parent.n
+    wbit = 1 << n
+    pieces = [piece for g in obstructions for piece in _vertex_deleted(g)]
+    core = [-1] * wbit
+    for s_mask, r_mask in _copy_pairs(parent, pieces):
+        keep = s_mask | wbit
+        rest = (wbit - 1) & ~s_mask
+        sub = rest
+        while True:
+            core[r_mask | sub] &= keep
+            if not sub:
+                break
+            sub = (sub - 1) & rest
+    return core
+
+
+class _MaskWalk:
+    """The neighbourhood masks of ``parent`` that are free of forbidden
+    patterns, one per orbit of its automorphisms: iterating gives each
+    orbit's least mask with the whole orbit, in ascending order.
+
+    ``bad`` is the parent's forbidden-mask table, built from ``base``
+    (:func:`_bad_masks`).  :meth:`auts` gives the automorphisms a child
+    inherits and :meth:`coloring` the k-coloring it inherits from the
+    parent's ``colors`` (see :func:`_expand_parent`).  Both level builders
+    walk the masks this way: :func:`_expand_parent` and
+    :func:`_count_parent`.
+    """
+
+    def __init__(self, parent: Graph, cfg: SearchConfig, base=None, colors=None):
+        self.n = n = parent.n
+        self.bad = _bad_masks(parent, cfg.forbidden, base)
+        gens = canon.automorphism_generators(parent)
+        self.images = [_mask_images(s) for s in gens]
+        self.fixing_w = [s + (n,) for s in gens]  # each extended by w -> w
+        # Each color class as a vertex mask, with the coloring a child gets
+        # when its new vertex takes that color (one object for all of them).
+        self.palette = []
+        if colors is not None:
+            for color in range(1, cfg.k + 1):
+                members = mask_of(v for v, c in enumerate(colors) if c == color)
+                self.palette.append((members, colors + bytes((color,))))
+
+    def __iter__(self) -> Iterator[tuple[int, list[int]]]:
+        bad, images = self.bad, self.images
+        done = bytearray(1 << self.n)
+        for mask in range(1, 1 << self.n):
+            if bad[mask] or done[mask]:
+                continue
+            orbit = [mask]
+            if images:
+                done[mask] = 1
+                for m in orbit:
+                    for img in images:
+                        if not done[img[m]]:
+                            done[img[m]] = 1
+                            orbit.append(img[m])
+            yield mask, orbit
+
+    def auts(self, mask: int) -> list[tuple[int, ...]]:
+        """The parent generators that map ``mask`` onto itself, extended by
+        ``w -> w``: automorphisms of the child."""
+        return [s for s, img in zip(self.fixing_w, self.images) if img[mask] == mask]
+
+    def coloring(self, mask: int) -> bytes | None:
+        """The child's coloring: the parent's, with the new vertex in the
+        smallest color class ``mask`` misses; None if it meets all."""
+        return next((ext for members, ext in self.palette if not mask & members), None)
 
 
 def _expand_parent(
@@ -235,34 +383,13 @@ def _expand_parent(
     """
     n = parent.n
     prior, base = inherited or (None, None)
-    bad = _bad_masks(parent, cfg.forbidden, base)
-    gens = canon.automorphism_generators(parent)
-    images = [_mask_images(s) for s in gens]
-    fixing_w = [s + (n,) for s in gens]  # each extended by w -> w
+    walk = _MaskWalk(parent, cfg, base, colors)
     nbrs = [list(bits(row)) for row in parent.adj]
     wbit = 1 << n
     low = (wbit >> 1) - 1  # every vertex but b
-    done = bytearray(1 << n)
     classes = [None] * (1 << n) if record else None
-    # Each color class as a vertex mask, with the coloring a child gets when
-    # its new vertex takes that color (one object for all such children).
-    palette = []
-    if colors is not None:
-        for color in range(1, cfg.k + 1):
-            members = mask_of(v for v, c in enumerate(colors) if c == color)
-            palette.append((members, colors + bytes((color,))))
     out = []
-    for mask in range(1, 1 << n):
-        if bad[mask] or done[mask]:
-            continue
-        orbit = [mask]
-        if images:
-            done[mask] = 1
-            for m in orbit:
-                for img in images:
-                    if not done[img[m]]:
-                        done[img[m]] = 1
-                        orbit.append(img[m])
+    for mask, orbit in walk:
         if prior is not None and -1 < prior[mask & low] < index:
             continue  # an earlier parent already produced this child's class
         adj = list(parent.adj)
@@ -273,18 +400,16 @@ def _expand_parent(
         adj.append(mask)
         adj = tuple(adj)
         child_nbrs.append(list(bits(mask)))
-        auts = [s for s, img in zip(fixing_w, images) if img[mask] == mask]
-        result = canon._search(n + 1, adj, child_nbrs, known, auts)
+        result = canon._search(n + 1, adj, child_nbrs, known, walk.auts(mask))
         if type(result) is tuple:
             child = Graph(n + 1, adj, _checked=True)
             child._canon = result
-            extended = next((ext for members, ext in palette if not mask & members), None)
-            out.append((result[0], child, extended))
+            out.append((result[0], child, walk.coloring(mask)))
             result = result[0]
         if classes is not None:
             for m in orbit:
                 classes[m] = result
-    return out, (classes, bad) if record else None
+    return out, (classes, walk.bad) if record else None
 
 
 def _mask_images(perm: tuple[int, ...]) -> list[int]:
@@ -332,25 +457,12 @@ def _next_level(
     ``inherited[i]`` is what ``parents[i]`` takes from its producer, and
     ``colorings[i]`` is a k-coloring of it or None (see
     :func:`_expand_parent`); without ``colorings`` no child inherits one.
-    Without a pool the whole level is one chunk, the lists themselves (a
-    copy would raise the peak memory); a pool maps :func:`_expand_chunk`
-    over about four chunks per worker, each with its parents' colorings,
+    A pool maps :func:`_expand_chunk` over chunks (:func:`_map_chunks`),
     and ``seen`` drops the duplicates that fall in different chunks.
     Either way the first child of each class in parent order is kept,
     with the coloring it came back with.
     """
-    size = max(1, len(parents) // (cfg.workers * 4) if pool else len(parents))
-    starts = range(0, len(parents), size)
-    chunks = (lambda xs: [xs[i : i + size] for i in starts]) if pool else (lambda xs: [xs])
-    results = (pool.map if pool else map)(
-        _expand_chunk,
-        chunks(parents),
-        chunks(inherited),
-        starts,
-        itertools.repeat(cfg),
-        itertools.repeat(record),
-        chunks(colorings) if colorings else itertools.repeat(None),
-    )
+    results = _map_chunks(_expand_chunk, parents, inherited, cfg, pool, record, colorings)
     # A class code -> its first (code, child, coloring), the very tuple the
     # expansion returned, so no new tuple is made per child.
     seen: dict[bytes, tuple[bytes, Graph, bytes | None]] = {}
@@ -366,6 +478,26 @@ def _next_level(
     del seen
     made_by = {child: (code, made[code]) for code, child, _ in kids if code in made}
     return [kid[1] for kid in kids], [kid[2] for kid in kids], made_by
+
+
+def _map_chunks(fn, parents, inherited, cfg, pool, extra, colorings):
+    """``fn(parents, inherited, start, cfg, extra, colorings)`` over the
+    level's parents in chunks, the results in chunk order.  Without a pool
+    the whole level is one chunk, the lists themselves (a copy would raise
+    the peak memory); a pool takes about four chunks per worker, each with
+    its parents' colorings (``colorings`` may be None)."""
+    size = max(1, len(parents) // (cfg.workers * 4) if pool else len(parents))
+    starts = range(0, len(parents), size)
+    chunks = (lambda xs: [xs[i : i + size] for i in starts]) if pool else (lambda xs: [xs])
+    return (pool.map if pool else map)(
+        fn,
+        chunks(parents),
+        chunks(inherited),
+        starts,
+        itertools.repeat(cfg),
+        itertools.repeat(extra),
+        chunks(colorings) if colorings else itertools.repeat(None),
+    )
 
 
 def _earlier_parent_tables(
@@ -388,6 +520,140 @@ def _earlier_parent_tables(
     return [tables[id(made_by[g][1])] for g in parents]
 
 
+def _count_parent(
+    parent: Graph,
+    cfg: SearchConfig,
+    found: list[Graph],
+    base: bytearray | None = None,
+    colors: bytes | None = None,
+) -> tuple[int, list[Graph]]:
+    """How many classes of the last level have ``parent`` as their
+    canonical parent, and the children among them that are minimal
+    obstructions (see the module docstring).
+
+    ``found`` holds every minimal obstruction with fewer vertices than a
+    child, ``base`` is the forbidden-mask table of ``parent`` minus its last
+    vertex and ``colors`` a k-coloring of ``parent``, each or None.
+    """
+    n = parent.n
+    walk = _MaskWalk(parent, cfg, base, colors)
+    core = _core_masks(parent, found)
+    rows = parent.adj
+    deg = [row.bit_count() for row in rows]
+    deg_sum = [sum(deg[u] for u in bits(row)) for row in rows]
+    wbit = 1 << n
+    count, obstructions = 0, []
+    for mask, _ in walk:
+        # X = parent + w; the invariant of a vertex is its degree in X, then
+        # the sum of its neighbours' degrees in X.
+        dw = mask.bit_count()
+        sw = sum(deg[u] for u in bits(mask)) + dw
+        x, ties = None, []
+        for v in bits(core[mask] & (wbit - 1)):
+            inside = mask >> v & 1
+            d = deg[v] + inside
+            if d < dw:
+                continue
+            tie = d == dw
+            if tie:
+                s = deg_sum[v] + (rows[v] & mask).bit_count() + dw * inside
+                if s < sw:
+                    continue
+                tie = s == sw
+            if x is None:
+                x = parent.add_vertex(mask)
+            rest = ((wbit << 1) - 1) & ~(1 << v)
+            if x.component_mask(n, rest) != rest:
+                continue  # v is a cut vertex of X: X - v is no parent
+            if not tie:
+                break  # v beats w
+            ties.append(v)
+        else:
+            if ties:
+                _, order, gens = canon._search(
+                    n + 1, x.adj, [list(bits(row)) for row in x.adj], None, walk.auts(mask)
+                )
+                first = min(ties + [n], key=order.index)
+                label = canon.orbits(n + 1, gens)
+                if label[first] != label[n]:
+                    continue
+            count += 1
+            if core[mask] == -1 and walk.coloring(mask) is None:
+                x = x or parent.add_vertex(mask)
+                if coloring.k_color(x, cfg.k) is None:
+                    obstructions.append(x)
+    return count, obstructions
+
+
+def _count_chunk(
+    parents: list[Graph],
+    inherited: list[Inherited | None],
+    start: int,
+    cfg: SearchConfig,
+    found: list[Graph],
+    colorings: list[bytes | None] | None = None,
+) -> tuple[int, list[Graph]]:
+    """:func:`_count_parent` on each of ``parents``, summed."""
+    count, obstructions = 0, []
+    for parent, tables, col in zip(parents, inherited, colorings or itertools.repeat(None)):
+        more, new = _count_parent(parent, cfg, found, tables and tables[1], col)
+        count += more
+        obstructions += new
+    return count, obstructions
+
+
+def _count_level(
+    parents: list[Graph],
+    inherited: list[Inherited | None],
+    cfg: SearchConfig,
+    pool: ProcessPoolExecutor | None,
+    colorings: list[bytes | None] | None,
+    found: list[tuple[bytes, Graph]],
+) -> int:
+    """The size of the level the sorted ``parents`` give, which is not
+    built; its minimal obstructions are added to ``found``, each as the
+    graph that building the level would keep (:func:`_first_child`)."""
+    older = [g for _, g in found]
+    total, new = 0, []
+    for count, graphs in _map_chunks(_count_chunk, parents, inherited, cfg, pool, older, colorings):
+        total += count
+        new += graphs
+    index = {canon.canonical_code(g): i for i, g in enumerate(parents)}
+    for x in new:
+        g = _first_child(x, parents, index)
+        assert g.min_degree() >= cfg.k, "minimal obstruction with a vertex of low degree"
+        assert structure.find_clique_cutset(g) is None, "minimal obstruction with clique cutset"
+        found.append((canon.canonical_code(g), g))
+    return total
+
+
+def _first_child(x: Graph, parents: list[Graph], index: dict[bytes, int]) -> Graph:
+    """The child of ``parents`` isomorphic to ``x`` that a built level keeps:
+    ``P_E + a(M)``, with E the least index of a parent isomorphic to some
+    ``x - v`` and M the least mask of ``P_E`` whose child is isomorphic to
+    ``x`` (``index`` maps each parent's code to its index).
+
+    An isomorphism ``f`` from ``x - v`` onto ``P_E`` gives one such mask,
+    ``f(N(v))``; every other one is its image under an automorphism of
+    ``P_E`` or comes the same way from another such ``v``."""
+    masks: dict[int, list[int]] = {}
+    for v in range(x.n):
+        sub, keep = induced_subgraph(x, [u for u in range(x.n) if u != v])
+        i = index.get(canon.canonical_code(sub))
+        if i is not None:
+            f = canon.isomorphism_map(sub, parents[i])
+            mask = mask_of(f[j] for j, u in enumerate(keep) if x.has_edge(u, v))
+            masks.setdefault(i, []).append(mask)
+    parent = parents[min(masks)]
+    orbit = masks[min(masks)]
+    for m in orbit:
+        for s in canon.automorphism_generators(parent):
+            image = mask_of(s[u] for u in bits(m))
+            if image not in orbit:
+                orbit.append(image)
+    return parent.add_vertex(min(orbit))
+
+
 def _seeds(cfg: SearchConfig) -> list[Graph]:
     empty = Graph(0, ())
     # Every graph contains K0, which has no vertex to delete for the table.
@@ -397,20 +663,25 @@ def _seeds(cfg: SearchConfig) -> list[Graph]:
 
 
 def _grow(
-    cfg: SearchConfig, parents: list[Graph], colorings, start_n: int, keep
-) -> Iterator[tuple[int, list[Graph], list[Graph]]]:
+    cfg: SearchConfig, parents: list[Graph], colorings, start_n: int, keep, count=None
+) -> Iterator[tuple[int, int, list[Graph]]]:
     """The level loop: from ``parents`` on ``start_n`` vertices, with their
     ``colorings`` (see :func:`_next_level`), build each level up to
-    ``n_max`` and yield ``(n, level, next parents)``.  ``keep(level,
+    ``n_max`` and yield ``(n, level size, next parents)``.  ``keep(level,
     colorings)``, given a level and the colorings its graphs inherited,
     returns the graphs it picks as the next level's parents and their
-    colorings.  The loop stops before it would build a level from no
-    parents.  One worker builds the levels in this process, without a
-    pool."""
+    colorings.  With ``count``, the level at ``n_max`` is not built:
+    ``count(parents, inherited, colorings, pool)`` gives its size, and it
+    has no next parents.  The loop stops before it would build a level
+    from no parents.  One worker builds the levels in this process,
+    without a pool."""
     inherited: list[Inherited | None] = [None] * len(parents)
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
         for n in range(start_n + 1, cfg.n_max + 1):
             if not parents:
+                return
+            if count and n == cfg.n_max:
+                yield n, count(parents, inherited, colorings, pool), []
                 return
             level, colorings, made_by = _next_level(
                 parents, inherited, cfg, pool, n < cfg.n_max, colorings
@@ -418,7 +689,7 @@ def _grow(
             parents, colorings = keep(level, colorings)
             inherited = _earlier_parent_tables(parents, made_by)
             del made_by  # the producers' tables, no longer needed
-            yield n, level, parents
+            yield n, len(level), parents
 
 
 def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
@@ -426,7 +697,7 @@ def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
     isomorphism class, in (order, canonical code) order."""
     seeds = _seeds(cfg)
     yield from seeds
-    for _, level, _ in _grow(cfg, seeds, None, 1, lambda level, _: (level, None)):
+    for _, _, level in _grow(cfg, seeds, None, 1, lambda level, _: (level, None)):
         yield from level
 
 
@@ -471,11 +742,18 @@ def enumerate_critical(
 
     t0 = time.monotonic()
     sift = lambda level, colorings: _sift_level(level, cfg, found, colorings)
-    for n, level, extendable in _grow(cfg, extendable, colorings, start_n, sift):
-        level_sizes[n] = len(level)
+    # A checkpoint lists the graphs of its level, so with one the last level
+    # is built; otherwise it is only counted.
+    count = None if checkpoint else (
+        lambda parents, inherited, colorings, pool: _count_level(
+            parents, inherited, cfg, pool, colorings, found
+        )
+    )
+    for n, size, extendable in _grow(cfg, extendable, colorings, start_n, sift, count):
+        level_sizes[n] = size
         if log:
             log(
-                f"level {n}: {len(level)} graphs, "
+                f"level {n}: {size} graphs, "
                 f"{len(found)} obstructions so far "
                 f"({time.monotonic() - t0:.1f}s)"
             )
@@ -508,7 +786,10 @@ def _sift_level(level, cfg, found, colorings=None) -> tuple[list[Graph], list[by
 
     ``colorings[i]`` is the coloring ``level[i]`` inherited from its
     producer (see :func:`_expand_parent`) or None.  A graph with one is
-    kept with no search; only the others go to ``k_color``.
+    kept with no search; only the others go to ``k_color``.  Every built
+    level comes here; the last level is built, and sifted, only when a
+    checkpoint is written (otherwise :func:`_count_level` records its
+    obstructions).
     """
     extendable, kept = [], []
     for g, col in zip(level, colorings or itertools.repeat(None)):

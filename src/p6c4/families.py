@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, bits
+from .graphs import Graph
 from . import codec
-
-
-def empty_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [])
 
 
 def path_graph(t: int) -> Graph:
@@ -49,40 +45,6 @@ def add_universal_vertex(g: Graph) -> Graph:
 def specific_base() -> Graph:
     """The Petersen graph plus one vertex adjacent to everything (11 vertices)."""
     return add_universal_vertex(petersen_graph())
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(g.n + h.n, tuple(rows), _checked=True)
-
-
-def blowup(base: Graph, sizes: list[int] | tuple[int, ...]) -> Graph:
-    """Replace base vertex ``v`` by a clique of ``sizes[v]`` vertices (0 allowed).
-
-    Two substituted cliques are joined completely iff the base vertices are
-    adjacent; there are no other edges.
-    """
-    if len(sizes) != base.n:
-        raise ValueError("need one size per base vertex")
-    if any(s < 0 for s in sizes):
-        raise ValueError("sizes must be non-negative")
-    offsets = []
-    total = 0
-    for s in sizes:
-        offsets.append(total)
-        total += s
-    edges = []
-    for v in range(base.n):
-        for i in range(sizes[v]):
-            for j in range(i + 1, sizes[v]):
-                edges.append((offsets[v] + i, offsets[v] + j))
-        for u in bits(base.adj[v]):
-            if u < v:
-                continue
-            for i in range(sizes[v]):
-                for j in range(sizes[u]):
-                    edges.append((offsets[v] + i, offsets[u] + j))
-    return Graph.from_edges(total, edges)
 
 
 #: The class's forbidden pair, in the order (P6, C4) that witnesses report.

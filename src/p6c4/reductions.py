@@ -253,34 +253,6 @@ def build_nae(inst: SatInstance) -> LabeledGraph:
     return LabeledGraph(Graph.from_edges(len(roles), edges), tuple(roles))
 
 
-def role_violations(lg: LabeledGraph, kind: str) -> list[str]:
-    """Structural laws the role map promises, checked on the built graph.
-
-    Returns human-readable violations (empty list = all laws hold).
-    ``kind`` is "ghi" or "nae".
-    """
-    g = lg.graph
-    out = []
-    connectors = lg.by_kind(C_TYPE) + lg.by_kind(CPRIME_TYPE)
-    for u, v in itertools.combinations(connectors, 2):
-        if g.has_edge(u, v):
-            out.append(f"connector vertices {u},{v} are adjacent")
-    if kind == "ghi":
-        targets = lg.by_kind(X_TYPE) + lg.by_kind(XBAR_TYPE) + lg.by_kind(D_TYPE)
-    else:
-        targets = lg.by_kind(X_TYPE) + lg.by_kind(F_TYPE)
-    for u in lg.by_kind(U_TYPE):
-        for w in targets:
-            if not g.has_edge(u, w):
-                out.append(f"filler vertex {u} misses {w}")
-    block_of = {v: lg.roles[v].clause for v in range(g.n)}
-    for cv in connectors:
-        cross = [w for w in g.neighbors(cv) if block_of[w] != lg.roles[cv].clause]
-        if len(cross) != 2:
-            out.append(f"connector {cv} has {len(cross)} cross edges, wanted 2")
-    return out
-
-
 # -- equivalence and freeness harnesses --------------------------------------
 
 

@@ -26,6 +26,49 @@ def all_graphs(n: int):
         yield graph_from_mask(n, mask)
 
 
+def empty_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [])
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    rows = list(g.adj) + [row << g.n for row in h.adj]
+    return Graph(g.n + h.n, tuple(rows), _checked=True)
+
+
+def blowup(base: Graph, sizes) -> Graph:
+    """Replace base vertex ``v`` by a clique of ``sizes[v]`` vertices (0 allowed).
+
+    Two substituted cliques are joined completely iff the base vertices are
+    adjacent; there are no other edges.
+    """
+    if len(sizes) != base.n:
+        raise ValueError("need one size per base vertex")
+    if any(s < 0 for s in sizes):
+        raise ValueError("sizes must be non-negative")
+    offsets = []
+    total = 0
+    for s in sizes:
+        offsets.append(total)
+        total += s
+    edges = []
+    for v in range(base.n):
+        for i in range(sizes[v]):
+            for j in range(i + 1, sizes[v]):
+                edges.append((offsets[v] + i, offsets[v] + j))
+        for u in bits(base.adj[v]):
+            if u < v:
+                continue
+            for i in range(sizes[v]):
+                for j in range(sizes[u]):
+                    edges.append((offsets[v] + i, offsets[u] + j))
+    return Graph.from_edges(total, edges)
+
+
+def to_edge_list(g: Graph) -> dict:
+    """The JSON edge-list document that ``codec.from_edge_list`` reads."""
+    return {"n": g.n, "edges": [list(e) for e in g.edges()]}
+
+
 def brute_k_color(g: Graph, k: int):
     """Exhaustive proper-coloring search; returns an assignment or None."""
     assignment = [0] * g.n

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_graphs, brute_isomorphic, graphs, stack_depth
+from conftest import all_graphs, blowup, brute_isomorphic, empty_graph, graphs, stack_depth
 from p6c4 import canon, codec, families
 from p6c4.enumeration import enumerate_family, p6c4_config
 from p6c4.graphs import Graph, bits
@@ -22,7 +22,7 @@ def test_code_is_permutation_invariant():
         families.petersen_graph(),
         families.wheel_graph(5),
         families.specific_base(),
-        families.blowup(families.path_graph(3), (2, 1, 3)),
+        blowup(families.path_graph(3), (2, 1, 3)),
     ]:
         code = canon.canonical_code(g)
         for _ in range(10):
@@ -78,7 +78,7 @@ def test_isomorphism_map_none_for_nonisomorphic():
 
 
 def test_canonical_order_is_a_permutation():
-    g = families.blowup(families.cycle_graph(5), (2, 1, 1, 2, 1))
+    g = blowup(families.cycle_graph(5), (2, 1, 1, 2, 1))
     order = canon.canonical_order(g)
     assert sorted(order) == list(range(g.n))
 
@@ -87,8 +87,8 @@ def test_highly_symmetric_graphs_are_fast_enough():
     # cliques and complete multipartite blow-ups stress orbit pruning
     for g in [
         families.complete_graph(12),
-        families.blowup(families.complete_graph(3), (4, 4, 4)),
-        families.blowup(families.cycle_graph(5), (2, 2, 2, 2, 2)),
+        blowup(families.complete_graph(3), (4, 4, 4)),
+        blowup(families.cycle_graph(5), (2, 2, 2, 2, 2)),
     ]:
         assert canon.canonical_code(g)  # completes without blowing up
 
@@ -230,14 +230,14 @@ def _named_graphs():
     rng = random.Random(17)
     base = families.specific_base()
     for sizes in [(1,) * base.n, (2,) + (1,) * (base.n - 1)]:
-        yield families.blowup(base, sizes)
+        yield blowup(base, sizes)
     for _ in range(6):
-        yield families.blowup(base, [rng.randint(0, 2) for _ in range(base.n)])
-    yield families.empty_graph(0)
+        yield blowup(base, [rng.randint(0, 2) for _ in range(base.n)])
+    yield empty_graph(0)
     for n in range(1, 13):
         yield families.path_graph(n)
         yield families.complete_graph(n)
-        yield families.empty_graph(n)
+        yield empty_graph(n)
         if n >= 3:
             yield families.cycle_graph(n)
 
@@ -380,8 +380,8 @@ def _oracle_hosts(rng):
             )
         yield Graph.from_edges(n, [(i, (i + j) % n) for i in range(n) for j in (1, 3)])
     yield families.petersen_graph()
-    yield families.blowup(families.cycle_graph(5), (2, 3, 2, 3, 2))
-    yield families.blowup(families.specific_base(), (2,) + (1,) * 10)
+    yield blowup(families.cycle_graph(5), (2, 3, 2, 3, 2))
+    yield blowup(families.specific_base(), (2,) + (1,) * 10)
 
 
 def test_canon_agrees_with_networkx_isomorphism():

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from conftest import stack_depth
+from conftest import stack_depth, to_edge_list
 import p6c4
 from p6c4 import codec, coloring, detect, families
 from p6c4.cli import main
@@ -84,7 +84,7 @@ def test_color_strict_rejects_non_free_input(tmp_path, capsys):
 
 def test_color_reads_edge_list_json(tmp_path, capsys):
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(codec.to_edge_list(families.cycle_graph(5))))
+    path.write_text(json.dumps(to_edge_list(families.cycle_graph(5))))
     code, payload = run_cli(capsys, "color", "--k", "3", "--in", str(path))
     assert code == 0 and payload["result"] == "colored"
 

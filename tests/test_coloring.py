@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_k_color, graphs, stack_depth
+from conftest import brute_k_color, disjoint_union, empty_graph, graphs, stack_depth
 from p6c4 import canon, codec, detect, families, structure
 from p6c4.coloring import (
     Coloring,
@@ -71,7 +71,7 @@ def test_k_color_matches_brute_force(g, k):
 
 
 def test_k_color_edge_cases():
-    assert k_color(families.empty_graph(0), 2) == Coloring(2, ())
+    assert k_color(empty_graph(0), 2) == Coloring(2, ())
     assert k_color(families.complete_graph(3), 5).assignment == (1, 2, 3)
     with pytest.raises(ValueError):
         k_color(families.complete_graph(3), 0)
@@ -285,8 +285,8 @@ def test_verify_coloring_reports_conflicts():
 
 
 def test_chromatic_number_examples():
-    assert chromatic_number(families.empty_graph(0)) == 0
-    assert chromatic_number(families.empty_graph(4)) == 1
+    assert chromatic_number(empty_graph(0)) == 0
+    assert chromatic_number(empty_graph(4)) == 1
     assert chromatic_number(families.path_graph(6)) == 2
     assert chromatic_number(families.cycle_graph(5)) == 3
     assert chromatic_number(families.petersen_graph()) == 3
@@ -307,7 +307,7 @@ def test_minimize_obstruction_strips_pendant():
 
 
 def test_minimize_obstruction_picks_one_component():
-    g = families.disjoint_union(families.complete_graph(4), families.complete_graph(4))
+    g = disjoint_union(families.complete_graph(4), families.complete_graph(4))
     small, vmap = minimize_obstruction(g, 3)
     assert small.n == 4 and canon.is_isomorphic(small, families.complete_graph(4))
 
@@ -552,7 +552,7 @@ def test_certify_color_merges_across_clique_cutsets():
 
 
 def test_certify_color_handles_disconnected_input():
-    g = families.disjoint_union(families.complete_graph(4), families.path_graph(2))
+    g = disjoint_union(families.complete_graph(4), families.path_graph(2))
     cert = certify_color(g, 3, catalog=small_catalog())
     assert cert.result == "obstructed" and cert.obstruction_id == "K4"
     assert set(cert.obstruction_vertices) == {0, 1, 2, 3}

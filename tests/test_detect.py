@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import (
+    blowup,
     brute_induced_copies,
     brute_induced_copy,
     count_calls,
+    empty_graph,
     graphs,
     stack_depth,
 )
@@ -307,13 +309,13 @@ def test_decision_search_changes_no_answer(g):
 
 
 def test_max_clique_and_has_clique():
-    g = families.blowup(families.path_graph(3), (2, 3, 1))
+    g = blowup(families.path_graph(3), (2, 3, 1))
     assert len(detect.max_clique(g)) == 5  # the two middle-joined cliques
     assert detect.has_clique(g, 5) is not None
     assert detect.has_clique(g, 6) is None
     assert len(detect.max_clique(families.petersen_graph())) == 2
-    assert len(detect.max_clique(families.empty_graph(3))) == 1
-    assert len(detect.max_clique(families.empty_graph(0))) == 0
+    assert len(detect.max_clique(empty_graph(3))) == 1
+    assert len(detect.max_clique(empty_graph(0))) == 0
 
 
 @settings(max_examples=60)
@@ -360,7 +362,7 @@ def test_clique_finder_agrees_with_generic_on_family8(family8):
 
 def test_complete_patterns_go_to_the_clique_finder(monkeypatch):
     calls = count_calls(monkeypatch, detect, "has_clique")
-    g = families.blowup(families.cycle_graph(5), (1, 2, 3, 1, 1))
+    g = blowup(families.cycle_graph(5), (1, 2, 3, 1, 1))
     assert detect.find_induced_copy(g, families.complete_graph(5)).vmap == (1, 2, 3, 4, 5)
     assert detect.find_induced_copy(g, families.complete_graph(6)) is None
     assert [args[1] for args in calls] == [5, 6]
@@ -484,7 +486,7 @@ GENERIC_PATTERNS = [
     Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 4)]),  # bull
     Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),  # house
     Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),  # 3K2
-    families.empty_graph(3),
+    empty_graph(3),
 ]
 
 
@@ -577,8 +579,8 @@ def test_iter_induced_copies_yields_every_copy_in_order(g):
     matcher branches in, so its answer is the first."""
     claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     for pattern in [
-        families.empty_graph(0),
-        families.empty_graph(2),
+        empty_graph(0),
+        empty_graph(2),
         families.path_graph(4),
         families.cycle_graph(4),
         families.complete_graph(3),
@@ -600,9 +602,9 @@ def test_rooted_copies_are_the_copies_with_that_largest_vertex(g):
     and one-vertex patterns, and nothing for the empty pattern."""
     claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     for pattern in [
-        families.empty_graph(0),
-        families.empty_graph(1),
-        families.empty_graph(3),
+        empty_graph(0),
+        empty_graph(1),
+        empty_graph(3),
         families.path_graph(5),
         families.cycle_graph(4),
         families.complete_graph(3),

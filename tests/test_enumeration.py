@@ -24,7 +24,7 @@ from p6c4.enumeration import (
     nice_check,
     p6c4_config,
 )
-from p6c4.graphs import Graph, bits, mask_of
+from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
 
 
 P6C4 = (families.path_graph(6), families.cycle_graph(4))
@@ -292,12 +292,14 @@ def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
 
 
 @pytest.mark.parametrize("k", [3, 4])
-def test_earlier_parent_test_never_changes_a_level(k, monkeypatch):
+def test_earlier_parent_test_never_changes_a_level(k, monkeypatch, tmp_path):
     """Ablation of the earlier-parent test: with every table withheld, so
     that no child is dropped before labelling, the labelled levels and
     obstructions of the search to n <= 8 are the same, with one worker and
-    with two; with the tables, one worker runs fewer canonical searches."""
+    with two; with the tables, one worker runs fewer canonical searches.
+    Each run writes a checkpoint, so its last level is built and sifted."""
     real_sift = enumeration._sift_level
+    fresh = (tmp_path / f"ck{i}.json" for i in itertools.count())
 
     def run(workers):
         levels = []
@@ -309,7 +311,9 @@ def test_earlier_parent_test_never_changes_a_level(k, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(enumeration, "_sift_level", sift)
             searches = count_calls(m, canon, "_search")
-            result = enumerate_critical(p6c4_config(k=k, n_max=8, workers=workers))
+            result = enumerate_critical(
+                p6c4_config(k=k, n_max=8, workers=workers), checkpoint=next(fresh)
+            )
         return levels, [codec.to_graph6(e.graph) for e in result.obstructions], len(searches)
 
     on, on_two = run(1), run(2)
@@ -331,8 +335,10 @@ def test_inherited_colorings_never_change_a_level(k, monkeypatch, tmp_path):
     the colorings, two workers make as few ``k_color`` calls as one, so
     the colorings come back from the workers; and a run resumed from a
     level-6 checkpoint, whose first resumed level inherits nothing,
-    equals a fresh run."""
+    equals a fresh run.  Each run writes a checkpoint, so its last level is
+    built and sifted."""
     real_sift = enumeration._sift_level
+    fresh = (tmp_path / f"ck{i}.json" for i in itertools.count())
 
     def run(workers, withhold, checkpoint=None, n_max=8):
         levels = []
@@ -344,9 +350,8 @@ def test_inherited_colorings_never_change_a_level(k, monkeypatch, tmp_path):
         with monkeypatch.context() as m:
             m.setattr(enumeration, "_sift_level", sift)
             calls = count_calls(m, coloring, "k_color")
-            result = enumerate_critical(
-                p6c4_config(k=k, n_max=n_max, workers=workers), checkpoint=checkpoint
-            )
+            cfg = p6c4_config(k=k, n_max=n_max, workers=workers)
+            result = enumerate_critical(cfg, checkpoint=checkpoint or next(fresh))
         lines = [codec.to_graph6(e.graph) for e in result.obstructions]
         return levels, result.level_sizes, lines, len(calls)
 
@@ -364,10 +369,11 @@ def test_inherited_colorings_never_change_a_level(k, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("k", [3, 4])
-def test_k_color_runs_only_where_no_coloring_was_inherited(k, monkeypatch):
+def test_k_color_runs_only_where_no_coloring_was_inherited(k, monkeypatch, tmp_path):
     """In the obstruction search to n <= 8, ``k_color`` is called on
     exactly the sifted graphs that inherited no coloring, in order, and
-    every inherited coloring is a proper coloring with palette 1..k."""
+    every inherited coloring is a proper coloring with palette 1..k.  The
+    run writes a checkpoint, so its last level is built and sifted."""
     real_sift = enumeration._sift_level
     uncolored, inherited = [], 0
 
@@ -383,7 +389,7 @@ def test_k_color_runs_only_where_no_coloring_was_inherited(k, monkeypatch):
 
     monkeypatch.setattr(enumeration, "_sift_level", sift)
     calls = count_calls(monkeypatch, coloring, "k_color")
-    enumerate_critical(p6c4_config(k=k, n_max=8))
+    enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "ck.json")
     assert calls == [(g, k) for g in uncolored]
     assert all(args[0] is g for args, g in zip(calls, uncolored))
     assert inherited and calls
@@ -552,16 +558,17 @@ def _reference_sift_level(level, cfg, found):
 
 
 @pytest.mark.parametrize("k", [3, 4])
-def test_low_degree_shortcut_never_changes_the_obstructions(k, monkeypatch):
+def test_low_degree_shortcut_never_changes_the_obstructions(k, monkeypatch, tmp_path):
+    # The checkpoints make both runs build and sift their last level.
     checks = count_calls(monkeypatch, coloring, "_deletions_colorable")
-    fast = enumerate_critical(p6c4_config(k=k, n_max=8))
+    fast = enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "fast.json")
     fast_checks = len(checks)
     monkeypatch.setattr(
         enumeration,
         "_sift_level",
         lambda level, cfg, found, colorings: (_reference_sift_level(level, cfg, found), None),
     )
-    slow = enumerate_critical(p6c4_config(k=k, n_max=8))
+    slow = enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "slow.json")
     assert [(e.id, e.graph.adj) for e in fast.obstructions] == [
         (e.id, e.graph.adj) for e in slow.obstructions
     ]
@@ -569,21 +576,155 @@ def test_low_degree_shortcut_never_changes_the_obstructions(k, monkeypatch):
     assert fast.obstructions and fast_checks < len(checks) - fast_checks
 
 
-def test_containment_prune_never_changes_the_obstructions(monkeypatch):
+def test_containment_prune_never_changes_the_obstructions(monkeypatch, tmp_path):
     """Ablation of the containment prune: extending every graph of each
     level, the non-colorable ones too, and recording obstructions with the
-    reference sift finds the same obstructions."""
-    base = enumerate_critical(p6c4_config(k=3, n_max=7))
+    reference sift finds the same obstructions.  The checkpoints make both
+    runs build and sift their last level."""
+    base = enumerate_critical(p6c4_config(k=3, n_max=7), checkpoint=tmp_path / "base.json")
 
     def sift_keeping_all(level, cfg, found, colorings):
         _reference_sift_level(level, cfg, found)
         return list(level), colorings
 
     monkeypatch.setattr(enumeration, "_sift_level", sift_keeping_all)
-    other = enumerate_critical(p6c4_config(k=3, n_max=7))
+    other = enumerate_critical(p6c4_config(k=3, n_max=7), checkpoint=tmp_path / "other.json")
     key = lambda run: [canon.canonical_code(e.graph) for e in run.obstructions]
     assert key(base) == key(other)
     assert base.level_sizes[7] < other.level_sizes[7]
+
+
+# -- the counted last level -------------------------------------------------------
+
+
+def _run_lines(run):
+    return run.level_sizes, [(e.id, codec.to_graph6(e.graph)) for e in run.obstructions]
+
+
+@pytest.mark.parametrize("k, n_max", [(2, 9), (3, 9), (4, 9), (5, 9), (3, 10)])
+def test_counted_last_level_equals_the_built_one(k, n_max, tmp_path):
+    """Ablation of the counted last level: a run without a checkpoint,
+    which only counts its last level, gives the level sizes, obstruction
+    ids and graph6 lines of a run with one, which builds and sifts it,
+    with one worker and with two; and a run resumed from a checkpoint
+    two levels down gives them too."""
+    counted = _run_lines(enumerate_critical(p6c4_config(k=k, n_max=n_max)))
+    for workers in (1, 2):
+        cfg = p6c4_config(k=k, n_max=n_max, workers=workers)
+        assert _run_lines(enumerate_critical(cfg)) == counted
+        built = enumerate_critical(cfg, checkpoint=tmp_path / f"built{workers}.json")
+        assert _run_lines(built) == counted
+    ck = tmp_path / "resume.json"
+    enumerate_critical(p6c4_config(k=k, n_max=n_max - 2), checkpoint=ck)
+    assert _run_lines(enumerate_critical(p6c4_config(k=k, n_max=n_max), checkpoint=ck)) == counted
+
+
+def _deletable(x, k):
+    """The vertices v of ``x`` with ``x - v`` connected and k-colorable."""
+    out = []
+    for v in range(x.n):
+        sub, _ = induced_subgraph(x, [u for u in range(x.n) if u != v])
+        if sub.is_connected() and coloring.k_color(sub, k) is not None:
+            out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_counted_level_labels_only_ties_and_obstructions(k, monkeypatch, tmp_path):
+    """The search to n <= 8 without a checkpoint sifts no graph of its last
+    level, and every canonical search it runs on an 8-vertex graph labels
+    either a child whose new vertex ties another deletable vertex on the
+    invariant (degree, then the sum of neighbour degrees), or a new
+    obstruction's representative.  With a checkpoint the level is sifted."""
+    sifted = []
+    real_sift = enumeration._sift_level
+
+    def sift(level, cfg, found, colorings):
+        sifted.extend(g.n for g in level)
+        return real_sift(level, cfg, found, colorings)
+
+    monkeypatch.setattr(enumeration, "_sift_level", sift)
+    searches = count_calls(monkeypatch, canon, "_search")
+    run = enumerate_critical(p6c4_config(k=k, n_max=8))
+    labelled = list(searches)  # the checks below run searches of their own
+    assert max(sifted) == 7
+    new = {canon.canonical_code(e.graph) for e in run.obstructions if e.graph.n == 8}
+    ties = 0
+    for args in labelled:
+        if args[0] != 8:
+            continue
+        x = Graph(8, args[1])
+        if canon.canonical_code(x) in new:
+            continue
+        key = lambda v: (x.degree(v), sum(x.degree(u) for u in x.neighbors(v)))
+        keys = [key(v) for v in _deletable(x, k)]
+        assert keys.count(key(7)) > 1 and max(keys) == key(7), x.adj
+        ties += 1
+    assert 0 < ties < run.level_sizes[8] // 2
+    sifted.clear()
+    enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "ck.json")
+    assert sifted.count(8) == run.level_sizes[8]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_core_masks_match_the_colorable_deletions(k):
+    """Given the minimal obstructions on at most as many vertices as P, the
+    core table of each k-colorable family member P on at most 6 vertices
+    holds, for each free mask M, exactly the vertices v of X = P + a(M)
+    with X - v k-colorable (-1 where every deletion is)."""
+    found = [e.graph for e in enumerate_critical(p6c4_config(k=k, n_max=6)).obstructions]
+    checked = 0
+    for parent in enumerate_family(p6c4_config(n_max=6)):
+        if coloring.k_color(parent, k) is None:
+            continue
+        core = enumeration._core_masks(parent, [g for g in found if g.n <= parent.n])
+        bad = enumeration._bad_masks(parent, P6C4)
+        for mask in range(1, 1 << parent.n):
+            if bad[mask]:
+                continue
+            x = parent.add_vertex(mask)
+            want = mask_of(
+                v
+                for v in range(x.n)
+                if coloring.k_color(induced_subgraph(x, [u for u in range(x.n) if u != v])[0], k)
+            )
+            assert core[mask] & x.full_mask() == want, (parent.adj, mask)
+            assert (core[mask] == -1) == (want == x.full_mask())
+            checked += core[mask] != -1
+    assert checked
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_parent_generators_generate_the_automorphism_group(k, monkeypatch):
+    """The generators each parent of the counted level carries generate its
+    whole automorphism group (networkx counts the group), so one child per
+    orbit of them is one child per orbit of the group."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    parents = []
+    real = enumeration._count_level
+
+    def spy(level, *args):
+        parents.extend(level)
+        return real(level, *args)
+
+    monkeypatch.setattr(enumeration, "_count_level", spy)
+    enumerate_critical(p6c4_config(k=k, n_max=8))
+    assert parents
+    for g in parents:
+        h = nx.Graph(g.edges())
+        h.add_nodes_from(range(g.n))
+        order = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        group = {tuple(range(g.n))}
+        todo = list(group)
+        for a in todo:
+            for s in canon.automorphism_generators(g):
+                image = tuple(s[a[v]] for v in range(g.n))
+                if image not in group:
+                    group.add(image)
+                    todo.append(image)
+        assert len(group) == order, g.adj
 
 
 # -- checkpointing ---------------------------------------------------------------

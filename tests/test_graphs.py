@@ -6,7 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import all_graphs, components, graphs
+from conftest import all_graphs, components, empty_graph, graphs, to_edge_list
 from p6c4 import canon, codec, detect, families, structure
 from p6c4.graphs import Graph, bits, mask_of, induced_subgraph
 
@@ -45,7 +45,7 @@ def test_clique_and_independent_masks():
     g = families.complete_graph(4)
     assert g.is_clique(mask_of([0, 1, 3]))
     assert not g.is_independent(mask_of([0, 1]))
-    e = families.empty_graph(4)
+    e = empty_graph(4)
     assert e.is_independent(e.full_mask())
     assert e.is_clique(mask_of([2]))
 
@@ -151,14 +151,14 @@ def test_graph6_error_offsets():
 
 
 def test_graph6_large_n_header():
-    g = families.empty_graph(70)  # needs the 4-byte size form
+    g = empty_graph(70)  # needs the 4-byte size form
     line = codec.to_graph6(g)
     assert codec.from_graph6(line).n == 70
 
 
 def test_edge_list_json_roundtrip():
     g = families.wheel_graph(5)
-    doc = codec.to_edge_list(g)
+    doc = to_edge_list(g)
     assert doc["n"] == 6
     assert codec.from_edge_list(doc) == g
     with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, components, count_calls, graphs, stack_depth
+from conftest import all_graphs, blowup, components, count_calls, graphs, stack_depth
 from p6c4 import canon, codec, detect, families, structure
 from p6c4.graphs import Graph, bits, induced_subgraph, mask_of
 
@@ -634,7 +634,7 @@ def _all_blowup_codes(n_max):
             sizes = [0] * base.n
             for v in combo:
                 sizes[v] += 1
-            codes.add(canon.canonical_code(families.blowup(base, sizes)))
+            codes.add(canon.canonical_code(blowup(base, sizes)))
     return codes
 
 
@@ -711,7 +711,7 @@ def test_is_specific_matches_reference_on_random_blowups():
     base = families.specific_base()
     hits = 0
     for i in range(3000):
-        g = families.blowup(base, [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(base.n)])
+        g = blowup(base, [rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(base.n)])
         perm = list(range(g.n))
         rng.shuffle(perm)
         g = g.relabel(tuple(perm))
@@ -730,7 +730,7 @@ def test_is_specific_matches_reference_on_random_blowups():
 def test_is_specific_examples():
     base = families.specific_base()
     assert structure.is_specific(base)
-    assert structure.is_specific(families.blowup(base, (3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2)))
+    assert structure.is_specific(blowup(base, (3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2)))
     assert structure.is_specific(families.petersen_graph())
     assert structure.is_specific(families.complete_graph(7))  # universal clique alone
     pendant_w5 = families.wheel_graph(5).add_vertex(0b000001)
@@ -746,7 +746,7 @@ def test_check_c6_lemma_gates():
     assert structure.check_c6_lemma(families.cycle_graph(4))["status"] == "not-applicable"
     bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (3, 4)])
     assert structure.check_c6_lemma(bowtie)["status"] == "not-applicable"
-    spec = families.blowup(families.specific_base(), (2,) + (1,) * 10)
+    spec = blowup(families.specific_base(), (2,) + (1,) * 10)
     doc = structure.check_c6_lemma(spec)
     assert doc == {"status": "holds", "case": "specific"}
     w5 = families.wheel_graph(5)
@@ -764,7 +764,7 @@ def test_size_bounds_gate_and_hub_count():
     assert doc["status"] == "evaluated" and doc["ok"]
     assert doc["checks"]["s5"] == {"bound": 1, "size": 1, "status": "holds"}
 
-    double_hub = families.blowup(w5, (1, 1, 1, 1, 1, 2))  # hub pair forms a K4
+    double_hub = blowup(w5, (1, 1, 1, 1, 1, 2))  # hub pair forms a K4
     doc3 = structure.check_size_bounds(double_hub, base_ring(double_hub), k=3)
     assert doc3["status"] == "not-applicable"
     doc4 = structure.check_size_bounds(double_hub, base_ring(double_hub), k=4)
@@ -782,7 +782,7 @@ def test_size_bounds_sweep(small_free_family):
 
 def test_size_bounds_search_host_cliques_once_per_k(monkeypatch):
     calls = count_calls(monkeypatch, detect, "has_clique")
-    g = families.blowup(families.specific_base(), (2,) * 11)
+    g = blowup(families.specific_base(), (2,) * 11)
     rings = structure.find_all_c5(g)
     assert len(rings) == 384
     statuses = set()
