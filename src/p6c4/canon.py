@@ -60,32 +60,20 @@ pruning is the same.
 The search is one explicit loop over a stack of open nodes, so its depth
 is not bounded by Python's recursion limit.
 
-A caller that keeps one graph per class (the enumerator, per level) can
-hand :func:`_search` ``known``, a dict from leaf code to the code of its
-class: the search stops at the first leaf whose code is in ``known`` and
-returns the class code that leaf maps to, and a search that completes
-maps every leaf code it met to the code it found.  This is exact.  A
-leaf code is the code of one relabelling of the graph, so meeting a
-known one proves the graph isomorphic to one already searched, and a
-graph of a new class never meets one, so its search runs to the end
-unchanged.  The search tree depends only on the graph's structure, and
-orbit pruning skips only subtrees whose leaf codes repeat ones already
-explored, so a completed search meets every leaf code of its class: an
-isomorphic graph stops at its first leaf.
-
-A caller may also hand the search automorphisms of the graph that it
-knows beforehand.  The enumerator does: a child ``G + w`` of a parent
-``G`` has every parent automorphism that maps ``N(w)`` onto itself,
-extended by ``w -> w`` (McKay, "Isomorph-free exhaustive generation",
-J. Algorithms 26, 1998).  The generators start from them, so orbit
-pruning uses them from the first branching.  This is sound for the same
-reason orbit pruning is: a subtree is skipped only when an automorphism
-fixing its path maps an explored sibling onto it, and then its leaves
-are images of explored leaves with the same codes.  So the first leaf
-that reaches the least code is never skipped, and the code, the
-canonical order and the leaf codes a completed search maps in ``known``
-do not change.  Only the generators do: fewer are found, and
-the inherited ones come first.
+A caller may hand the search automorphisms of the graph that it knows
+beforehand.  The enumerator does: a child ``G + w`` of a parent ``G`` has
+every parent automorphism that maps ``N(w)`` onto itself, extended by
+``w -> w`` (McKay, "Isomorph-free exhaustive generation", J. Algorithms
+26, 1998).  The generators start from them, so orbit pruning uses them
+from the first branching.  This is sound for the same reason orbit
+pruning is: a subtree is skipped only when an automorphism fixing its
+path maps an explored sibling onto it, and then its leaves are images of
+explored leaves with the same codes.  So the first leaf that reaches the
+least code is never skipped, and the code and the canonical order do not
+change.  Only the generators do: fewer are found, and the inherited ones
+come first.  They still generate the whole automorphism group (the proof
+is in :mod:`p6c4.enumeration`, which decides a child's canonical deletion
+by their orbits and keeps the same search result with the child).
 """
 
 from __future__ import annotations
@@ -128,12 +116,9 @@ def _search(
     n: int,
     adj: tuple[int, ...],
     nbrs: list[list[int]],
-    known: dict[bytes, bytes] | None = None,
     auts: Sequence[tuple[int, ...]] = (),
-) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]] | bytes:
-    """The search as one explicit loop: ``(code, order, generators)``, or
-    for a graph that meets a leaf code in ``known`` the class code it maps
-    to (see the module docstring).
+) -> tuple[bytes, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The search as one explicit loop: ``(code, order, generators)``.
 
     ``adj`` holds the rows and ``nbrs[v]`` the neighbours of ``v`` of an
     ``n``-vertex graph.  ``auts`` are automorphisms of that graph known
@@ -160,7 +145,6 @@ def _search(
     best_order: list[int] | None = None
     gens: list[tuple[int, ...]] = list(auts)
     fixed: list[int] = []  # fixed-point masks of the first generators
-    met: list[bytes] = []  # leaf codes, mapped in ``known`` on completion
 
     # The root's first round ranks by degree.
     by_degree: dict[int, list[int]] = {}
@@ -206,10 +190,6 @@ def _search(
         else:
             order = [cell[0] for cell in cells]
             code = _code_under(n, adj, order)
-            if known is not None:
-                if code in known:
-                    return known[code]
-                met.append(code)
             if best_code is None or code < best_code:
                 best_code, best_order = code, order
             elif code == best_code:
@@ -273,8 +253,6 @@ def _search(
         else:
             break  # no open node left: the search is complete
     assert best_code is not None and best_order is not None
-    if known is not None:
-        known.update(dict.fromkeys(met, best_code))
     return best_code, tuple(best_order), tuple(gens)
 
 

@@ -1,13 +1,15 @@
 """Exhaustive enumeration of pattern-free graphs and minimal obstructions.
 
-Graphs are generated level by level: every n-vertex candidate arises from
-an (n-1)-vertex parent by attaching one new vertex to a nonempty
-admissible neighborhood, so every graph generated is connected.
-Forbidden patterns are hereditary, so a candidate is checked only around
-the new vertex; isomorphic duplicates are removed by canonical code within
-each level.  Every connected graph in the target family is reachable this
-way — deleting any non-cut vertex of a connected family member leaves a
-smaller connected family member.
+Graphs are generated level by level: every n-vertex child arises from an
+(n-1)-vertex parent P by attaching one new vertex w to a nonempty
+admissible neighbourhood, so every graph generated is connected.
+Forbidden patterns are hereditary, so a child is checked only around w.
+Every connected graph in the target family is reachable this way —
+deleting any non-cut vertex of a connected family member leaves a smaller
+connected family member.  Both searches build every level with one rule,
+canonical deletion (below), which accepts each class of the level from
+exactly one parent, so no level is ever deduplicated.  The level loop
+(:func:`_grow`) stops at ``n_max`` or at a level with nothing to extend.
 
 Each parent is analysed once.  A table indexed by neighbourhood mask
 (:func:`_bad_masks`) marks the masks that put a forbidden pattern through
@@ -18,92 +20,39 @@ parent G that produced it: a copy in P that avoids b is a copy in G and
 makes mask M bad exactly when it makes M minus b bad for G, so P's table
 is G's table twice over (the second half for the masks that contain b),
 and only the copies whose largest vertex is b are enumerated and added.
-The producer's table travels with its children to the next level, beside
-its class table (below); a parent without one (a seed, a level resumed
-from a checkpoint) folds the same rule over its vertices from the empty
-graph.  Either way each copy is counted once, at its largest vertex, and
-the table is the one a pass over every copy gives.  Masks are then
-walked in ascending order, and the parent's automorphisms (kept by
-:mod:`p6c4.canon`) skip every mask in the orbit of one already taken: its
-child is isomorphic to an earlier child of the same parent.  Only the
-remaining children are canonically labelled, and each level keeps the
-same labelled representatives as a walk over every mask would.
+The producer's table travels with its children to the next level; a
+parent without one (a seed, a level resumed from a checkpoint) folds the
+same rule over its vertices from the empty graph.  Either way each copy
+is counted once, at its largest vertex, and the table is the one a pass
+over every copy gives.  Masks are then walked in ascending order, and
+the parent's automorphisms (kept by :mod:`p6c4.canon`) skip every mask
+in the orbit of one already taken: its child is isomorphic to an earlier
+child of the same parent.
 
-A child's canonical search starts from the parent's automorphisms that
-map its mask onto itself, each extended by fixing the new vertex; these
-are automorphisms of the child, so its search prunes with them from the
-first branching and reaches fewer leaves for the same code and order
-(see :mod:`p6c4.canon`).  The child's rows and neighbour lists are
-built from the parent's, and a :class:`~p6c4.graphs.Graph` is made only
-for a child that is kept, carrying its search result.
+The obstruction search additionally never extends a graph that is not
+k-colorable: such a graph either is a minimal obstruction (recorded) or
+properly contains one, and then no extension of it can be minimal.  So
+the parents of its levels are the k-colorable connected family members,
+one per class, each with a k-coloring, and each child inherits one when
+its mask misses a color class: the new vertex takes the smallest such
+color.  Only the other children (masks that meet all k classes) cost a
+coloring search.  The family search colors nothing; its parents are all
+the connected family members, one per class.
 
-A level is expanded in chunks of parents (:func:`_expand_chunk`), and
-the parents of a chunk share one dict ``known`` from canonical-search
-leaf code to class code (see :mod:`p6c4.canon`).  A child isomorphic to
-a graph already kept is recognised at its first search leaf and dropped
-there; the first child of each class still runs its whole search.  A
-serial run makes the whole level one chunk; with several workers, each
-task is one chunk, parents and children cross the process boundary as
-:class:`~p6c4.graphs.Graph` objects, which pickle with their canonical
-search results, and the merge keeps the first child of each class in
-parent order.  So the level keeps the same representatives whatever the
-worker count, and no worker searches a parent again for its
-automorphisms.
-
-Many children are dropped before any labelling by the earlier-parent
-test.  While a level is built, each parent G records a class table: for
-every free mask M whose child was labelled, the class of G + a(M) (a
-kept child's code, or the class code a duplicate's first leaf maps to
-in ``known``).  Once the level is sorted and sifted, the classes
-become indices into the next parent list (-1 for a class that is not a
-parent), and every parent P_i = G + b, with b its last vertex, carries
-the table of the G that produced it.
-A child X = P_i + a(M) is dropped when G's table maps the mask M minus b
-to an index j < i.  This is exact: X - b is G + a(M minus b), so it is
-isomorphic to P_j by some map f, and X is isomorphic to P_j plus a vertex
-on f(N_X(b)): the walk over P_j, which comes earlier, meets X's class at
-that mask (or X has a forbidden pattern and is never kept).  By
-induction on the parent index, the first parent whose walk meets a
-class never drops it, so the level keeps the same representatives,
-codes and sizes, whatever the worker count.  A parent without a table
-(the seeds, a level resumed from a checkpoint) drops nothing, and the
-last level builds no tables.  (A counted last level, below, runs no
-earlier-parent test: it would drop children that are counted there, and
-only the forbidden-mask tables pass down to it.)  Both searches run
-this level loop (:func:`_grow`), which stops at ``n_max`` or at a level
-with nothing to extend.
-
-The obstruction search additionally prunes extensions of graphs that are
-already non-k-colorable: such a graph either is a minimal obstruction
-(recorded, never extended) or properly contains one (hence no extension
-can be minimal).  Every graph it extends comes with a k-coloring, and
-each child inherits one when its mask misses a color class: the new
-vertex takes the smallest such color.  A child with an inherited
-coloring is kept with no coloring search; only the others (the seeds,
-the children of parents resumed from a checkpoint, and masks that meet
-all k classes) cost one.  Colorings travel with their level, to the
-workers and back, and are dropped with it; the family search carries
-none.  A non-colorable graph with a vertex of degree below k is not
-minimal (that vertex extends any k-coloring of the rest), so the
-deletion checks run only on graphs of minimum degree at least k.
-
-The obstruction search never extends its last level (``n_max``), so it
-counts that level instead of building it (:func:`_count_level`), unless a
-checkpoint must list its graphs.  The parents are the k-colorable
-connected family members on ``n_max - 1`` vertices, one per class, and
-each class of the level is counted once, from one parent, by canonical
-deletion (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998).  For a child X = P + w, D(X) is the set of vertices v with X - v
-connected and k-colorable: exactly the v for which X - v is a parent, so
-D(X) holds w and is invariant under isomorphism.
+**Canonical deletion** (McKay, "Isomorph-free exhaustive generation",
+J. Algorithms 26, 1998; :func:`_extend_parent`).  For a child X = P + w,
+D(X) is the set of vertices v with X - v connected and, in the
+obstruction search, k-colorable: exactly the v for which X - v is a
+parent, so D(X) holds w and is invariant under isomorphism.
 
 - **D(X) without coloring.**  Every minimal obstruction with fewer
   vertices than X is found by then, and P is k-colorable, so every copy
   of one in X goes through w, and X - v is k-colorable iff v lies on
   every such copy.  ``core[M]`` (:func:`_core_masks`, built per parent
   like :func:`_bad_masks` from the obstructions minus one vertex) is the
-  intersection of those copies, or every vertex when there is none, and
-  D(X) is the non-cut vertices of X in ``core[M]``.
+  intersection of those copies, or every vertex when there is none (as
+  always in the family search), and D(X) is the non-cut vertices of X in
+  ``core[M]``.
 - **The canonical deletion.**  m(X) is the vertex of D(X) with the
   largest invariant (its degree, then the sum of its neighbours'
   degrees), and on a tie the tied vertex at the least position of X's
@@ -131,22 +80,35 @@ D(X) holds w and is invariant under isomorphism.
   its whole Γ_i-orbit, and by induction down from the discrete leaf,
   where Γ is trivial, H_i contains Γ_i; H_0 is Aut.
 - **Colorability.**  An accepted X with ``core[M]`` not every vertex
-  contains a smaller obstruction: it is counted, not minimal.  Otherwise X
-  is k-colorable if it inherits a coloring, or else if ``k_color`` finds
-  one; if not, it is a new minimal obstruction.
-- **The same representatives.**  A built level keeps, for each class,
-  the first child in (parent index, mask) order.  The parents that
-  produce X are those isomorphic to some X - v, so the first is P_E with
-  E the least parent index among the classes of the X - v; the
-  earlier-parent test never drops that child, and within P_E it is the
-  least mask M whose child is isomorphic to X, since a mask is skipped
-  only in the orbit of a smaller one.  :func:`_first_child` rebuilds
-  P_E + a(M) for each new obstruction: an isomorphism from X - v onto
-  P_E maps N(v) to one such mask, and all of them are the images of
-  these under the generators of P_E.
+  contains a smaller obstruction: it counts towards the level size and is
+  neither kept nor minimal.  Otherwise every X - v is k-colorable, and X
+  is k-colorable if it inherits a coloring or ``k_color`` finds one; if
+  not, it is a new minimal obstruction, whose minimum degree (at least k)
+  and lack of a clique cutset are asserted, being theorems.
 
-So the level sizes, obstructions and their bytes are those of the built
-level, and a worker returns its chunk's count and obstructions only.
+**Kept levels.**  A level below ``n_max`` is kept as the next level's
+parents, and so is the last level of the family search, and that of the
+obstruction search when a checkpoint must list it; otherwise the last
+level is only counted.  Each accepted child that is kept is materialised
+as P + w, P being its canonical parent, with its canonical search result
+(one search from the parent automorphisms that fix its mask, or the one
+its tie already ran), its coloring, and P's forbidden-mask table, from
+which its own is built.  A level is expanded in chunks of parents (the
+whole level in a serial run, about four chunks per worker with a pool);
+the chunks' children are concatenated and sorted by code, so the level is
+the same whatever the worker count.  Graphs cross the process boundary
+pickled with their search results, so no worker searches a parent again.
+
+**Representatives.**  An obstruction is reported as the labelled graph
+rep(X) that a level built by first occurrence in (parent code, mask)
+order keeps, whichever parent accepted it, so its bytes do not depend on
+the labels of the levels (:func:`_representative`).  rep(K1) is K1, and
+rep(X) = rep(Y) + a(M): Y is the least-code class among the connected
+X - v (for an obstruction, and for every graph on its chain, each of
+them is k-colorable, so each is a parent), and M is the least mask of
+rep(Y) over the Aut(rep(Y))-orbits of the masks f(N(v)), for every v
+with X - v isomorphic to Y and f an isomorphism from X - v onto rep(Y).
+Kept levels write each class as its canonical parent's graph plus w.
 """
 
 from __future__ import annotations
@@ -155,10 +117,10 @@ import contextlib
 import itertools
 import json
 import time
-from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -188,14 +150,9 @@ def p6c4_config(**kw) -> SearchConfig:
     return SearchConfig(**kw)
 
 
-# What a parent records for its children when a level is built (its class
-# table and forbidden-mask table), and what each child inherits from it as
-# a parent of the next level (the class table turned into parent indices,
-# and the same forbidden-mask table).
-Recorded = tuple[list[bytes | None], bytearray]
-Inherited = tuple[array, bytearray]
-
-
+# A kept child: its canonical code, the child, its k-coloring (None in the
+# family search) and the forbidden-mask table of the parent that produced it.
+Kid = tuple[bytes, Graph, bytes | None, bytearray]
 @lru_cache(maxsize=64)
 def _vertex_deleted(pat: Graph) -> tuple[tuple[Graph, int], ...]:
     """``(H - x, N_H(x) as a mask of H - x)`` for one ``x`` per orbit of the
@@ -290,14 +247,12 @@ def _core_masks(parent: Graph, obstructions: list[Graph]) -> list[int]:
 class _MaskWalk:
     """The neighbourhood masks of ``parent`` that are free of forbidden
     patterns, one per orbit of its automorphisms: iterating gives each
-    orbit's least mask with the whole orbit, in ascending order.
+    orbit's least mask, in ascending order.
 
     ``bad`` is the parent's forbidden-mask table, built from ``base``
     (:func:`_bad_masks`).  :meth:`auts` gives the automorphisms a child
     inherits and :meth:`coloring` the k-coloring it inherits from the
-    parent's ``colors`` (see :func:`_expand_parent`).  Both level builders
-    walk the masks this way: :func:`_expand_parent` and
-    :func:`_count_parent`.
+    parent's ``colors``.
     """
 
     def __init__(self, parent: Graph, cfg: SearchConfig, base=None, colors=None):
@@ -314,7 +269,7 @@ class _MaskWalk:
                 members = mask_of(v for v, c in enumerate(colors) if c == color)
                 self.palette.append((members, colors + bytes((color,))))
 
-    def __iter__(self) -> Iterator[tuple[int, list[int]]]:
+    def __iter__(self) -> Iterator[int]:
         bad, images = self.bad, self.images
         done = bytearray(1 << self.n)
         for mask in range(1, 1 << self.n):
@@ -328,7 +283,7 @@ class _MaskWalk:
                         if not done[img[m]]:
                             done[img[m]] = 1
                             orbit.append(img[m])
-            yield mask, orbit
+            yield mask
 
     def auts(self, mask: int) -> list[tuple[int, ...]]:
         """The parent generators that map ``mask`` onto itself, extended by
@@ -341,77 +296,6 @@ class _MaskWalk:
         return next((ext for members, ext in self.palette if not mask & members), None)
 
 
-def _expand_parent(
-    parent: Graph,
-    cfg: SearchConfig,
-    known: dict[bytes, bytes],
-    record: bool = False,
-    inherited: Inherited | None = None,
-    index: int = 0,
-    colors: bytes | None = None,
-) -> tuple[list[tuple[bytes, Graph, bytes | None]], Recorded | None]:
-    """The admissible one-vertex extensions of ``parent`` (with codes and
-    colorings) that are new to ``known``, one per orbit of the parent's
-    automorphisms on neighbourhood masks, and the parent's class and
-    forbidden-mask tables.
-
-    Masks are walked in ascending order.  The first free mask of an orbit
-    is kept and its whole orbit marked done: the later members give
-    children isomorphic to the kept one, which the level deduplication
-    would drop anyway, so skipping them changes no output.  ``known`` maps
-    the leaf codes of the graphs kept so far to their classes; a child
-    isomorphic to one of them stops its canonical search at its first leaf
-    and is left out, so the first child of each class is the one returned.
-    Each child's search starts from the parent generators that fix its
-    mask, extended by ``w -> w``.
-
-    ``inherited`` holds what ``parent``, the parent at ``index`` in its
-    level, takes from the parent G that produced it: the earlier-parent
-    table ``prior`` and G's forbidden-mask table.  With ``b`` the last
-    vertex, a child whose mask minus ``b`` is mapped by ``prior`` to an
-    index below ``index`` is dropped before any labelling (see the module
-    docstring), and the parent's own forbidden-mask table is built from
-    G's (:func:`_bad_masks`).  If ``record``, the second value is the
-    parent's class table, which maps each free mask of a child that was
-    labelled to its child's class code (None elsewhere), and its
-    forbidden-mask table; otherwise it is None.
-
-    ``colors`` is a k-coloring of ``parent`` (``colors[v]`` the color of
-    ``v``, in 1..k) or None.  Each child whose mask misses a color class
-    gets it extended by the smallest such color for the new vertex; the
-    other children, and every child of a parent without one, get None.
-    """
-    n = parent.n
-    prior, base = inherited or (None, None)
-    walk = _MaskWalk(parent, cfg, base, colors)
-    nbrs = [list(bits(row)) for row in parent.adj]
-    wbit = 1 << n
-    low = (wbit >> 1) - 1  # every vertex but b
-    classes = [None] * (1 << n) if record else None
-    out = []
-    for mask, orbit in walk:
-        if prior is not None and -1 < prior[mask & low] < index:
-            continue  # an earlier parent already produced this child's class
-        adj = list(parent.adj)
-        child_nbrs = nbrs[:]
-        for u in bits(mask):
-            adj[u] |= wbit
-            child_nbrs[u] = nbrs[u] + [n]
-        adj.append(mask)
-        adj = tuple(adj)
-        child_nbrs.append(list(bits(mask)))
-        result = canon._search(n + 1, adj, child_nbrs, known, walk.auts(mask))
-        if type(result) is tuple:
-            child = Graph(n + 1, adj, _checked=True)
-            child._canon = result
-            out.append((result[0], child, walk.coloring(mask)))
-            result = result[0]
-        if classes is not None:
-            for m in orbit:
-                classes[m] = result
-    return out, (classes, walk.bad) if record else None
-
-
 def _mask_images(perm: tuple[int, ...]) -> list[int]:
     """``img[M]`` is the image of vertex mask ``M`` under ``perm``."""
     img = [0] * (1 << len(perm))
@@ -421,129 +305,49 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
     return img
 
 
-def _expand_chunk(
-    parents: list[Graph],
-    inherited: list[Inherited | None],
-    start: int,
-    cfg: SearchConfig,
-    record: bool,
-    colorings: list[bytes | None] | None = None,
-) -> list[tuple[list[tuple[bytes, Graph, bytes | None]], Recorded | None]]:
-    """:func:`_expand_parent` on each of ``parents`` in order, ``parents[i]``
-    being the parent at ``start + i`` in its level with the coloring
-    ``colorings[i]`` (none without the list), all sharing one ``known``."""
-    known: dict[bytes, bytes] = {}
-    return [
-        _expand_parent(parent, cfg, known, record, tables, start + i, col)
-        for i, (parent, tables, col) in enumerate(
-            zip(parents, inherited, colorings or itertools.repeat(None))
-        )
-    ]
+def _coloring_of(g: Graph, k: int) -> bytes | None:
+    """A k-coloring of ``g`` (``col[v]`` the color of ``v``, in 1..k), or
+    None if it has none."""
+    found = coloring.k_color(g, k)
+    return None if found is None else bytes(found.assignment)
 
 
-def _next_level(
-    parents: list[Graph],
-    inherited: list[Inherited | None],
-    cfg: SearchConfig,
-    pool: ProcessPoolExecutor | None,
-    record: bool = False,
-    colorings: list[bytes | None] | None = None,
-) -> tuple[list[Graph], list[bytes | None], dict[Graph, tuple[bytes, Recorded]]]:
-    """One augmentation level, deduplicated and sorted by canonical code,
-    the coloring each of its graphs inherited (or None), and, if
-    ``record``, each child's code and the class and forbidden-mask tables
-    of the parent that produced it.
-
-    ``inherited[i]`` is what ``parents[i]`` takes from its producer, and
-    ``colorings[i]`` is a k-coloring of it or None (see
-    :func:`_expand_parent`); without ``colorings`` no child inherits one.
-    A pool maps :func:`_expand_chunk` over chunks (:func:`_map_chunks`),
-    and ``seen`` drops the duplicates that fall in different chunks.
-    Either way the first child of each class in parent order is kept,
-    with the coloring it came back with.
-    """
-    results = _map_chunks(_expand_chunk, parents, inherited, cfg, pool, record, colorings)
-    # A class code -> its first (code, child, coloring), the very tuple the
-    # expansion returned, so no new tuple is made per child.
-    seen: dict[bytes, tuple[bytes, Graph, bytes | None]] = {}
-    made: dict[bytes, Recorded] = {}
-    for result in results:
-        for children, tables in result:
-            for kid in children:
-                if kid[0] not in seen:
-                    seen[kid[0]] = kid
-                    if record:
-                        made[kid[0]] = tables
-    kids = [seen[code] for code in sorted(seen)]
-    del seen
-    made_by = {child: (code, made[code]) for code, child, _ in kids if code in made}
-    return [kid[1] for kid in kids], [kid[2] for kid in kids], made_by
-
-
-def _map_chunks(fn, parents, inherited, cfg, pool, extra, colorings):
-    """``fn(parents, inherited, start, cfg, extra, colorings)`` over the
-    level's parents in chunks, the results in chunk order.  Without a pool
-    the whole level is one chunk, the lists themselves (a copy would raise
-    the peak memory); a pool takes about four chunks per worker, each with
-    its parents' colorings (``colorings`` may be None)."""
-    size = max(1, len(parents) // (cfg.workers * 4) if pool else len(parents))
-    starts = range(0, len(parents), size)
-    chunks = (lambda xs: [xs[i : i + size] for i in starts]) if pool else (lambda xs: [xs])
-    return (pool.map if pool else map)(
-        fn,
-        chunks(parents),
-        chunks(inherited),
-        starts,
-        itertools.repeat(cfg),
-        itertools.repeat(extra),
-        chunks(colorings) if colorings else itertools.repeat(None),
-    )
-
-
-def _earlier_parent_tables(
-    parents: list[Graph], made_by: dict[Graph, tuple[bytes, Recorded]]
-) -> list[Inherited | None]:
-    """What each parent inherits from the parent that produced it: that
-    producer's class table, each class replaced by its index in
-    ``parents`` (-1 for a class that is not a parent), and its
-    forbidden-mask table; or None for every parent when ``made_by`` is
-    empty.  Parents of one producer share one pair of tables, so a chunk
-    sent to a worker pickles each pair once."""
-    if not made_by:
-        return [None] * len(parents)
-    index = {made_by[g][0]: i for i, g in enumerate(parents)}
-    tables: dict[int, Inherited] = {}
-    for g in parents:
-        classes, bad = recorded = made_by[g][1]
-        if id(recorded) not in tables:
-            tables[id(recorded)] = (array("i", [index.get(c, -1) for c in classes]), bad)
-    return [tables[id(made_by[g][1])] for g in parents]
-
-
-def _count_parent(
+def _extend_parent(
     parent: Graph,
     cfg: SearchConfig,
-    found: list[Graph],
+    found: list[Graph] | None,
+    keep: bool,
     base: bytearray | None = None,
     colors: bytes | None = None,
-) -> tuple[int, list[Graph]]:
-    """How many classes of the last level have ``parent`` as their
-    canonical parent, and the children among them that are minimal
-    obstructions (see the module docstring).
+) -> tuple[int, list[Kid], list[Graph]]:
+    """The classes of the next level whose canonical parent is ``parent``
+    (see the module docstring): how many there are, the kept ones if
+    ``keep`` (each as ``(code, child, coloring, parent's forbidden-mask
+    table)``), and the new minimal obstructions among them.
 
     ``found`` holds every minimal obstruction with fewer vertices than a
-    child, ``base`` is the forbidden-mask table of ``parent`` minus its last
-    vertex and ``colors`` a k-coloring of ``parent``, each or None.
+    child, or is None in the family search, which keeps every child and
+    colors none.  ``base`` is the forbidden-mask table of ``parent`` minus
+    its last vertex and ``colors`` a k-coloring of ``parent``, each or None.
     """
     n = parent.n
     walk = _MaskWalk(parent, cfg, base, colors)
-    core = _core_masks(parent, found)
+    core = _core_masks(parent, found or [])
     rows = parent.adj
+    nbrs = [list(bits(row)) for row in rows]
     deg = [row.bit_count() for row in rows]
     deg_sum = [sum(deg[u] for u in bits(row)) for row in rows]
     wbit = 1 << n
-    count, obstructions = 0, []
-    for mask, _ in walk:
+
+    def search(x: Graph, mask: int):
+        child_nbrs = nbrs[:]
+        for u in bits(mask):
+            child_nbrs[u] = nbrs[u] + [n]
+        child_nbrs.append(list(bits(mask)))
+        return canon._search(n + 1, x.adj, child_nbrs, walk.auts(mask))
+
+    count, kept, obstructions = 0, [], []
+    for mask in walk:
         # X = parent + w; the invariant of a vertex is its degree in X, then
         # the sum of its neighbours' degrees in X.
         dw = mask.bit_count()
@@ -570,88 +374,102 @@ def _count_parent(
             ties.append(v)
         else:
             if ties:
-                _, order, gens = canon._search(
-                    n + 1, x.adj, [list(bits(row)) for row in x.adj], None, walk.auts(mask)
-                )
+                x._canon = search(x, mask)
+                _, order, gens = x._canon
                 first = min(ties + [n], key=order.index)
                 label = canon.orbits(n + 1, gens)
                 if label[first] != label[n]:
                     continue
             count += 1
-            if core[mask] == -1 and walk.coloring(mask) is None:
-                x = x or parent.add_vertex(mask)
-                if coloring.k_color(x, cfg.k) is None:
+            if core[mask] != -1:
+                continue  # X contains a smaller obstruction
+            x = x or parent.add_vertex(mask)
+            col = None
+            if found is not None:
+                col = walk.coloring(mask) or _coloring_of(x, cfg.k)
+                if col is None:
                     obstructions.append(x)
-    return count, obstructions
+                    continue
+            if keep:
+                if x._canon is None:
+                    x._canon = search(x, mask)
+                kept.append((x._canon[0], x, col, walk.bad))
+    return count, kept, obstructions
 
 
-def _count_chunk(
-    parents: list[Graph],
-    inherited: list[Inherited | None],
-    start: int,
-    cfg: SearchConfig,
-    found: list[Graph],
-    colorings: list[bytes | None] | None = None,
-) -> tuple[int, list[Graph]]:
-    """:func:`_count_parent` on each of ``parents``, summed."""
-    count, obstructions = 0, []
-    for parent, tables, col in zip(parents, inherited, colorings or itertools.repeat(None)):
-        more, new = _count_parent(parent, cfg, found, tables and tables[1], col)
+def _extend_chunk(
+    parents, bases, colorings, cfg, found, keep
+) -> tuple[int, list[Kid], list[Graph]]:
+    """:func:`_extend_parent` on each of ``parents``, with its forbidden-mask
+    base table and coloring, the results summed."""
+    count, kept, obstructions = 0, [], []
+    for parent, base, colors in zip(parents, bases, colorings):
+        more, kids, new = _extend_parent(parent, cfg, found, keep, base, colors)
         count += more
+        kept += kids
         obstructions += new
-    return count, obstructions
+    return count, kept, obstructions
 
 
-def _count_level(
-    parents: list[Graph],
-    inherited: list[Inherited | None],
-    cfg: SearchConfig,
-    pool: ProcessPoolExecutor | None,
-    colorings: list[bytes | None] | None,
-    found: list[tuple[bytes, Graph]],
-) -> int:
-    """The size of the level the sorted ``parents`` give, which is not
-    built; its minimal obstructions are added to ``found``, each as the
-    graph that building the level would keep (:func:`_first_child`)."""
-    older = [g for _, g in found]
-    total, new = 0, []
-    for count, graphs in _map_chunks(_count_chunk, parents, inherited, cfg, pool, older, colorings):
+def _build_level(parents, bases, colorings, cfg, pool, found, keep):
+    """One level from ``parents`` (with their base tables and colorings, as
+    in :func:`_extend_chunk`): its size, its kept children sorted by code,
+    and its new minimal obstructions.  Without a pool the whole level is one
+    chunk, the lists themselves (a copy would raise the peak memory); a
+    pool takes about four chunks per worker."""
+    if pool:
+        size = max(1, len(parents) // (cfg.workers * 4))
+        chunks = lambda xs: [xs[i : i + size] for i in range(0, len(parents), size)]
+        results = pool.map(
+            _extend_chunk,
+            chunks(parents),
+            chunks(bases),
+            chunks(colorings),
+            itertools.repeat(cfg),
+            itertools.repeat(found),
+            itertools.repeat(keep),
+        )
+    else:
+        results = [_extend_chunk(parents, bases, colorings, cfg, found, keep)]
+    total, kids, new = 0, [], []
+    for count, kept, obstructions in results:
         total += count
-        new += graphs
-    index = {canon.canonical_code(g): i for i, g in enumerate(parents)}
-    for x in new:
-        g = _first_child(x, parents, index)
-        assert g.min_degree() >= cfg.k, "minimal obstruction with a vertex of low degree"
-        assert structure.find_clique_cutset(g) is None, "minimal obstruction with clique cutset"
-        found.append((canon.canonical_code(g), g))
-    return total
+        kids += kept
+        new += obstructions
+    kids.sort(key=itemgetter(0))
+    return total, kids, new
 
 
-def _first_child(x: Graph, parents: list[Graph], index: dict[bytes, int]) -> Graph:
-    """The child of ``parents`` isomorphic to ``x`` that a built level keeps:
-    ``P_E + a(M)``, with E the least index of a parent isomorphic to some
-    ``x - v`` and M the least mask of ``P_E`` whose child is isomorphic to
-    ``x`` (``index`` maps each parent's code to its index).
-
-    An isomorphism ``f`` from ``x - v`` onto ``P_E`` gives one such mask,
-    ``f(N(v))``; every other one is its image under an automorphism of
-    ``P_E`` or comes the same way from another such ``v``."""
-    masks: dict[int, list[int]] = {}
-    for v in range(x.n):
-        sub, keep = induced_subgraph(x, [u for u in range(x.n) if u != v])
-        i = index.get(canon.canonical_code(sub))
-        if i is not None:
-            f = canon.isomorphism_map(sub, parents[i])
-            mask = mask_of(f[j] for j, u in enumerate(keep) if x.has_edge(u, v))
-            masks.setdefault(i, []).append(mask)
-    parent = parents[min(masks)]
-    orbit = masks[min(masks)]
-    for m in orbit:
-        for s in canon.automorphism_generators(parent):
-            image = mask_of(s[u] for u in bits(m))
-            if image not in orbit:
-                orbit.append(image)
-    return parent.add_vertex(min(orbit))
+def _representative(x: Graph, reps: dict[bytes, Graph]) -> Graph:
+    """rep(X), the labelled copy of ``x``'s class that a level built by
+    first occurrence in (parent code, mask) order keeps (see the module
+    docstring); ``reps`` memoises it by canonical code.  Every connected
+    ``x - v`` must be a parent, as for an obstruction and its chain."""
+    code = canon.canonical_code(x)
+    if code not in reps:
+        if x.n == 1:
+            reps[code] = x
+        else:
+            subs: dict[bytes, list[tuple[int, Graph, tuple[int, ...]]]] = {}
+            for v in range(x.n):
+                sub, keep = induced_subgraph(x, [u for u in range(x.n) if u != v])
+                if sub.is_connected():
+                    subs.setdefault(canon.canonical_code(sub), []).append((v, sub, keep))
+            least = subs[min(subs)]
+            parent = _representative(least[0][1], reps)
+            # f(N(v)) for each v, f an isomorphism from x - v onto rep(Y); the
+            # other masks are their images under the automorphisms of rep(Y).
+            orbit = []
+            for v, sub, keep in least:
+                f = canon.isomorphism_map(sub, parent)
+                orbit.append(mask_of(f[j] for j, u in enumerate(keep) if x.has_edge(u, v)))
+            for m in orbit:
+                for s in canon.automorphism_generators(parent):
+                    image = mask_of(s[u] for u in bits(m))
+                    if image not in orbit:
+                        orbit.append(image)
+            reps[code] = parent.add_vertex(min(orbit))
+    return reps[code]
 
 
 def _seeds(cfg: SearchConfig) -> list[Graph]:
@@ -663,33 +481,37 @@ def _seeds(cfg: SearchConfig) -> list[Graph]:
 
 
 def _grow(
-    cfg: SearchConfig, parents: list[Graph], colorings, start_n: int, keep, count=None
-) -> Iterator[tuple[int, int, list[Graph]]]:
+    cfg: SearchConfig,
+    parents: list[Graph],
+    colorings: list,
+    start_n: int,
+    found: list[tuple[bytes, Graph]] | None = None,
+    keep_last: bool = True,
+) -> Iterator[tuple[int, int, list[Graph], list[Graph]]]:
     """The level loop: from ``parents`` on ``start_n`` vertices, with their
-    ``colorings`` (see :func:`_next_level`), build each level up to
-    ``n_max`` and yield ``(n, level size, next parents)``.  ``keep(level,
-    colorings)``, given a level and the colorings its graphs inherited,
-    returns the graphs it picks as the next level's parents and their
-    colorings.  With ``count``, the level at ``n_max`` is not built:
-    ``count(parents, inherited, colorings, pool)`` gives its size, and it
-    has no next parents.  The loop stops before it would build a level
-    from no parents.  One worker builds the levels in this process,
-    without a pool."""
-    inherited: list[Inherited | None] = [None] * len(parents)
+    ``colorings`` (None each in the family search), build each level up to
+    ``n_max`` and yield ``(n, level size, kept graphs, new minimal
+    obstructions)``.  The kept graphs are the next level's parents.
+
+    ``found`` is None in the family search; in the obstruction search it is
+    read as each level starts, so the obstructions the caller records in it
+    while handling a yield count for the next level.  The level at
+    ``n_max`` is kept only with ``keep_last``.  The loop stops before it
+    would build a level from no parents.  One worker builds the levels in
+    this process, without a pool."""
+    bases: list[bytearray | None] = [None] * len(parents)
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
         for n in range(start_n + 1, cfg.n_max + 1):
             if not parents:
                 return
-            if count and n == cfg.n_max:
-                yield n, count(parents, inherited, colorings, pool), []
-                return
-            level, colorings, made_by = _next_level(
-                parents, inherited, cfg, pool, n < cfg.n_max, colorings
-            )
-            parents, colorings = keep(level, colorings)
-            inherited = _earlier_parent_tables(parents, made_by)
-            del made_by  # the producers' tables, no longer needed
-            yield n, len(level), parents
+            older = None if found is None else [g for _, g in found]
+            keep = keep_last or n < cfg.n_max
+            size, kids, new = _build_level(parents, bases, colorings, cfg, pool, older, keep)
+            parents = [kid[1] for kid in kids]
+            colorings = [kid[2] for kid in kids]
+            bases = [kid[3] for kid in kids]
+            del kids
+            yield n, size, parents, new
 
 
 def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
@@ -697,7 +519,7 @@ def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
     isomorphism class, in (order, canonical code) order."""
     seeds = _seeds(cfg)
     yield from seeds
-    for _, _, level in _grow(cfg, seeds, None, 1, lambda level, _: (level, None)):
+    for _, _, level, _ in _grow(cfg, seeds, [None] * len(seeds), 1):
         yield from level
 
 
@@ -729,27 +551,27 @@ def enumerate_critical(
     """
     state = _load_checkpoint(checkpoint, cfg) if checkpoint else None
     if state is None:
-        seeds = _seeds(cfg)
+        extendable = _seeds(cfg)
+        colorings = [_coloring_of(g, cfg.k) for g in extendable]
         found: list[tuple[bytes, Graph]] = []
         start_n = 1
-        level_sizes: dict[int, int] = {1: len(seeds)}
-        extendable, colorings = _sift_level(seeds, cfg, found, None)
+        level_sizes: dict[int, int] = {1: len(extendable)}
     else:
-        extendable, found, start_n, level_sizes = state
-        colorings = None  # a checkpoint keeps no colorings
+        extendable, colorings, found, start_n, level_sizes = state
         if log:
             log(f"resumed at level {start_n}")
 
     t0 = time.monotonic()
-    sift = lambda level, colorings: _sift_level(level, cfg, found, colorings)
+    reps: dict[bytes, Graph] = {}
     # A checkpoint lists the graphs of its level, so with one the last level
-    # is built; otherwise it is only counted.
-    count = None if checkpoint else (
-        lambda parents, inherited, colorings, pool: _count_level(
-            parents, inherited, cfg, pool, colorings, found
-        )
-    )
-    for n, size, extendable in _grow(cfg, extendable, colorings, start_n, sift, count):
+    # is kept; otherwise it is only counted.
+    levels = _grow(cfg, extendable, colorings, start_n, found, keep_last=bool(checkpoint))
+    for n, size, extendable, new in levels:
+        for x in new:
+            g = _representative(x, reps)
+            assert g.min_degree() >= cfg.k, "minimal obstruction with a vertex of low degree"
+            assert structure.find_clique_cutset(g) is None, "minimal obstruction with clique cutset"
+            found.append((canon.canonical_code(g), g))
         level_sizes[n] = size
         if log:
             log(
@@ -778,39 +600,6 @@ def enumerate_critical(
         for i, (code, g) in enumerate(found)
     ]
     return CriticalRun(cfg.k, cfg.n_max, entries, level_sizes)
-
-
-def _sift_level(level, cfg, found, colorings=None) -> tuple[list[Graph], list[bytes]]:
-    """Record this level's minimal obstructions; return what to extend,
-    and a k-coloring of each.
-
-    ``colorings[i]`` is the coloring ``level[i]`` inherited from its
-    producer (see :func:`_expand_parent`) or None.  A graph with one is
-    kept with no search; only the others go to ``k_color``.  Every built
-    level comes here; the last level is built, and sifted, only when a
-    checkpoint is written (otherwise :func:`_count_level` records its
-    obstructions).
-    """
-    extendable, kept = [], []
-    for g, col in zip(level, colorings or itertools.repeat(None)):
-        if col is None:
-            found_col = coloring.k_color(g, cfg.k)
-            col = None if found_col is None else bytes(found_col.assignment)
-        if col is not None:
-            extendable.append(g)
-            kept.append(col)
-            continue
-        # Non-colorable graphs are either minimal (recorded, and no
-        # extension of them can be minimal) or contain a smaller
-        # obstruction (so no extension can be minimal either).  A
-        # vertex of degree < k extends any k-coloring of the rest, so
-        # deleting it leaves a non-k-colorable graph: not minimal.
-        if g.min_degree() >= cfg.k and coloring._deletions_colorable(g, cfg.k):
-            assert (
-                structure.find_clique_cutset(g) is None
-            ), "minimal obstruction with clique cutset"
-            found.append((canon.canonical_code(g), g))
-    return extendable, kept
 
 
 def _config_fingerprint(cfg: SearchConfig) -> dict:
@@ -844,6 +633,11 @@ _CHECKPOINT_FIELDS = {
 
 
 def _load_checkpoint(path, cfg):
+    """The state a checkpoint resumes: its level's graphs to extend, a
+    k-coloring of each, the obstructions found, the level and the level
+    sizes; None if there is no checkpoint yet.  Raises ``ValueError`` for
+    a checkpoint that another search wrote or that the search could not
+    have written: canonical deletion would count a duplicate parent twice."""
     path = Path(path)
     if not path.exists():
         return None
@@ -874,8 +668,31 @@ def _load_checkpoint(path, cfg):
     if sizes.keys() != levels.keys() or any(type(v) is not int or v < 0 for v in sizes.values()):
         raise ValueError(f"checkpoint field 'level_sizes' needs a count per level 1 to {level}")
     level_sizes = {levels[key]: v for key, v in sizes.items()}
+
+    def family_member(g: Graph) -> bool:
+        return g.is_connected() and detect.is_free(g, cfg.forbidden)[0]
+
+    colorings = [_coloring_of(g, cfg.k) if family_member(g) else None for g in extendable]
+    if None in colorings:
+        line = payload["extendable"][colorings.index(None)]
+        raise ValueError(
+            f"checkpoint field 'extendable' holds {line}, "
+            f"not a connected {cfg.k}-colorable member of the family"
+        )
+    for line, g in zip(payload["obstructions"], obstructions):
+        if not (family_member(g) and is_minimal_obstruction(g, cfg.k)):
+            raise ValueError(
+                f"checkpoint field 'obstructions' holds {line}, "
+                "not a connected minimal obstruction in the family"
+            )
     found = [(canon.canonical_code(g), g) for g in obstructions]
-    return extendable, found, level, level_sizes
+    for name, codes in (
+        ("extendable", [canon.canonical_code(g) for g in extendable]),
+        ("obstructions", [code for code, _ in found]),
+    ):
+        if len(set(codes)) < len(codes):
+            raise ValueError(f"checkpoint field {name!r} lists a class twice")
+    return extendable, colorings, found, level, level_sizes
 
 
 # -- nice critical graphs ----------------------------------------------------

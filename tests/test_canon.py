@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_graphs, blowup, brute_isomorphic, empty_graph, graphs, stack_depth
 from p6c4 import canon, codec, families
-from p6c4.enumeration import enumerate_family, p6c4_config
 from p6c4.graphs import Graph, bits
 
 GOLDEN_CANON = Path(__file__).parent / "data" / "golden" / "canon-family-n7.txt"
@@ -261,100 +260,6 @@ def test_search_needs_no_recursion():
     assert g._canon == want
 
 
-# -- early stop on a known leaf code ---------------------------------------
-
-
-def _search_known(g, known):
-    """:func:`canon._search` on ``g`` with the dict ``known``."""
-    return canon._search(g.n, g.adj, [list(bits(row)) for row in g.adj], known)
-
-
-def _leaves(g, known):
-    """``_search_known(g, known)`` and the codes of the leaves it reached."""
-    codes = []
-    real = canon._code_under
-
-    def recorded(*args):
-        codes.append(real(*args))
-        return codes[-1]
-
-    canon._code_under = recorded
-    try:
-        return _search_known(g, known), codes
-    finally:
-        canon._code_under = real
-
-
-def _counting_leaves(g, known):
-    """``_search_known(g, known)`` and the number of leaves it reached."""
-    result, codes = _leaves(g, known)
-    return result, len(codes)
-
-
-def _shuffled(g, rng):
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return g.relabel(perm)
-
-
-def _check_early_stop(g, rng):
-    """Once ``g``'s search has filled ``known``, a relabelling of ``g`` stops
-    at its first leaf with ``g``'s code, and a graph with one pair flipped
-    (another edge count, so not isomorphic) gets the triple it gets
-    without ``known``."""
-    known = {}
-    want = canon._canonical(g)
-    assert _search_known(g, known) == want
-    assert _counting_leaves(_shuffled(g, rng), known) == (want[0], 1)
-    if g.n >= 2:
-        u, v = rng.sample(range(g.n), 2)
-        h = _flip(g, u, v)
-        assert _search_known(h, dict(known)) == canon._canonical(h)
-
-
-@settings(max_examples=200, deadline=None)
-@given(graphs(max_n=10), st.randoms(use_true_random=False))
-def test_known_leaf_code_stops_a_relabelling_at_its_first_leaf(g, rng):
-    _check_early_stop(g, rng)
-
-
-def test_known_leaf_code_stops_at_the_first_leaf_on_named_graphs():
-    rng = random.Random(29)
-    for g in _named_graphs():
-        _check_early_stop(g, rng)
-
-
-def test_one_known_dict_across_the_family():
-    """The family members with n <= 7 are pairwise non-isomorphic: sharing
-    one ``known`` dict, each gets the triple it gets alone, and afterwards
-    a relabelling of each stops at its first leaf with that graph's code."""
-    rng = random.Random(31)
-    family = list(enumerate_family(p6c4_config(n_max=7)))
-    known = {}
-    for g in family:
-        fresh = codec.from_graph6(codec.to_graph6(g))
-        assert _search_known(fresh, known) == canon._canonical(fresh)
-    for g in family:
-        assert _counting_leaves(_shuffled(g, rng), known) == (canon.canonical_code(g), 1)
-
-
-def test_a_known_dict_maps_leaf_codes_to_their_class():
-    """A completed search maps every leaf code it met, and no other, to
-    the code it found: its leaves are those of the search without
-    ``known``.  A relabelling's search returns that code at its first
-    leaf.  ``canonical_code`` takes no ``known``."""
-    rng = random.Random(37)
-    for g in _named_graphs():
-        known = {}
-        want, leaves = _leaves(g, known)
-        assert want == canon._canonical(g)
-        assert known == dict.fromkeys(leaves, want[0])
-        h = _shuffled(g, rng)
-        assert _counting_leaves(h, known) == (want[0], 1)
-    with pytest.raises(TypeError):
-        canon.canonical_code(g, known=known)
-
-
 # -- networkx oracle -------------------------------------------------------
 
 
@@ -425,13 +330,15 @@ def test_canon_agrees_with_networkx_isomorphism():
 
 
 def _render_canon_golden() -> bytes:
-    """One line per (P6,C4)-free family member with n <= 7, decoded afresh
-    from graph6: the graph6 line, the canonical code in hex, the canonical
-    order, and the automorphism generators in the order the search found
-    them (``;`` between generators, ``-`` when there are none)."""
+    """One line per graph6 line in the first column of the golden file (the
+    (P6,C4)-free family members with n <= 7, as one labelled copy each),
+    decoded afresh: the graph6 line, the canonical code in hex, the
+    canonical order, and the automorphism generators in the order the
+    search found them (``;`` between generators, ``-`` when there are
+    none)."""
     lines = []
-    for member in enumerate_family(p6c4_config(n_max=7)):
-        line = codec.to_graph6(member)
+    for line in GOLDEN_CANON.read_text().split("\n")[:-1]:
+        line = line.split(" ", 1)[0]
         g = codec.from_graph6(line)
         order = ",".join(map(str, canon.canonical_order(g)))
         gens = ";".join(",".join(map(str, s)) for s in canon.automorphism_generators(g))

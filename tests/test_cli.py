@@ -279,7 +279,11 @@ def test_enumerate_with_the_empty_graph_forbidden_finds_nothing(capsys):
 def test_enumerate_rejects_a_malformed_checkpoint(tmp_path, capsys):
     """A missing or mistyped field is refused.  Level sizes go into the
     manifest as they stand, so a resumed run takes only one count, a
-    non-negative int, for each level from 1 to the checkpoint's level."""
+    non-negative int, for each level from 1 to the checkpoint's level.
+    Each graph to extend must be a connected, pattern-free, k-colorable
+    graph and each obstruction a connected, pattern-free minimal one, each
+    class listed once: a search that counts each class from one parent
+    would count a duplicate twice."""
     ck = tmp_path / "ck.json"
     argv = ["enumerate", "--mode", "critical", "--k", "3", "--max-n", "4", "--resume", str(ck)]
     assert main([*argv, "--workers", "1"]) == 0
@@ -296,13 +300,25 @@ def test_enumerate_rejects_a_malformed_checkpoint(tmp_path, capsys):
         {},
         {key: v for key, v in sizes.items() if key != "2"},
     ]
+    c4, k4 = families.cycle_graph(4), families.complete_graph(4)
+    triangle_and_vertex = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    again = codec.to_graph6(codec.from_graph6(written["extendable"][0]).relabel((3, 2, 1, 0)))
+    assert written["obstructions"] == [codec.to_graph6(k4)] and again not in written["extendable"]
+    tampered = [
+        ({**written, "extendable": written["extendable"] + [codec.to_graph6(g)]}, "'extendable'")
+        for g in (c4, k4, triangle_and_vertex)
+    ] + [
+        ({**written, "extendable": written["extendable"] + [again]}, "'extendable'"),
+        ({**written, "obstructions": [codec.to_graph6(families.path_graph(4))]}, "'obstructions'"),
+        ({**written, "obstructions": ["C~", "C~"]}, "'obstructions'"),
+    ]
     capsys.readouterr()
     for payload, field in [
         ({}, "config"),
         ([], "object"),
         (no_extendable, "extendable"),
         (bad_line, "extendable"),
-    ] + [({**written, "level_sizes": bad}, "'level_sizes'") for bad in bad_sizes]:
+    ] + [({**written, "level_sizes": bad}, "'level_sizes'") for bad in bad_sizes] + tampered:
         ck.write_text(json.dumps(payload))
         assert main(argv) == 65, payload
         captured = capsys.readouterr()

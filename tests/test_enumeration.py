@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import all_graphs, count_calls, graphs
-from p6c4 import canon, codec, coloring, detect, enumeration, families, structure
+from p6c4 import canon, codec, coloring, detect, enumeration, families
 from p6c4.enumeration import (
     NiceWitness,
     SearchConfig,
@@ -221,204 +221,229 @@ def _first_occurrences(pairs) -> dict[bytes, tuple[int, ...]]:
 
 
 def test_orbit_pruning_keeps_every_first_occurrence():
+    """The mask walk takes one mask per orbit of the parent's generators, and
+    per class its children are the first children of a walk over every
+    mask."""
     cfg = p6c4_config(n_max=7)
     for parent in enumerate_family(cfg):
-        new, _ = enumeration._expand_parent(parent, cfg, {})
-        ref = _reference_expand(parent, P6C4)
-        kept = [(code, child) for code, child, _ in new]
-        assert _first_occurrences(kept) == _first_occurrences(ref)
+        walk = enumeration._MaskWalk(parent, cfg)
+        kept = [(canon.canonical_code(child), child) for child in map(parent.add_vertex, walk)]
+        assert _first_occurrences(kept) == _first_occurrences(_reference_expand(parent, P6C4))
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_shared_leaf_codes_keep_the_reference_level(k):
-    """Ablation of the level-wide dict of leaf codes: each level of the
-    obstruction search is the labelled level that every mask of every
-    parent, each child fully labelled, gives by first occurrence."""
-    cfg = p6c4_config(k=k, n_max=7)
-    level, found = enumeration._seeds(cfg), []
-    for _ in range(2, cfg.n_max + 1):
-        parents, _ = enumeration._sift_level(level, cfg, found)
+def _recorded_levels(monkeypatch) -> list:
+    """Wrap ``enumeration._grow`` so that each level it yields, ``(n, size,
+    kept graphs, new obstructions)``, is appended to the returned list."""
+    levels, real = [], enumeration._grow
+
+    def grow(*args, **kw):
+        for level in real(*args, **kw):
+            levels.append(level)
+            yield level
+
+    monkeypatch.setattr(enumeration, "_grow", grow)
+    return levels
+
+
+def _reference_levels(k, n_max):
+    """The built levels of the obstruction search, the slow way: a level
+    walks every free mask of every parent in code order, labels every child
+    and keeps the first child of each class; its k-colorable graphs are the
+    next level's parents and its minimal obstructions are recorded.  Maps
+    each n to (level size, parents, obstructions), both lists by code."""
+    parents, levels = enumeration._seeds(p6c4_config(k=k)), {}
+    for n in range(2, n_max + 1):
         first: dict[bytes, Graph] = {}
         for parent in parents:
             for code, child in _reference_expand(parent, P6C4):
                 first.setdefault(code, child)
-        level, _, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
-        assert [g.adj for g in level] == [first[code].adj for code in sorted(first)]
+        level = [first[code] for code in sorted(first)]
+        parents = [g for g in level if coloring.k_color(g, k) is not None]
+        levels[n] = (len(level), parents, [g for g in level if is_minimal_obstruction(g, k)])
+    return levels
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_inherited_automorphisms_keep_every_child(k, monkeypatch):
-    """Ablation of the automorphisms a child inherits from its parent: on
-    every level of the obstruction search with n <= 8, each parent's walk
-    gives the children, codes and canonical orders that the same walk with
-    no inherited automorphisms gives, and the level's set of leaf codes
-    ends up the same.  Each kept child's code and order are those of a
-    fresh search, every generator it carries is an automorphism of it, and
-    the inherited ones cut the leaves the searches reach."""
-    cfg = p6c4_config(k=k, n_max=8)
-    search, code_under = canon._search, canon._code_under
-    leaves = 0
-
-    def counted(*args):
-        nonlocal leaves
-        leaves += 1
-        return code_under(*args)
-
-    monkeypatch.setattr(canon, "_code_under", counted)
-    level, found = enumeration._seeds(cfg), []
-    with_leaves = without_leaves = 0
-    for _ in range(2, cfg.n_max + 1):
-        parents, _ = enumeration._sift_level(level, cfg, found)
-        known, known_without, seen = {}, {}, {}
-        for parent in parents:
-            leaves = 0
-            got, _ = enumeration._expand_parent(parent, cfg, known)
-            with_leaves += leaves
-            with monkeypatch.context() as m:
-                m.setattr(canon, "_search", lambda n, adj, nbrs, known, auts: search(n, adj, nbrs, known))
-                leaves = 0
-                want, _ = enumeration._expand_parent(parent, cfg, known_without)
-                without_leaves += leaves
-            assert [(code, g.adj, canon.canonical_order(g)) for code, g, _ in got] == [
-                (code, g.adj, canon.canonical_order(g)) for code, g, _ in want
-            ]
-            for code, child, _ in got:
-                assert child._canon[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
-                assert all(child.relabel(s) == child for s in child._canon[2])
-                seen.setdefault(code, child)
-        assert known == known_without
-        level = [seen[code] for code in sorted(seen)]
-    assert with_leaves < without_leaves
+def _codes(graphs):
+    return [canon.canonical_code(g) for g in graphs]
 
 
-@pytest.mark.parametrize("k", [3, 4])
-def test_earlier_parent_test_never_changes_a_level(k, monkeypatch, tmp_path):
-    """Ablation of the earlier-parent test: with every table withheld, so
-    that no child is dropped before labelling, the labelled levels and
-    obstructions of the search to n <= 8 are the same, with one worker and
-    with two; with the tables, one worker runs fewer canonical searches.
-    Each run writes a checkpoint, so its last level is built and sifted."""
-    real_sift = enumeration._sift_level
-    fresh = (tmp_path / f"ck{i}.json" for i in itertools.count())
+@pytest.mark.parametrize("k, n_max", [(2, 8), (3, 8), (4, 8)])
+def test_levels_match_the_reference_levels(k, n_max, monkeypatch, tmp_path):
+    """An oracle for canonical deletion: the search kept to its last level
+    by a checkpoint has, per level, the reference level's size, keeps its
+    k-colorable classes and finds its obstructions; every obstruction's
+    graph6 line is that of the reference's first occurrence."""
+    levels = _recorded_levels(monkeypatch)
+    run = enumerate_critical(p6c4_config(k=k, n_max=n_max), checkpoint=tmp_path / "ck.json")
+    ref = _reference_levels(k, n_max)
+    assert [level[0] for level in levels] == list(ref)
+    for n, size, kept, new in levels:
+        assert size == run.level_sizes[n] == ref[n][0]
+        assert _codes(kept) == _codes(ref[n][1])
+        assert sorted(_codes(new)) == _codes(ref[n][2])
+    want = sorted((g for level in ref.values() for g in level[2]), key=canon.canonical_code)
+    assert want and [codec.to_graph6(e.graph) for e in run.obstructions] == [
+        codec.to_graph6(g) for g in want
+    ]
 
-    def run(workers):
-        levels = []
 
-        def sift(level, cfg, found, colorings):
-            levels.append([g.adj for g in level])
-            return real_sift(level, cfg, found, colorings)
-
-        with monkeypatch.context() as m:
-            m.setattr(enumeration, "_sift_level", sift)
-            searches = count_calls(m, canon, "_search")
-            result = enumerate_critical(
-                p6c4_config(k=k, n_max=8, workers=workers), checkpoint=next(fresh)
-            )
-        return levels, [codec.to_graph6(e.graph) for e in result.obstructions], len(searches)
-
-    on, on_two = run(1), run(2)
-    monkeypatch.setattr(
-        enumeration, "_earlier_parent_tables", lambda parents, made_by: [None] * len(parents)
+def _colorable_deletions(x, k):
+    """Is every ``x - v`` k-colorable?"""
+    return all(
+        coloring.k_color(induced_subgraph(x, [u for u in range(x.n) if u != v])[0], k)
+        for v in range(x.n)
     )
-    off, off_two = run(1), run(2)
-    assert len(on[0]) == 8 and on[1]
-    assert on[:2] == on_two[:2] == off[:2] == off_two[:2]
-    assert on[2] < off[2]
+
+
+def _reference_accepted(parent, k):
+    """The masks of the walk over ``parent`` whose child X is accepted, with
+    every child labelled: w must lie in the orbit of m(X), the deletable
+    vertex with the largest (degree, sum of neighbour degrees), ties going
+    to the least canonical position."""
+    out = []
+    for mask in enumeration._MaskWalk(parent, p6c4_config(k=k)):
+        x = parent.add_vertex(mask)
+        key = lambda v: (x.degree(v), sum(x.degree(u) for u in x.neighbors(v)))
+        deletable = _deletable(x, k)
+        best = max(map(key, deletable))
+        order = canon.canonical_order(x)
+        m = min((v for v in deletable if key(v) == best), key=order.index)
+        label = canon.orbits(x.n, canon.automorphism_generators(x))
+        if label[m] == label[parent.n]:
+            out.append(mask)
+    return out
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_invariant_prefilter_only_saves_labelling(k, monkeypatch, tmp_path):
+    """Ablation of the invariant pre-filter: labelling every child and
+    accepting it iff its new vertex is in the orbit of m(X), each parent of
+    the search to n <= 8 accepts the same children, so the levels are the
+    same.  The kept children and obstructions are exactly the accepted
+    children whose deletions are all k-colorable."""
+    calls, real = [], enumeration._extend_parent
+
+    def spy(parent, *args):
+        out = real(parent, *args)
+        calls.append((parent, out))
+        return out
+
+    monkeypatch.setattr(enumeration, "_extend_parent", spy)
+    enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "ck.json")
+    assert len(calls) > 100
+    for parent, (count, kept, new) in calls:
+        want = _reference_accepted(parent, k)
+        assert count == len(want), parent.adj
+        masks = sorted(g.adj[-1] for g in [kid[1] for kid in kept] + new)
+        assert masks == [m for m in want if _colorable_deletions(parent.add_vertex(m), k)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_inherited_automorphisms_keep_every_child(k, monkeypatch, tmp_path):
+    """Ablation of the automorphisms a child inherits from its parent: with
+    them withheld from every canonical search, the search to n <= 8, kept to
+    its last level by a checkpoint, keeps the same labelled graphs with the
+    same codes and canonical orders, level sizes and obstructions.  Each
+    kept graph's code and order are those of a fresh search, every
+    generator it carries is an automorphism of it, and the inherited ones
+    cut the leaves the searches reach."""
+    search = canon._search
+
+    def run(withhold):
+        with monkeypatch.context() as m:
+            if withhold:
+                m.setattr(canon, "_search", lambda n, adj, nbrs, auts=(): search(n, adj, nbrs))
+            levels = _recorded_levels(m)
+            leaves = count_calls(m, canon, "_code_under")
+            result = enumerate_critical(
+                p6c4_config(k=k, n_max=8), checkpoint=tmp_path / f"ck{withhold}.json"
+            )
+        kept = [[(g.adj, g._canon[:2]) for g in level[2]] for level in levels]
+        return (kept, _run_lines(result)), len(leaves), [g for level in levels for g in level[2]]
+
+    (on, on_leaves, graphs), (off, off_leaves, _) = run(False), run(True)
+    assert on == off and on_leaves < off_leaves
+    for g in graphs:
+        assert g._canon[:2] == canon._canonical(Graph(g.n, g.adj))[:2]
+        assert all(g.relabel(s) == g for s in g._canon[2])
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_inherited_colorings_never_change_a_level(k, monkeypatch, tmp_path):
     """Ablation of the colorings children inherit: with every inherited
-    coloring withheld, so that every graph of every level goes to
-    ``k_color``, the labelled levels, level sizes and obstructions of the
-    search to n <= 8 are the same, with one worker and with two.  With
-    the colorings, two workers make as few ``k_color`` calls as one, so
-    the colorings come back from the workers; and a run resumed from a
-    level-6 checkpoint, whose first resumed level inherits nothing,
-    equals a fresh run.  Each run writes a checkpoint, so its last level is
-    built and sifted."""
-    real_sift = enumeration._sift_level
+    coloring withheld, so that ``k_color`` runs on every accepted child
+    without a smaller obstruction, the kept levels, level sizes and
+    obstructions of the search to n <= 8 are the same, with one worker and
+    with two.  A run resumed from a level-6 checkpoint, whose parents get
+    their colorings from ``k_color``, equals a fresh run.  Each run writes
+    a checkpoint, so its last level is kept."""
     fresh = (tmp_path / f"ck{i}.json" for i in itertools.count())
 
     def run(workers, withhold, checkpoint=None, n_max=8):
-        levels = []
-
-        def sift(level, cfg, found, colorings):
-            levels.append([g.adj for g in level])
-            return real_sift(level, cfg, found, None if withhold else colorings)
-
         with monkeypatch.context() as m:
-            m.setattr(enumeration, "_sift_level", sift)
+            if withhold:
+                m.setattr(enumeration._MaskWalk, "coloring", lambda self, mask: None)
+            levels = _recorded_levels(m)
             calls = count_calls(m, coloring, "k_color")
             cfg = p6c4_config(k=k, n_max=n_max, workers=workers)
             result = enumerate_critical(cfg, checkpoint=checkpoint or next(fresh))
+        kept = [[g.adj for g in level[2]] for level in levels]
         lines = [codec.to_graph6(e.graph) for e in result.obstructions]
-        return levels, result.level_sizes, lines, len(calls)
+        return kept, result.level_sizes, lines, len(calls), levels
 
     on, on_two = run(1, False), run(2, False)
     off, off_two = run(1, True), run(2, True)
-    assert len(on[0]) == 8 and on[2]
+    assert len(on[0]) == 7 and on[2]
     assert on[:3] == on_two[:3] == off[:3] == off_two[:3]
-    assert off[3] == sum(map(len, off[0])) > on[3] == on_two[3]
+    accepted = sum(len(kept) + len(new) for _, _, kept, new in off[4])
+    assert off[3] == 1 + accepted > on[3]  # the seed, then every accepted child
 
     ck = tmp_path / "ck.json"
     run(1, False, ck, n_max=6)
     resumed = run(1, False, ck)
-    assert resumed[0] == on[0][6:]
+    assert resumed[0] == on[0][5:]
     assert resumed[1:3] == on[1:3]
 
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_k_color_runs_only_where_no_coloring_was_inherited(k, monkeypatch, tmp_path):
-    """In the obstruction search to n <= 8, ``k_color`` is called on
-    exactly the sifted graphs that inherited no coloring, in order, and
-    every inherited coloring is a proper coloring with palette 1..k.  The
-    run writes a checkpoint, so its last level is built and sifted."""
-    real_sift = enumeration._sift_level
-    uncolored, inherited = [], 0
+    """In the search to n <= 8, kept to its last level by a checkpoint,
+    ``k_color`` runs on the seed and then exactly on the accepted children
+    without a smaller obstruction (those kept and the new obstructions)
+    that inherited no coloring, in order.  Every kept graph's coloring is a
+    proper coloring with palette 1..k, with one worker and with two, so
+    the colorings come back from the workers."""
+    offered, real_coloring = [], enumeration._MaskWalk.coloring
 
-    def sift(level, cfg, found, colorings):
-        nonlocal inherited
-        for g, col in zip(level, colorings or itertools.repeat(None)):
-            if col is None:
-                uncolored.append(g)
-            else:
-                assert coloring.verify_coloring(g, coloring.Coloring(k, tuple(col))) == (True, None)
-                inherited += 1
-        return real_sift(level, cfg, found, colorings)
+    def spy(self, mask):
+        col = real_coloring(self, mask)
+        offered.append((mask, col))
+        return col
 
-    monkeypatch.setattr(enumeration, "_sift_level", sift)
+    monkeypatch.setattr(enumeration._MaskWalk, "coloring", spy)
+    built, real_build = [], enumeration._build_level
+
+    def build(*args):
+        out = real_build(*args)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(enumeration, "_build_level", build)
     calls = count_calls(monkeypatch, coloring, "k_color")
     enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "ck.json")
-    assert calls == [(g, k) for g in uncolored]
-    assert all(args[0] is g for args, g in zip(calls, uncolored))
-    assert inherited and calls
+    calls, graphs = list(calls), [g for g, _ in calls[1:]]
+    assert calls[0][0].n == 1 and all(g.n > 1 for g in graphs)
+    assert len(offered) == sum(len(kids) + len(new) for _, kids, new in built)
+    assert [g.adj[-1] for g in graphs] == [mask for mask, col in offered if col is None]
+    assert graphs and len(graphs) < len(offered)
+    assert all(_colorable_deletions(g, k) for g in graphs)
 
-
-def test_earlier_parent_tables_index_the_parents():
-    """Each entry of a parent's table is the index of the class its
-    producer's child falls in, for every free mask whose child was
-    labelled, or -1; the last level builds no tables."""
-    cfg = p6c4_config(n_max=6)
-    parents, priors, hits = enumeration._seeds(cfg), [None], 0
-    for n in range(2, 6):
-        level, _, made_by = enumeration._next_level(parents, priors, cfg, None, record=True)
-        assert set(made_by) == set(level)
-        priors = enumeration._earlier_parent_tables(level, made_by)
-        index = {canon.canonical_code(g): i for i, g in enumerate(level)}
-        for g, (table, bad) in zip(level, priors):
-            producer = _without_last(g)
-            assert bad == _reference_bad_masks(producer, P6C4)
-            assert len(table) == 1 << producer.n and table[0] == -1
-            for mask, j in enumerate(table):
-                if j >= 0:
-                    assert index[canon.canonical_code(producer.add_vertex(mask))] == j
-                    hits += 1
-        parents = level
-    assert hits
-    last, _, made_by = enumeration._next_level(parents, priors, cfg, None)
-    assert made_by == {}
-    assert enumeration._earlier_parent_tables(last, made_by) == [None] * len(last)
+    built.clear()
+    enumerate_critical(p6c4_config(k=k, n_max=8, workers=2), checkpoint=tmp_path / "ck2.json")
+    kids = [kid for _, level, _ in built for kid in level]
+    assert len(kids) > 500
+    for _, g, col, _ in kids:
+        assert coloring.verify_coloring(g, coloring.Coloring(k, tuple(col))) == (True, None)
 
 
 # -- minimal obstructions -------------------------------------------------------
@@ -505,23 +530,22 @@ def test_worker_count_does_not_change_results_at_k4():
 
 def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
     """A parent that crossed a process boundary keeps its canonical search
-    result: the expansion runs one search per labelled child and none for
-    the parent, the same searches as on the parents that never left, and
-    each child's result comes back with it through a pickle round trip.
-    A parent without its result runs one more search."""
-    cfg = p6c4_config(k=4, n_max=7)
-    parents, found = enumeration._seeds(cfg), []
-    for _ in range(2, 7):
-        level, _, _ = enumeration._next_level(parents, [None] * len(parents), cfg, None)
-        parents, _ = enumeration._sift_level(level, cfg, found)
+    result: extending a chunk of parents runs one search per tie and kept
+    child and none for a parent, the same searches as on the parents that
+    never left, and each child's result comes back with it through a
+    pickle round trip.  A parent without its result runs one more search."""
+    cfg = p6c4_config(k=4, n_max=6)
+    seeds, found = enumeration._seeds(cfg), []
+    for _, _, parents, new in enumeration._grow(cfg, seeds, [b"\x01"], 1, found):
+        found += [(canon.canonical_code(g), g) for g in new]
     n = parents[0].n
-    assert all(g._canon for g in parents) and all(g.n == n for g in parents)
-    priors = [None] * len(parents)
+    assert n == 6 and all(g._canon for g in parents) and all(g.n == n for g in parents)
+    none = [None] * len(parents)
 
     def expand(graphs):
         with monkeypatch.context() as m:
             calls = count_calls(m, canon, "_search")
-            out = enumeration._expand_chunk(graphs, priors, 0, cfg, False)
+            out = enumeration._extend_chunk(graphs, none, none, cfg, [g for _, g in found], True)
         return out, [(args[0], args[1]) for args in calls]
 
     home, home_searches = expand(parents)
@@ -533,7 +557,7 @@ def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
     assert [size for size, _ in bare_searches].count(n + 1) == len(home_searches)
 
     def children(chunk):
-        return [(code, child, child._canon) for kids, _ in chunk for code, child, _ in kids]
+        return [(code, child, child._canon) for code, child, _, _ in chunk[1]]
 
     returned = children(pickle.loads(pickle.dumps(trip)))
     assert [(c, g.adj, r) for c, g, r in returned] == [(c, g.adj, r) for c, g, r in children(home)]
@@ -541,57 +565,6 @@ def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
     for code, child, result in returned:
         assert result[0] == code
         assert result[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
-
-
-def _reference_sift_level(level, cfg, found):
-    """The sift without the low-degree shortcut: every non-colorable graph
-    goes through :func:`is_minimal_obstruction`."""
-    extendable = []
-    for g in level:
-        if coloring.k_color(g, cfg.k) is None:
-            if is_minimal_obstruction(g, cfg.k):
-                assert structure.find_clique_cutset(g) is None
-                found.append((canon.canonical_code(g), g))
-        else:
-            extendable.append(g)
-    return extendable
-
-
-@pytest.mark.parametrize("k", [3, 4])
-def test_low_degree_shortcut_never_changes_the_obstructions(k, monkeypatch, tmp_path):
-    # The checkpoints make both runs build and sift their last level.
-    checks = count_calls(monkeypatch, coloring, "_deletions_colorable")
-    fast = enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "fast.json")
-    fast_checks = len(checks)
-    monkeypatch.setattr(
-        enumeration,
-        "_sift_level",
-        lambda level, cfg, found, colorings: (_reference_sift_level(level, cfg, found), None),
-    )
-    slow = enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "slow.json")
-    assert [(e.id, e.graph.adj) for e in fast.obstructions] == [
-        (e.id, e.graph.adj) for e in slow.obstructions
-    ]
-    assert fast.level_sizes == slow.level_sizes
-    assert fast.obstructions and fast_checks < len(checks) - fast_checks
-
-
-def test_containment_prune_never_changes_the_obstructions(monkeypatch, tmp_path):
-    """Ablation of the containment prune: extending every graph of each
-    level, the non-colorable ones too, and recording obstructions with the
-    reference sift finds the same obstructions.  The checkpoints make both
-    runs build and sift their last level."""
-    base = enumerate_critical(p6c4_config(k=3, n_max=7), checkpoint=tmp_path / "base.json")
-
-    def sift_keeping_all(level, cfg, found, colorings):
-        _reference_sift_level(level, cfg, found)
-        return list(level), colorings
-
-    monkeypatch.setattr(enumeration, "_sift_level", sift_keeping_all)
-    other = enumerate_critical(p6c4_config(k=3, n_max=7), checkpoint=tmp_path / "other.json")
-    key = lambda run: [canon.canonical_code(e.graph) for e in run.obstructions]
-    assert key(base) == key(other)
-    assert base.level_sizes[7] < other.level_sizes[7]
 
 
 # -- the counted last level -------------------------------------------------------
@@ -603,11 +576,10 @@ def _run_lines(run):
 
 @pytest.mark.parametrize("k, n_max", [(2, 9), (3, 9), (4, 9), (5, 9), (3, 10)])
 def test_counted_last_level_equals_the_built_one(k, n_max, tmp_path):
-    """Ablation of the counted last level: a run without a checkpoint,
-    which only counts its last level, gives the level sizes, obstruction
-    ids and graph6 lines of a run with one, which builds and sifts it,
-    with one worker and with two; and a run resumed from a checkpoint
-    two levels down gives them too."""
+    """A run without a checkpoint, which only counts its last level, gives
+    the level sizes, obstruction ids and graph6 lines of a run with one,
+    which keeps that level, with one worker and with two; and a run resumed
+    from a checkpoint two levels down gives them too."""
     counted = _run_lines(enumerate_critical(p6c4_config(k=k, n_max=n_max)))
     for workers in (1, 2):
         cfg = p6c4_config(k=k, n_max=n_max, workers=workers)
@@ -631,23 +603,17 @@ def _deletable(x, k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_counted_level_labels_only_ties_and_obstructions(k, monkeypatch, tmp_path):
-    """The search to n <= 8 without a checkpoint sifts no graph of its last
+    """The search to n <= 8 without a checkpoint keeps no graph of its last
     level, and every canonical search it runs on an 8-vertex graph labels
     either a child whose new vertex ties another deletable vertex on the
     invariant (degree, then the sum of neighbour degrees), or a new
-    obstruction's representative.  With a checkpoint the level is sifted."""
-    sifted = []
-    real_sift = enumeration._sift_level
-
-    def sift(level, cfg, found, colorings):
-        sifted.extend(g.n for g in level)
-        return real_sift(level, cfg, found, colorings)
-
-    monkeypatch.setattr(enumeration, "_sift_level", sift)
+    obstruction's representative.  With a checkpoint the level is kept,
+    one graph per k-colorable class."""
+    levels = _recorded_levels(monkeypatch)
     searches = count_calls(monkeypatch, canon, "_search")
     run = enumerate_critical(p6c4_config(k=k, n_max=8))
     labelled = list(searches)  # the checks below run searches of their own
-    assert max(sifted) == 7
+    assert levels[-1][0] == 8 and levels[-1][2] == []
     new = {canon.canonical_code(e.graph) for e in run.obstructions if e.graph.n == 8}
     ties = 0
     for args in labelled:
@@ -661,9 +627,11 @@ def test_counted_level_labels_only_ties_and_obstructions(k, monkeypatch, tmp_pat
         assert keys.count(key(7)) > 1 and max(keys) == key(7), x.adj
         ties += 1
     assert 0 < ties < run.level_sizes[8] // 2
-    sifted.clear()
+    levels.clear()
     enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "ck.json")
-    assert sifted.count(8) == run.level_sizes[8]
+    kept = levels[-1][2]
+    assert 0 < len(kept) == len(set(_codes(kept))) < run.level_sizes[8]
+    assert all(coloring.k_color(g, k) for g in kept)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -696,23 +664,16 @@ def test_core_masks_match_the_colorable_deletions(k):
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_parent_generators_generate_the_automorphism_group(k, monkeypatch):
-    """The generators each parent of the counted level carries generate its
-    whole automorphism group (networkx counts the group), so one child per
-    orbit of them is one child per orbit of the group."""
+    """The generators each parent of every level carries generate its whole
+    automorphism group (networkx counts the group), so one child per orbit
+    of them is one child per orbit of the group."""
     nx = pytest.importorskip("networkx")
     from networkx.algorithms.isomorphism import GraphMatcher
 
-    parents = []
-    real = enumeration._count_level
-
-    def spy(level, *args):
-        parents.extend(level)
-        return real(level, *args)
-
-    monkeypatch.setattr(enumeration, "_count_level", spy)
+    parents = count_calls(monkeypatch, enumeration, "_extend_parent")
     enumerate_critical(p6c4_config(k=k, n_max=8))
-    assert parents
-    for g in parents:
+    assert {args[0].n for args in parents} == set(range(1, 8))
+    for g, *_ in parents:
         h = nx.Graph(g.edges())
         h.add_nodes_from(range(g.n))
         order = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
@@ -742,8 +703,8 @@ def test_checkpoint_resume_matches_fresh_run(tmp_path):
     assert any("resumed at level 4" in m for m in messages)
 
     fresh = enumerate_critical(cfg_long)
-    # The resumed level has no earlier-parent tables; the representatives,
-    # labels included, must still be the fresh run's.
+    # The resumed level has no forbidden-mask tables from its producers; the
+    # representatives, labels included, must still be the fresh run's.
     assert [codec.to_graph6(e.graph) for e in resumed.obstructions] == [
         codec.to_graph6(e.graph) for e in fresh.obstructions
     ]
