@@ -9,7 +9,10 @@ mismatches and freeness violations (there should be none), the
 worst-case gadget size, and two times: the equivalence checks (building
 and exactly coloring each gadget, and solving its instance by brute
 force) and the freeness checks (building the gadget again and auditing
-it).
+it).  On one core of a 2-core x86-64 machine with Python 3.11, the run
+below takes about 2 seconds (CNF: equivalence 0.33 s, freeness 1.19 s;
+NAE: 0.06 s and 0.24 s) and ``--max-clauses 3`` about 53 seconds (CNF:
+8.45 s and 42.08 s; NAE: 0.40 s and 1.98 s).
 
     python3 scripts/gadget_experiments.py --max-vars 3 --max-clauses 2
 """

@@ -10,9 +10,9 @@ files plus JSON manifests into ``src/p6c4/data/``.
 
 Each k's line reports its run time and the peak resident memory so far.
 A default run (k = 3 to n = 10, k = 4 to n = 11) takes about 2 minutes
-on one core with Python 3.11 (116 s on a 2-core x86-64 machine) and
-peaks near 60 MiB (the last level of each search is counted, not
-stored):
+on one core with Python 3.11 (118 s on a 2-core x86-64 machine: k = 3
+2.5 s, k = 4 115.7 s) and peaks near 59 MiB (the last level of each
+search is counted, not stored):
 
     python3 scripts/regenerate_catalogs.py --out src/p6c4/data
 """

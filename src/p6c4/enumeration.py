@@ -52,15 +52,22 @@ parent, so D(X) holds w and is invariant under isomorphism.
   like :func:`_bad_masks` from the obstructions minus one vertex) is the
   intersection of those copies, or every vertex when there is none (as
   always in the family search), and D(X) is the non-cut vertices of X in
-  ``core[M]``.
+  ``core[M]``.  Whether v of P is a cut vertex of X needs no X either:
+  the cut table (:func:`_cut_tables`, per parent) lists the components of
+  P - v, and X - v is connected iff w meets each of them.  So X is built
+  only for a search, a kept child or a coloring search.
 - **The canonical deletion.**  m(X) is the vertex of D(X) with the
   largest invariant (its degree, then the sum of its neighbours'
   degrees), and on a tie the tied vertex at the least position of X's
   canonical order.  X is accepted iff w lies in the orbit of m(X) under
   Aut(X).  A child whose w some vertex of D(X) beats is rejected, and one
-  whose w is the unique maximum accepted, both without labelling; only a
-  tie labels X, its search starting from the parent automorphisms that
-  fix the mask, and the orbits of the generators it returns decide.
+  whose w is the unique maximum accepted, both without labelling.  So is
+  a tie whose tied vertices are all twins of w (:func:`_twins_of_w`: the
+  parent's row of t is M minus t): swapping t and w then fixes every
+  other adjacency, so it is an automorphism of X, every tied vertex and
+  m(X) lie in w's orbit, and X is accepted.  Any other tie labels X, its
+  search starting from the parent automorphisms that fix the mask, and
+  the orbits of the generators it returns decide.
 - **Exactly once.**  Let X be a class of the level and v = m(X).  X - v is
   isomorphic to exactly one parent P.  Two children P + w with masks M1,
   M2 are isomorphic by a map taking w to w iff some automorphism of P
@@ -296,6 +303,32 @@ class _MaskWalk:
         return next((ext for members, ext in self.palette if not mask & members), None)
 
 
+def _cut_tables(parent: Graph) -> list[tuple[int, ...]]:
+    """``cuts[v]`` holds the components of ``parent - v`` as vertex masks.
+    For a child X = parent + w with neighbourhood mask M, X - v is
+    connected iff M meets each of them (for a one-vertex parent there are
+    none, and X - v = {w})."""
+    full = parent.full_mask()
+    cuts = []
+    for v in range(parent.n):
+        within = rest = full & ~(1 << v)
+        parts = []
+        while rest:
+            part = parent.component_mask((rest & -rest).bit_length() - 1, within)
+            parts.append(part)
+            rest &= ~part
+        cuts.append(tuple(parts))
+    return cuts
+
+
+def _twins_of_w(rows: tuple[int, ...], mask: int, ties: list[int]) -> bool:
+    """Whether every tied vertex t of X = parent + w is a twin of w: the
+    parent's row of t is ``mask`` minus t, so t and w have the same
+    neighbours apart from each other, and swapping them is an automorphism
+    of X."""
+    return all(rows[t] == mask & ~(1 << t) for t in ties)
+
+
 def _mask_images(perm: tuple[int, ...]) -> list[int]:
     """``img[M]`` is the image of vertex mask ``M`` under ``perm``."""
     img = [0] * (1 << len(perm))
@@ -333,6 +366,7 @@ def _extend_parent(
     n = parent.n
     walk = _MaskWalk(parent, cfg, base, colors)
     core = _core_masks(parent, found or [])
+    cuts = _cut_tables(parent)
     rows = parent.adj
     nbrs = [list(bits(row)) for row in rows]
     deg = [row.bit_count() for row in rows]
@@ -364,16 +398,15 @@ def _extend_parent(
                 if s < sw:
                     continue
                 tie = s == sw
-            if x is None:
-                x = parent.add_vertex(mask)
-            rest = ((wbit << 1) - 1) & ~(1 << v)
-            if x.component_mask(n, rest) != rest:
+            if not all(map(mask.__and__, cuts[v])):
                 continue  # v is a cut vertex of X: X - v is no parent
             if not tie:
                 break  # v beats w
             ties.append(v)
         else:
-            if ties:
+            # Ties that are all twins of w lie in w's orbit, and so does m(X).
+            if ties and not _twins_of_w(rows, mask, ties):
+                x = parent.add_vertex(mask)
                 x._canon = search(x, mask)
                 _, order, gens = x._canon
                 first = min(ties + [n], key=order.index)
@@ -383,14 +416,17 @@ def _extend_parent(
             count += 1
             if core[mask] != -1:
                 continue  # X contains a smaller obstruction
-            x = x or parent.add_vertex(mask)
             col = None
             if found is not None:
-                col = walk.coloring(mask) or _coloring_of(x, cfg.k)
+                col = walk.coloring(mask)
                 if col is None:
-                    obstructions.append(x)
-                    continue
+                    x = x or parent.add_vertex(mask)
+                    col = _coloring_of(x, cfg.k)
+                    if col is None:
+                        obstructions.append(x)
+                        continue
             if keep:
+                x = x or parent.add_vertex(mask)
                 if x._canon is None:
                     x._canon = search(x, mask)
                 kept.append((x._canon[0], x, col, walk.bad))
@@ -612,11 +648,19 @@ def _config_fingerprint(cfg: SearchConfig) -> dict:
     }
 
 
+def _level_digest(codes: list[bytes]) -> str:
+    """The sha256 of a level's canonical codes in sorted order."""
+    import hashlib  # loads OpenSSL, about 3.5 MiB: only checkpoints need it
+
+    return hashlib.sha256(b"".join(sorted(codes))).hexdigest()
+
+
 def _save_checkpoint(path, cfg, extendable, found, n, level_sizes) -> None:
     payload = {
         "config": _config_fingerprint(cfg),
         "level": n,
         "extendable": [codec.to_graph6(g) for g in extendable],
+        "digest": _level_digest([canon.canonical_code(g) for g in extendable]),
         "obstructions": [codec.to_graph6(g) for _, g in found],
         "level_sizes": {str(k): v for k, v in level_sizes.items()},
     }
@@ -627,6 +671,7 @@ _CHECKPOINT_FIELDS = {
     "config": dict,
     "level": int,
     "extendable": list,
+    "digest": str,
     "obstructions": list,
     "level_sizes": dict,
 }
@@ -637,7 +682,9 @@ def _load_checkpoint(path, cfg):
     k-coloring of each, the obstructions found, the level and the level
     sizes; None if there is no checkpoint yet.  Raises ``ValueError`` for
     a checkpoint that another search wrote or that the search could not
-    have written: canonical deletion would count a duplicate parent twice."""
+    have written: canonical deletion would count a duplicate parent twice,
+    and a missing one not at all, so the digest of the level's classes
+    must match."""
     path = Path(path)
     if not path.exists():
         return None
@@ -686,12 +733,12 @@ def _load_checkpoint(path, cfg):
                 "not a connected minimal obstruction in the family"
             )
     found = [(canon.canonical_code(g), g) for g in obstructions]
-    for name, codes in (
-        ("extendable", [canon.canonical_code(g) for g in extendable]),
-        ("obstructions", [code for code, _ in found]),
-    ):
+    level_codes = [canon.canonical_code(g) for g in extendable]
+    for name, codes in (("extendable", level_codes), ("obstructions", [code for code, _ in found])):
         if len(set(codes)) < len(codes):
             raise ValueError(f"checkpoint field {name!r} lists a class twice")
+    if payload["digest"] != _level_digest(level_codes):
+        raise ValueError("checkpoint field 'digest' does not match the classes in 'extendable'")
     return extendable, colorings, found, level, level_sizes
 
 

@@ -283,7 +283,9 @@ def test_enumerate_rejects_a_malformed_checkpoint(tmp_path, capsys):
     Each graph to extend must be a connected, pattern-free, k-colorable
     graph and each obstruction a connected, pattern-free minimal one, each
     class listed once: a search that counts each class from one parent
-    would count a duplicate twice."""
+    would count a duplicate twice.  The digest of the level's classes must
+    match, so a level with a graph left out (and a checkpoint without a
+    digest) is refused too: the levels above it would be short."""
     ck = tmp_path / "ck.json"
     argv = ["enumerate", "--mode", "critical", "--k", "3", "--max-n", "4", "--resume", str(ck)]
     assert main([*argv, "--workers", "1"]) == 0
@@ -311,6 +313,10 @@ def test_enumerate_rejects_a_malformed_checkpoint(tmp_path, capsys):
         ({**written, "extendable": written["extendable"] + [again]}, "'extendable'"),
         ({**written, "obstructions": [codec.to_graph6(families.path_graph(4))]}, "'obstructions'"),
         ({**written, "obstructions": ["C~", "C~"]}, "'obstructions'"),
+        ({**written, "extendable": written["extendable"][1:]}, "'digest'"),
+        ({**written, "digest": 0}, "'digest'"),
+        ({**written, "digest": written["digest"][::-1]}, "'digest'"),
+        ({key: v for key, v in written.items() if key != "digest"}, "'digest'"),
     ]
     capsys.readouterr()
     for payload, field in [

@@ -606,9 +606,10 @@ def test_counted_level_labels_only_ties_and_obstructions(k, monkeypatch, tmp_pat
     """The search to n <= 8 without a checkpoint keeps no graph of its last
     level, and every canonical search it runs on an 8-vertex graph labels
     either a child whose new vertex ties another deletable vertex on the
-    invariant (degree, then the sum of neighbour degrees), or a new
-    obstruction's representative.  With a checkpoint the level is kept,
-    one graph per k-colorable class."""
+    invariant (degree, then the sum of neighbour degrees), with at least
+    one tied vertex that is no twin of it, or a new obstruction's
+    representative.  With a checkpoint the level is kept, one graph per
+    k-colorable class."""
     levels = _recorded_levels(monkeypatch)
     searches = count_calls(monkeypatch, canon, "_search")
     run = enumerate_critical(p6c4_config(k=k, n_max=8))
@@ -623,8 +624,11 @@ def test_counted_level_labels_only_ties_and_obstructions(k, monkeypatch, tmp_pat
         if canon.canonical_code(x) in new:
             continue
         key = lambda v: (x.degree(v), sum(x.degree(u) for u in x.neighbors(v)))
-        keys = [key(v) for v in _deletable(x, k)]
+        deletable = _deletable(x, k)
+        keys = [key(v) for v in deletable]
         assert keys.count(key(7)) > 1 and max(keys) == key(7), x.adj
+        tied = [v for v in deletable if v != 7 and key(v) == key(7)]
+        assert not all(x.adj[t] & ~(1 << 7) == x.adj[7] & ~(1 << t) for t in tied), x.adj
         ties += 1
     assert 0 < ties < run.level_sizes[8] // 2
     levels.clear()
@@ -632,6 +636,62 @@ def test_counted_level_labels_only_ties_and_obstructions(k, monkeypatch, tmp_pat
     kept = levels[-1][2]
     assert 0 < len(kept) == len(set(_codes(kept))) < run.level_sizes[8]
     assert all(coloring.k_color(g, k) for g in kept)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_twin_settled_ties_only_save_labelling(k, monkeypatch, tmp_path):
+    """Ablation of the twin rule: with no tie settled by twins, so that
+    every tie is labelled, the search to n <= 8 builds the same levels,
+    keeps the same graphs with the same search results, and finds the same
+    obstructions, with and without a checkpoint, while it runs strictly
+    more canonical searches."""
+
+    def run(settle, checkpoint):
+        with monkeypatch.context() as m:
+            if not settle:
+                m.setattr(enumeration, "_twins_of_w", lambda rows, mask, ties: False)
+            levels = _recorded_levels(m)
+            searches = count_calls(m, canon, "_search")
+            result = enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=checkpoint)
+        kept = [[(g.adj, g._canon) for g in level[2]] for level in levels]
+        new = [[g.adj for g in level[3]] for level in levels]
+        return (kept, new, _run_lines(result)), len(searches)
+
+    for ck in (None, "ck"):
+        (on, on_searches), (off, off_searches) = (
+            run(settle, ck and tmp_path / f"{ck}{settle}.json") for settle in (True, False)
+        )
+        assert on == off and on_searches < off_searches
+        assert sum(map(len, on[0])) > 100 and on[2][1]
+
+
+@pytest.mark.parametrize("k, n_max", [(3, 8), (4, 8), (None, 7)])
+def test_cut_tables_give_the_deletable_vertices(k, n_max, monkeypatch):
+    """For every child X = P + a(M) the walk visits, in the obstruction
+    search to n <= 8 (k = 3, 4) and the family search to n <= 7, D(X) read
+    from the tables (the vertices v of P in ``core[M]`` whose cut table
+    entries M meets each of, and w) is the brute-force D(X): the v with X -
+    v connected and, in the obstruction search, k-colorable.  The parents
+    include K1 and parents with cut vertices."""
+    walked = count_calls(monkeypatch, enumeration, "_extend_parent")
+    if k is None:
+        list(enumerate_family(p6c4_config(n_max=n_max)))
+    else:
+        enumerate_critical(p6c4_config(k=k, n_max=n_max))
+    children = 0
+    for parent, _, found, *_ in walked:
+        n = parent.n
+        cuts = enumeration._cut_tables(parent)
+        core = enumeration._core_masks(parent, found or [])
+        for mask in enumeration._MaskWalk(parent, p6c4_config()):
+            got = [v for v in bits(core[mask] & ((1 << n) - 1)) if all(mask & c for c in cuts[v])]
+            x = parent.add_vertex(mask)
+            assert got + [n] == _deletable(x, k or x.n), (parent.adj, mask)
+            children += 1
+    parents = [args[0] for args in walked]
+    assert any(parent.n == 1 for parent in parents)
+    assert any(len(parts) > 1 for parent in parents for parts in enumeration._cut_tables(parent))
+    assert children > 1000
 
 
 @pytest.mark.parametrize("k", [3, 4])
