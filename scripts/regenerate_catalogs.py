@@ -9,9 +9,9 @@ otherwise), re-verifies every catalog invariant, and writes the graph6
 files plus JSON manifests into ``src/p6c4/data/``.
 
 Each k's line reports its run time and the peak resident memory so far.
-A default run (k = 3 to n = 10, k = 4 to n = 11) takes about 2 minutes
-on one core with Python 3.11 (118 s on a 2-core x86-64 machine: k = 3
-2.5 s, k = 4 115.7 s) and peaks near 59 MiB (the last level of each
+A default run (k = 3 to n = 10, k = 4 to n = 11) takes about 1.5 minutes
+on one core with Python 3.11 (91-92 s on a 2-core x86-64 machine: k = 3
+2.6-3.1 s, k = 4 88.2-88.9 s) and peaks near 59 MiB (the last level of each
 search is counted, not stored):
 
     python3 scripts/regenerate_catalogs.py --out src/p6c4/data

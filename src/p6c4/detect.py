@@ -23,8 +23,11 @@ loop, which goes on from each K_k to look for a K_{k+1}.
 No loop grows a dead or repeated path: :func:`_iter_cycles` drops a
 partial ring once no vertex can close it, :func:`_has_induced_path` grows a
 path with equal arms from one arm only, and :func:`iter_induced_copies`
-drops a placement that leaves a later pattern vertex no host vertex.  No
-prune changes an answer (see each docstring).
+drops a placement that leaves a later pattern vertex no host vertex, and
+first peels the host to the pattern's degree core.  No prune changes an
+answer (see each docstring).  The conditions of :func:`symmetry_conditions`
+make the matcher find one copy per vertex set and image of a marked set
+(Grochow & Kellis, RECOMB 2007).
 
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import Graph, bits
+from .graphs import Graph, bits, mask_of
 
 
 @dataclass(frozen=True)
@@ -312,24 +315,38 @@ def _match(g: Graph, pattern: Graph) -> Embedding | None:
 
 
 def iter_induced_copies(
-    g: Graph, pattern: Graph, top: int | None = None
+    g: Graph,
+    pattern: Graph,
+    top: int | None = None,
+    conditions: tuple[tuple[int, int], ...] = (),
 ) -> Iterator[Embedding]:
     """Every induced copy of ``pattern`` in ``g``, in ascending order of vmap.
 
     Pattern vertices 0, 1, ... are assigned in turn, each to the free host
-    vertices that keep every edge and non-edge so far, lowest first; a host
-    vertex of smaller degree than the pattern vertex is never tried.
+    vertices that keep every edge and non-edge so far, lowest first.
     ``room[i][k]`` holds the vertices position k may still take once
     positions 0..i-1 are assigned, and a placement that leaves some later
     position no vertex is not grown (forward checking).  No copy lies
     below such a placement, so the copies and their order are unchanged.
 
+    A copy lies in the δ-core of ``g``, δ the pattern's minimum degree, so
+    for δ >= 2 the host is first peeled to it (:func:`_core`), and a host
+    vertex is never tried for a pattern vertex of larger degree than its
+    own in what is left.
+
+    ``conditions`` holds pairs ``(a, b)``: only the copies with ``vmap[a] <
+    vmap[b]`` are yielded, in the same order.  Once the edges are checked,
+    placing the earlier of a and b narrows the later one's room to the
+    vertices above or below it.
+
     With ``top``, only the copies whose largest vertex is ``top``, each
     once, in no promised order.  Such a copy puts exactly one pattern
     vertex y on ``top``, so the same loop runs once per y on the pattern
-    relabelled from y in BFS order (:func:`_rooted`), with ``top`` the one
+    relabelled from y in BFS order (:func:`_runs`), with ``top`` the one
     host vertex for y's position and the vertices below ``top`` for the
-    others; each copy found is mapped back to the pattern's labels.
+    others; each copy found is mapped back to the pattern's labels.  A y
+    that a condition puts below another vertex cannot be on ``top`` and
+    gets no run.
     """
     p = pattern.n
     if top is None:
@@ -338,17 +355,26 @@ def iter_induced_copies(
             return
         if p > g.n:
             return
-        runs = [(None, pattern.adj, [row.bit_count() for row in pattern.adj])]
         domain = first = g.full_mask()
     else:
         if not 0 < p <= top + 1:
             return
-        runs = _rooted(pattern)
         domain, first = (1 << top) - 1, 1 << top
+    runs = _runs(pattern, conditions, top is not None)
+    if not runs:
+        return
     adj = g.adj
-    at_least = [0] * p  # host vertices of degree at least d, d < p
+    alive = domain | first
+    least = min(runs[0][2])
+    if least >= 2:
+        alive = _core(adj, alive, least)
+        if alive.bit_count() < p or not alive & first:
+            return
+        domain &= alive
+        first &= alive
+    at_least = [0] * p  # host vertices with at least d neighbours alive, d < p
     for v, row in enumerate(adj):
-        d = row.bit_count()
+        d = (row & alive).bit_count()
         at_least[d if d < p else p - 1] |= 1 << v
     for d in range(p - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
@@ -356,7 +382,7 @@ def iter_induced_copies(
     assign = [0] * p
     cand = [0] * p  # untried host vertices for each assigned position
     room = [[0] * p for _ in range(p)]
-    for pos, padj, pdeg in runs:
+    for pos, padj, pdeg, bound in runs:
         room[0][:] = [fits[d] for d in pdeg]
         cand[0] = at_least[pdeg[0]] & first
         i = 0
@@ -381,39 +407,101 @@ def iter_induced_copies(
                     break
                 after[k] = left
             else:
-                i += 1
-                cand[i] = after[i]
+                for k, up in bound[i]:
+                    left = after[k] & (-(low << 1) if up else low - 1)
+                    if not left:
+                        break
+                    after[k] = left
+                else:
+                    i += 1
+                    cand[i] = after[i]
 
 
-@lru_cache(maxsize=64)
-def _rooted(
-    pattern: Graph,
-) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
-    """For each pattern vertex y, the pattern relabelled in BFS order from
-    y (continuing from the least unvisited vertex if it is disconnected),
-    as ``(pos, rows, degrees)``: ``pos[x]`` is the new label of vertex x.
-    Every later position then meets an earlier one where it can, so the
-    matcher narrows its candidates from the first placements."""
+def _core(adj: tuple[int, ...], alive: int, d: int) -> int:
+    """The vertices of the d-core of the subgraph with rows ``adj`` induced
+    on ``alive``: vertices with fewer than d neighbours left are dropped
+    until none is."""
+    while True:
+        drop, rest = 0, alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & alive).bit_count() < d:
+                drop |= low
+        if not drop:
+            return alive
+        alive ^= drop
+
+
+@lru_cache(maxsize=256)
+def _runs(pattern: Graph, conditions: tuple[tuple[int, int], ...], rooted: bool) -> tuple:
+    """The runs of :func:`iter_induced_copies` over ``pattern``, each as
+    ``(pos, rows, degrees, bound)``: the pattern in its own labels (``pos``
+    None), or with ``rooted`` one run per pattern vertex y that no
+    condition puts below another, relabelled in BFS order from y
+    (continuing from the least unvisited vertex if it is disconnected) with
+    ``pos[x]`` the new label of vertex x, so that every later position
+    meets an earlier one where it can.  ``bound[i]`` lists the later
+    positions k that a condition puts above (``(k, True)``) or below
+    (``(k, False)``) position i."""
+    n = pattern.n
     out = []
-    for y in range(pattern.n):
-        order, seen = [], 0
-        for start in (y, *range(pattern.n)):
-            if seen >> start & 1:
-                continue
-            i = len(order)
-            order.append(start)
-            seen |= 1 << start
-            while i < len(order):
-                new = pattern.adj[order[i]] & ~seen
-                seen |= new
-                order.extend(bits(new))
-                i += 1
-        pos = [0] * pattern.n
-        for label, x in enumerate(order):
-            pos[x] = label
-        rows = pattern.relabel(tuple(pos)).adj
-        out.append((tuple(pos), rows, tuple(row.bit_count() for row in rows)))
+    for y in range(n) if rooted else (None,):
+        if y is None:
+            pos = None
+        elif any(a == y for a, _ in conditions):
+            continue  # y must map below another vertex, so not to ``top``
+        else:
+            order, seen = [], 0
+            for start in (y, *range(n)):
+                if seen >> start & 1:
+                    continue
+                i = len(order)
+                order.append(start)
+                seen |= 1 << start
+                while i < len(order):
+                    new = pattern.adj[order[i]] & ~seen
+                    seen |= new
+                    order.extend(bits(new))
+                    i += 1
+            pos = [0] * n
+            for label, x in enumerate(order):
+                pos[x] = label
+            pos = tuple(pos)
+        rows = pattern.adj if pos is None else pattern.relabel(pos).adj
+        at = pos or range(n)
+        bound = [[] for _ in range(n)]
+        for a, b in conditions:
+            i, k = sorted((at[a], at[b]))
+            bound[i].append((k, k == at[b]))
+        out.append((pos, rows, tuple(row.bit_count() for row in rows), tuple(map(tuple, bound))))
     return tuple(out)
+
+
+@lru_cache(maxsize=256)
+def symmetry_conditions(pattern: Graph, marked: int) -> tuple[tuple[int, int], ...]:
+    """Conditions for :func:`iter_induced_copies` that leave exactly one
+    copy of ``pattern`` per pair (vertex set, image of the vertex mask
+    ``marked``).
+
+    Two copies give the same pair iff they differ by an element of A, the
+    automorphisms of ``pattern`` that map ``marked`` onto itself, found by
+    matching the pattern into itself.  The conditions break A along its
+    stabilizer chain (Grochow & Kellis, RECOMB 2007): for the least vertex
+    v that A moves, ``vmap[v] < vmap[u]`` for every other u in v's orbit,
+    then the same in the stabilizer of v, until only the identity is left.
+    That stabilizer is the elements of A that fix every vertex up to v, so
+    each element adds its least moved vertex's image to that vertex's
+    orbit, and one pass over A, never stored, gives every orbit.
+    """
+    moved = [0] * pattern.n  # images of v under the elements that first move v
+    for emb in iter_induced_copies(pattern, pattern):
+        s = emb.vmap
+        if mask_of(s[x] for x in bits(marked)) == marked:
+            v = next((x for x in range(pattern.n) if s[x] != x), None)
+            if v is not None:
+                moved[v] |= 1 << s[v]
+    return tuple((v, u) for v, images in enumerate(moved) for u in bits(images))
 
 
 def is_free(

@@ -14,12 +14,19 @@ exactly one parent, so no level is ever deduplicated.  The level loop
 Each parent is analysed once.  A table indexed by neighbourhood mask
 (:func:`_bad_masks`) marks the masks that put a forbidden pattern through
 the new vertex; it is built from the induced copies of each pattern minus
-one vertex in the parent, so it is exact for any pattern.  The table of a
-parent P = G + b, with b its last vertex, comes from the table of the
-parent G that produced it: a copy in P that avoids b is a copy in G and
-makes mask M bad exactly when it makes M minus b bad for G, so P's table
-is G's table twice over (the second half for the masks that contain b),
-and only the copies whose largest vertex is b are enumerated and added.
+one vertex in the parent, so it is exact for any pattern.  A copy of such
+a piece (H - x, N_H(x)) matters only through its vertex set S and the
+image R of N_H(x), so the matcher finds one copy per pair (S, R), under
+the piece's symmetry conditions (:func:`p6c4.detect.symmetry_conditions`),
+and in the parent peeled to its δ-core, δ the piece's minimum degree.
+The obstruction pieces behind :func:`_core_masks` have δ >= k - 1 (a
+minimal obstruction has minimum degree at least k), so most of their
+searches end there.  The table of a parent P = G + b, with b its last
+vertex, comes from the table of the parent G that produced it: a copy in
+P that avoids b is a copy in G and makes mask M bad exactly when it makes
+M minus b bad for G, so P's table is G's table twice over (the second
+half for the masks that contain b), and only the copies whose largest
+vertex is b are enumerated and added.
 The producer's table travels with its children to the next level; a
 parent without one (a seed, a level resumed from a checkpoint) folds the
 same rule over its vertices from the empty graph.  Either way each copy
@@ -218,10 +225,15 @@ def _bad_masks(
 def _copy_pairs(parent: Graph, pieces, top: int | None = None) -> set[tuple[int, int]]:
     """``(S, R)`` as vertex masks for every induced copy of a piece ``(H -
     x, N_H(x))`` in ``parent`` (with ``top``, only the copies whose largest
-    vertex is ``top``): S the copy's vertices, R the image of N_H(x)."""
+    vertex is ``top``): S the copy's vertices, R the image of N_H(x).  The
+    matcher finds each pair once, under the piece's symmetry conditions."""
     pairs = set()
+    fits = parent.n if top is None else top + 1
     for sub, nbrs in pieces:
-        for emb in detect.iter_induced_copies(parent, sub, top):
+        if sub.n > fits:
+            continue  # no copy, so no conditions to work out
+        breaks = detect.symmetry_conditions(sub, nbrs)
+        for emb in detect.iter_induced_copies(parent, sub, top, breaks):
             vmap = emb.vmap
             pairs.add((mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs))))
     return pairs

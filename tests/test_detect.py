@@ -16,9 +16,9 @@ from conftest import (
     graphs,
     stack_depth,
 )
-from p6c4 import coloring, detect, families
+from p6c4 import coloring, detect, enumeration, families
 from p6c4.enumeration import NiceWitness
-from p6c4.graphs import Graph
+from p6c4.graphs import Graph, bits, mask_of
 from p6c4.reductions import NAE, SatInstance, build_ghi, build_nae
 
 
@@ -516,6 +516,22 @@ def test_generic_matcher_matches_networkx_on_larger_graphs():
     assert answers == {True, False}
 
 
+# Pieces (H - x, N_H(x)) of minimum degree at least 2, for which the
+# matcher peels the host to its degree core: K3 and K4 (of K4 and K5), C5
+# and a hub over P4 (of W5), and the pieces of two shipped k=4 obstructions.
+CORE_PIECES = [
+    piece
+    for pattern in (
+        families.complete_graph(4),
+        families.complete_graph(5),
+        families.wheel_graph(5),
+        *(e.graph for e in coloring.catalog_load(coloring.default_catalog_path(4))[2:4]),
+    )
+    for piece in enumeration._vertex_deleted(pattern)
+    if piece[0].min_degree() >= 2
+]
+
+
 def _reference_iter_induced_copies(g, pattern):
     """The matcher without forward checking: each position's candidates
     are worked out only when it is reached."""
@@ -554,14 +570,16 @@ def _reference_iter_induced_copies(g, pattern):
 
 
 def test_forward_checking_keeps_every_copy_in_order():
-    """Ablation of forward checking in ``iter_induced_copies``: on random
-    hosts with 8 to 20 vertices, sparse to dense, the copies of every
-    generic pattern and catalog entry come out as the plain loop yields
+    """Ablation of forward checking and degree-core peeling in
+    ``iter_induced_copies``: on random hosts with 8 to 20 vertices, sparse
+    to dense, the copies of every generic pattern, catalog entry and
+    piece of minimum degree at least 2 come out as the plain loop yields
     them, in the same order."""
     rng = random.Random(2026)
     patterns = GENERIC_PATTERNS + [families.wheel_graph(5), families.path_graph(5)]
     for k in (3, 4):
         patterns += [e.graph for e in coloring.catalog_load(coloring.default_catalog_path(k))]
+    patterns += [sub for sub, _ in CORE_PIECES]
     total = 0
     for _ in range(40):
         g = _random_graph(rng, rng.randint(8, 20), rng.choice((0.15, 0.3, 0.5, 0.7)))
@@ -599,7 +617,8 @@ def test_iter_induced_copies_yields_every_copy_in_order(g):
 def test_rooted_copies_are_the_copies_with_that_largest_vertex(g):
     """With ``top``, ``iter_induced_copies`` yields each copy whose largest
     vertex is ``top`` exactly once, for connected, disconnected, symmetric
-    and one-vertex patterns, and nothing for the empty pattern."""
+    and one-vertex patterns and pieces the host is peeled for, and nothing
+    for the empty pattern."""
     claw = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     for pattern in [
         empty_graph(0),
@@ -612,12 +631,67 @@ def test_rooted_copies_are_the_copies_with_that_largest_vertex(g):
         claw,
         Graph.from_edges(5, [(1, 2), (2, 3), (3, 4)]),  # P1 + P4
         Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),  # 3K2
+        *(sub for sub, _ in CORE_PIECES),
     ]:
-        every = list(detect.iter_induced_copies(g, pattern))
+        every = list(_reference_iter_induced_copies(g, pattern))
         for top in range(g.n):
             rooted = [emb.vmap for emb in detect.iter_induced_copies(g, pattern, top)]
             assert len(rooted) == len(set(rooted))
-            assert sorted(rooted) == [e.vmap for e in every if e.vmap and max(e.vmap) == top]
+            assert sorted(rooted) == [vmap for vmap in every if vmap and max(vmap) == top]
+
+
+def _pairs(copies, nbrs):
+    """``(S, R)`` of each copy: its vertex set and the image of ``nbrs``."""
+    return [(mask_of(e.vmap), mask_of(e.vmap[i] for i in bits(nbrs))) for e in copies]
+
+
+def test_symmetry_conditions_leave_one_copy_per_pair():
+    """For every piece (H - x, N_H(x)) of P6, C4, K4, K5, C5, W5, the shipped
+    catalog entries, 3K2 (whose pieces are disconnected) and 4K1, on random
+    hosts with at most 10 vertices, with and without ``top``: the search
+    under the piece's symmetry conditions finds the same (S, R) pairs as
+    the plain search, each from exactly one copy."""
+    patterns = [
+        families.path_graph(6),
+        families.cycle_graph(4),
+        families.complete_graph(4),
+        families.complete_graph(5),
+        families.cycle_graph(5),
+        families.wheel_graph(5),
+        Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)]),  # 3K2
+        empty_graph(4),
+    ]
+    for k in (3, 4):
+        patterns += [e.graph for e in coloring.catalog_load(coloring.default_catalog_path(k))]
+    pieces = [piece for pattern in patterns for piece in enumeration._vertex_deleted(pattern)]
+    assert any(not sub.is_connected() for sub, _ in pieces)
+    rng = random.Random(2607)
+    broken = total = 0
+    for _ in range(60):
+        g = _random_graph(rng, rng.randint(1, 10), rng.choice((0.2, 0.4, 0.6, 0.8, 0.95)))
+        for sub, nbrs in pieces:
+            conditions = detect.symmetry_conditions(sub, nbrs)
+            for top in (None, *range(g.n)):
+                every = _pairs(detect.iter_induced_copies(g, sub, top), nbrs)
+                once = _pairs(detect.iter_induced_copies(g, sub, top, conditions), nbrs)
+                assert len(once) == len(set(once)), (g.adj, sub.adj, nbrs, top)
+                assert set(once) == set(every), (g.adj, sub.adj, nbrs, top)
+                broken += len(every) - len(once)
+                total += len(once)
+    assert total and broken
+
+
+def test_symmetry_conditions_break_the_marked_stabilizer():
+    """K3 with every vertex marked has S3 to break, and so has 3K1 with
+    none; P3 with its ends marked has only the flip, and with one end
+    marked nothing, like P5."""
+    assert detect.symmetry_conditions(families.complete_graph(3), 0b111) == (
+        (0, 1), (0, 2), (1, 2),
+    )
+    assert detect.symmetry_conditions(families.path_graph(3), 0b101) == ((0, 2),)
+    assert detect.symmetry_conditions(families.path_graph(3), 0b001) == ()
+    assert detect.symmetry_conditions(families.path_graph(5), 0b00001) == ()
+    assert detect.symmetry_conditions(empty_graph(3), 0) == ((0, 1), (0, 2), (1, 2))
 
 
 @settings(max_examples=100, deadline=None)

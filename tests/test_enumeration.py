@@ -859,3 +859,73 @@ def test_find_nice_critical_small():
     assert w.omega == 2
     for a, b in itertools.combinations(w.triple, 2):
         assert not g.has_edge(a, b)
+
+
+# -- the mask tables' copy search -----------------------------------------------
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_symmetry_conditions_and_peeling_only_save_copies(k, monkeypatch, tmp_path):
+    """Ablation of the copy search behind the mask tables: with every
+    piece's symmetry conditions set to () and no degree-core peeling, the
+    search to n <= 8 gets the same (S, R) pairs from each ``_copy_pairs``
+    call, builds the same levels, keeps the same graphs with the same
+    search results and finds the same obstructions, with and without a
+    checkpoint.  With the conditions, each call meets exactly one copy per
+    pair; without them, strictly more copies than pairs."""
+
+    def run(plain, checkpoint):
+        copies_seen, calls = [], []
+        real_copies, real_pairs = detect.iter_induced_copies, enumeration._copy_pairs
+
+        def copies(*args):
+            for emb in real_copies(*args):
+                if len(args) == 4:  # from ``_copy_pairs``, not a self-match
+                    copies_seen[-1] += 1
+                yield emb
+
+        def pairs(parent, pieces, top=None):
+            copies_seen.append(0)
+            out = real_pairs(parent, pieces, top)
+            calls.append((copies_seen.pop(), out))
+            return out
+
+        with monkeypatch.context() as m:
+            if plain:
+                m.setattr(detect, "symmetry_conditions", lambda pattern, marked: ())
+                m.setattr(detect, "_core", lambda adj, alive, d: alive)
+            m.setattr(detect, "iter_induced_copies", copies)
+            m.setattr(enumeration, "_copy_pairs", pairs)
+            levels = _recorded_levels(m)
+            result = enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=checkpoint)
+        kept = [(n, size, [(g.adj, g._canon) for g in graphs]) for n, size, graphs, _ in levels]
+        new = [[g.adj for g in level[3]] for level in levels]
+        return (kept, new, _run_lines(result), [out for _, out in calls]), calls
+
+    for ck in (None, "ck"):
+        (broken, broken_calls), (plain, plain_calls) = (
+            run(p, ck and tmp_path / f"{ck}{p}.json") for p in (False, True)
+        )
+        assert broken == plain
+        assert all(seen == len(out) for seen, out in broken_calls)
+        assert sum(seen for seen, _ in plain_calls) > sum(len(out) for _, out in plain_calls)
+        assert len(broken_calls) > 300 and broken[2][1]
+
+
+def test_copy_pairs_skips_pieces_larger_than_the_host(monkeypatch):
+    """A piece with more vertices than the parent (or than ``top`` + 1) has
+    no copy there, so ``_copy_pairs`` never works out its conditions: the
+    piece (K10, all) of K11, whose conditions cost 10! self-copies, is not
+    looked at in a 5-vertex parent."""
+    asked = []
+    real = detect.symmetry_conditions
+    monkeypatch.setattr(
+        detect, "symmetry_conditions", lambda sub, nbrs: asked.append(sub.n) or real(sub, nbrs)
+    )
+    pieces = [(families.complete_graph(10), (1 << 10) - 1), (families.complete_graph(2), 0b11)]
+    host = families.complete_graph(5)
+    edges = {mask_of(e) for e in itertools.combinations(range(5), 2)}
+    assert enumeration._copy_pairs(host, pieces) == {(m, m) for m in edges}
+    assert enumeration._copy_pairs(host, pieces, 1) == {(0b11, 0b11)}
+    assert enumeration._copy_pairs(host, pieces, 0) == set()
+    assert asked == [2, 2]
