@@ -10,9 +10,10 @@ files plus JSON manifests into ``src/p6c4/data/``.
 
 Each k's line reports its run time and the peak resident memory so far.
 A default run (k = 3 to n = 10, k = 4 to n = 11) takes about 1.5 minutes
-on one core with Python 3.11 (91-92 s on a 2-core x86-64 machine: k = 3
-2.6-3.1 s, k = 4 88.2-88.9 s) and peaks near 59 MiB (the last level of each
-search is counted, not stored):
+on one core with Python 3.11 (76-84 s on a 2-core x86-64 machine: k = 3
+2.2-2.6 s, k = 4 73.4-81.3 s) and peaks near 59 MiB (the last level of each
+search is counted, not stored).  Every obstruction is written in canonical
+form, so the files depend only on the classes found:
 
     python3 scripts/regenerate_catalogs.py --out src/p6c4/data
 """

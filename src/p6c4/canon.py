@@ -274,6 +274,14 @@ def canonical_order(g: Graph) -> tuple[int, ...]:
     return g._canon[1]
 
 
+def canonical_form(g: Graph) -> Graph:
+    """``g`` with vertex ``canonical_order(g)[i]`` renamed to ``i``: the graph
+    its canonical code encodes, so it depends only on ``g``'s class and is
+    its own canonical form."""
+    position = sorted(range(g.n), key=canonical_order(g).__getitem__)
+    return g.relabel(tuple(position))
+
+
 def automorphism_generators(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Automorphisms of ``g`` found by the canonical search, ``s[v]`` being
     the image of ``v``.  They generate a subgroup of Aut(g), often all of it;

@@ -167,7 +167,10 @@ def write_atomic(path: str | Path, text: str) -> None:
 
 def write_with_manifest(path: str | Path, lines: list[str], manifest: dict) -> None:
     """Write graph6 ``lines`` to ``path`` and ``manifest`` as indented JSON
-    to its ``.json`` sidecar, each with :func:`write_atomic`."""
+    to its ``.json`` sidecar, each with :func:`write_atomic`; raise
+    ``ValueError``, writing nothing, if ``path`` is its own sidecar."""
     path = Path(path)
+    if path.with_suffix(".json") == path:
+        raise ValueError(f"{path} would be overwritten by its own .json manifest")
     write_atomic(path, "".join(line + "\n" for line in lines))
     write_atomic(path.with_suffix(".json"), json.dumps(manifest, indent=2) + "\n")

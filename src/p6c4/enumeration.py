@@ -98,7 +98,8 @@ parent, so D(X) holds w and is invariant under isomorphism.
   neither kept nor minimal.  Otherwise every X - v is k-colorable, and X
   is k-colorable if it inherits a coloring or ``k_color`` finds one; if
   not, it is a new minimal obstruction, whose minimum degree (at least k)
-  and lack of a clique cutset are asserted, being theorems.
+  and lack of a clique cutset are asserted, being theorems, and which is
+  reported in canonical form (:func:`p6c4.canon.canonical_form`).
 
 **Kept levels.**  A level below ``n_max`` is kept as the next level's
 parents, and so is the last level of the family search, and that of the
@@ -112,17 +113,6 @@ whole level in a serial run, about four chunks per worker with a pool);
 the chunks' children are concatenated and sorted by code, so the level is
 the same whatever the worker count.  Graphs cross the process boundary
 pickled with their search results, so no worker searches a parent again.
-
-**Representatives.**  An obstruction is reported as the labelled graph
-rep(X) that a level built by first occurrence in (parent code, mask)
-order keeps, whichever parent accepted it, so its bytes do not depend on
-the labels of the levels (:func:`_representative`).  rep(K1) is K1, and
-rep(X) = rep(Y) + a(M): Y is the least-code class among the connected
-X - v (for an obstruction, and for every graph on its chain, each of
-them is k-colorable, so each is a parent), and M is the least mask of
-rep(Y) over the Aut(rep(Y))-orbits of the masks f(N(v)), for every v
-with X - v isomorphic to Y and f an isomorphism from X - v onto rep(Y).
-Kept levels write each class as its canonical parent's graph plus w.
 """
 
 from __future__ import annotations
@@ -488,38 +478,6 @@ def _build_level(parents, bases, colorings, cfg, pool, found, keep):
     return total, kids, new
 
 
-def _representative(x: Graph, reps: dict[bytes, Graph]) -> Graph:
-    """rep(X), the labelled copy of ``x``'s class that a level built by
-    first occurrence in (parent code, mask) order keeps (see the module
-    docstring); ``reps`` memoises it by canonical code.  Every connected
-    ``x - v`` must be a parent, as for an obstruction and its chain."""
-    code = canon.canonical_code(x)
-    if code not in reps:
-        if x.n == 1:
-            reps[code] = x
-        else:
-            subs: dict[bytes, list[tuple[int, Graph, tuple[int, ...]]]] = {}
-            for v in range(x.n):
-                sub, keep = induced_subgraph(x, [u for u in range(x.n) if u != v])
-                if sub.is_connected():
-                    subs.setdefault(canon.canonical_code(sub), []).append((v, sub, keep))
-            least = subs[min(subs)]
-            parent = _representative(least[0][1], reps)
-            # f(N(v)) for each v, f an isomorphism from x - v onto rep(Y); the
-            # other masks are their images under the automorphisms of rep(Y).
-            orbit = []
-            for v, sub, keep in least:
-                f = canon.isomorphism_map(sub, parent)
-                orbit.append(mask_of(f[j] for j, u in enumerate(keep) if x.has_edge(u, v)))
-            for m in orbit:
-                for s in canon.automorphism_generators(parent):
-                    image = mask_of(s[u] for u in bits(m))
-                    if image not in orbit:
-                        orbit.append(image)
-            reps[code] = parent.add_vertex(min(orbit))
-    return reps[code]
-
-
 def _seeds(cfg: SearchConfig) -> list[Graph]:
     empty = Graph(0, ())
     # Every graph contains K0, which has no vertex to delete for the table.
@@ -610,16 +568,15 @@ def enumerate_critical(
             log(f"resumed at level {start_n}")
 
     t0 = time.monotonic()
-    reps: dict[bytes, Graph] = {}
     # A checkpoint lists the graphs of its level, so with one the last level
     # is kept; otherwise it is only counted.
     levels = _grow(cfg, extendable, colorings, start_n, found, keep_last=bool(checkpoint))
     for n, size, extendable, new in levels:
         for x in new:
-            g = _representative(x, reps)
+            g = canon.canonical_form(x)
             assert g.min_degree() >= cfg.k, "minimal obstruction with a vertex of low degree"
             assert structure.find_clique_cutset(g) is None, "minimal obstruction with clique cutset"
-            found.append((canon.canonical_code(g), g))
+            found.append((canon.canonical_code(x), g))
         level_sizes[n] = size
         if log:
             log(
@@ -744,7 +701,9 @@ def _load_checkpoint(path, cfg):
                 f"checkpoint field 'obstructions' holds {line}, "
                 "not a connected minimal obstruction in the family"
             )
-    found = [(canon.canonical_code(g), g) for g in obstructions]
+    # In canonical form, as a fresh run writes them, whatever labelling the
+    # checkpoint used.
+    found = [(canon.canonical_code(g), canon.canonical_form(g)) for g in obstructions]
     level_codes = [canon.canonical_code(g) for g in extendable]
     for name, codes in (("extendable", level_codes), ("obstructions", [code for code, _ in found])):
         if len(set(codes)) < len(codes):

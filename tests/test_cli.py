@@ -208,6 +208,18 @@ def test_enumerate_critical_writes_files_idempotently(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_enumerate_refuses_an_out_path_that_is_its_own_manifest(tmp_path, capsys):
+    """``--out x.json`` would have the manifest overwrite the graph6 file,
+    so it exits 65 and writes nothing."""
+    out = tmp_path / "x.json"
+    argv = ["enumerate", "--mode", "critical", "--k", "3", "--max-n", "6", "--out", str(out)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 65 and captured.out == ""
+    assert "manifest" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_enumerate_output_does_not_depend_on_workers(tmp_path, capsys):
     files = []
     for workers in ("1", "2"):

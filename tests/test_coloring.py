@@ -388,6 +388,12 @@ def test_catalog_roundtrip(tmp_path):
     assert loaded[0].provenance == "test-fixed"
 
 
+def test_catalog_save_refuses_a_path_that_is_its_own_manifest(tmp_path):
+    with pytest.raises(ValueError, match="manifest"):
+        catalog_save(small_catalog(), tmp_path / "cat.json", n_max=6)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_catalog_load_rejects_mismatched_manifest(tmp_path):
     path = tmp_path / "cat.g6"
     catalog_save(small_catalog(), path, n_max=6)
@@ -458,7 +464,7 @@ def test_catalog_lookup_is_isomorphism_invariant():
 
 # The k=4 obstructions on 10 and 11 vertices, which the n <= 11 search
 # added after the seven entries with at most 9 vertices.
-NEW_K4_LINES = ["IuQ`IvkUo", "IspHLcV}O", "IsOi^_]{O", "JsPL@[\\cNc_", "JspL@MOD^t?", "JsOk?zqBvd?"]
+NEW_K4_LINES = ["IwBUXoxFw", "I{d@BK^Fw", "I~`@_[NBw", "JwC?MrFN`{_", "J{dAH?`Fw~_", "J~`@?_NBw^_"]
 
 
 def test_certify_color_names_each_k4_entry_found_at_n10_and_n11():

@@ -272,7 +272,7 @@ def test_levels_match_the_reference_levels(k, n_max, monkeypatch, tmp_path):
     """An oracle for canonical deletion: the search kept to its last level
     by a checkpoint has, per level, the reference level's size, keeps its
     k-colorable classes and finds its obstructions; every obstruction's
-    graph6 line is that of the reference's first occurrence."""
+    graph6 line is the canonical form of the reference's."""
     levels = _recorded_levels(monkeypatch)
     run = enumerate_critical(p6c4_config(k=k, n_max=n_max), checkpoint=tmp_path / "ck.json")
     ref = _reference_levels(k, n_max)
@@ -283,7 +283,7 @@ def test_levels_match_the_reference_levels(k, n_max, monkeypatch, tmp_path):
         assert sorted(_codes(new)) == _codes(ref[n][2])
     want = sorted((g for level in ref.values() for g in level[2]), key=canon.canonical_code)
     assert want and [codec.to_graph6(e.graph) for e in run.obstructions] == [
-        codec.to_graph6(g) for g in want
+        codec.to_graph6(canon.canonical_form(g)) for g in want
     ]
 
 
@@ -591,6 +591,37 @@ def test_counted_last_level_equals_the_built_one(k, n_max, tmp_path):
     assert _run_lines(enumerate_critical(p6c4_config(k=k, n_max=n_max), checkpoint=ck)) == counted
 
 
+def _is_canonical_line(line: str) -> bool:
+    """Whether relabelling the graph of ``line`` by its canonical order
+    gives ``line`` again."""
+    return codec.to_graph6(canon.canonical_form(codec.from_graph6(line))) == line
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_obstruction_lines_are_their_own_canonical_forms(k, tmp_path):
+    """Every obstruction of the search to n <= 9, with one worker and with
+    two, fresh and resumed from a level-6 checkpoint, is written in
+    canonical form."""
+    for workers in (1, 2):
+        cfg = p6c4_config(k=k, n_max=9, workers=workers)
+        ck = tmp_path / f"ck{workers}.json"
+        enumerate_critical(p6c4_config(k=k, n_max=6, workers=workers), checkpoint=ck)
+        for run in (enumerate_critical(cfg), enumerate_critical(cfg, checkpoint=ck)):
+            lines = [codec.to_graph6(e.graph) for e in run.obstructions]
+            assert lines and all(map(_is_canonical_line, lines)), lines
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_shipped_catalog_lines_are_their_own_canonical_forms(k):
+    """Each line of a shipped catalog, in its graph6 file and its manifest,
+    is in canonical form."""
+    path = coloring.default_catalog_path(k)
+    lines = codec.graph6_lines(path.read_text())
+    manifest = json.loads(path.with_suffix(".json").read_text())
+    assert [entry["line"] for entry in manifest["entries"]] == lines
+    assert all(map(_is_canonical_line, lines)), lines
+
+
 def _deletable(x, k):
     """The vertices v of ``x`` with ``x - v`` connected and k-colorable."""
     out = []
@@ -764,7 +795,7 @@ def test_checkpoint_resume_matches_fresh_run(tmp_path):
 
     fresh = enumerate_critical(cfg_long)
     # The resumed level has no forbidden-mask tables from its producers; the
-    # representatives, labels included, must still be the fresh run's.
+    # obstructions, labels included, must still be the fresh run's.
     assert [codec.to_graph6(e.graph) for e in resumed.obstructions] == [
         codec.to_graph6(e.graph) for e in fresh.obstructions
     ]
@@ -817,6 +848,28 @@ def test_failed_checkpoint_write_keeps_the_previous_one(tmp_path, monkeypatch):
     fresh = enumerate_critical(cfg)
     assert [e.graph for e in resumed.obstructions] == [e.graph for e in fresh.obstructions]
     assert resumed.level_sizes == fresh.level_sizes
+
+
+def test_checkpoint_in_another_labelling_resumes_to_the_fresh_bytes(tmp_path):
+    """A checkpoint whose obstruction lines use another labelling of their
+    classes, as one written before obstructions were reported in canonical
+    form does, resumes to the obstructions and the checkpoint file of a
+    fresh run, byte for byte."""
+    fresh_ck, ck = tmp_path / "fresh.json", tmp_path / "ck.json"
+    fresh = enumerate_critical(p6c4_config(k=3, n_max=9), checkpoint=fresh_ck)
+    enumerate_critical(p6c4_config(k=3, n_max=7), checkpoint=ck)
+    payload = json.loads(ck.read_text())
+    lines = payload["obstructions"]
+    relabelled = []
+    for line in lines:
+        g = codec.from_graph6(line)
+        relabelled.append(codec.to_graph6(g.relabel(tuple(range(g.n))[::-1])))
+    assert len(lines) == 3 and relabelled != lines
+    payload["obstructions"] = relabelled
+    ck.write_text(json.dumps(payload))
+    resumed = enumerate_critical(p6c4_config(k=3, n_max=9), checkpoint=ck)
+    assert _run_lines(resumed) == _run_lines(fresh)
+    assert ck.read_bytes() == fresh_ck.read_bytes()
 
 
 def test_checkpoint_rejects_other_configuration(tmp_path):

@@ -1,9 +1,11 @@
 """Byte-for-byte labelled enumeration output on fixed configurations.
 
-The other enumeration tests compare canonical codes, so they cannot see a
-change of representative: which labelled copy of each class the search
-keeps.  The labelled copy reaches users through ``enumerate`` output and
-the shipped catalogs, so it is pinned here as graph6 lines, one file per
+The other enumeration tests compare canonical codes, so they cannot see
+which labelled copy of each class the search writes.  The family search
+writes each graph as its canonical parent plus the new vertex, and the
+obstruction search writes each obstruction in canonical form.  These
+labelled copies reach users through ``enumerate`` output and the shipped
+catalogs, so they are pinned here as graph6 lines, one file per
 configuration in ``tests/data/golden/``.  Each configuration runs
 serially and with two workers (the CLI's default is one worker per CPU)
 against the same file.
