@@ -4,8 +4,11 @@
 Runs ``perfbench/run.py`` once in each checkout per pair, on the same
 seed, alternating which side goes first, and writes each side's median,
 quartiles and runs for every end-to-end metric of ``BENCHMARK.json``,
-with the number of pairs the change won.  Results for other workloads
-already in ``--out`` are kept, so one file can hold every workload.
+with the number of pairs the change won and ``beyond_bound``: whether the
+change's median is worse than the parent's by more than the metric's
+relative ``bound``, the regression the benchmark gate refuses.  Results
+for other workloads already in ``--out`` are kept, so one file can hold
+every workload.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload enum \\
         --pairs 10 --seconds 35 --first-seed 1101 --out BENCH.json
@@ -52,6 +55,13 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def beyond_bound(parent: float, change: float, lower: bool, bound: float) -> bool:
+    """Whether the median ``change`` is worse than ``parent`` by more than
+    the fraction ``bound`` of ``parent``."""
+    worse = change - parent if lower else parent - change
+    return worse > bound * abs(parent)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -81,13 +91,15 @@ def main(argv: list[str] | None = None) -> int:
         par = [r[name] for r in runs["parent"]]
         chg = [r[name] for r in runs["change"]]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        par, chg = summary(par), summary(chg)
         metrics[name] = {
             "unit": m["unit"],
             "better": m["better"],
             "bound": m["bound"],
-            "parent": summary(par),
-            "change": summary(chg),
+            "parent": par,
+            "change": chg,
             "change_wins": wins,
+            "beyond_bound": beyond_bound(par["median"], chg["median"], lower, m["bound"]),
         }
 
     out = json.loads(args.out.read_text()) if args.out.exists() else {}
@@ -106,6 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             f"[{m['parent']['q1']:.4g}, {m['parent']['q3']:.4g}] -> change "
             f"{m['change']['median']:.4g} [{m['change']['q1']:.4g}, {m['change']['q3']:.4g}], "
             f"change better in {m['change_wins']} of {args.pairs}"
+            + (f"; worse beyond the {m['bound']:g} bound" if m["beyond_bound"] else "")
         )
     return 0
 

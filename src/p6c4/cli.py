@@ -171,6 +171,8 @@ def cmd_enumerate(args) -> int:
         raise ValueError(f"--k is required for mode {args.mode}")
     if args.mode != "critical" and args.resume:
         raise ValueError(f"--resume applies to mode critical only, not {args.mode}")
+    if args.out:
+        codec.manifest_path(args.out)  # refuse a bad path before the search, not after it
     cfg = enumeration.SearchConfig(k=k, n_max=args.max_n, forbidden=forbidden, workers=workers)
     manifest: dict = {
         "mode": args.mode,

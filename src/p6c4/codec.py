@@ -165,12 +165,18 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def manifest_path(path: str | Path) -> Path:
+    """The ``.json`` manifest of ``path``; ``ValueError`` if that is ``path`` itself."""
+    sidecar = Path(path).with_suffix(".json")
+    if sidecar == Path(path):
+        raise ValueError(f"{path} would be overwritten by its own .json manifest")
+    return sidecar
+
+
 def write_with_manifest(path: str | Path, lines: list[str], manifest: dict) -> None:
     """Write graph6 ``lines`` to ``path`` and ``manifest`` as indented JSON
-    to its ``.json`` sidecar, each with :func:`write_atomic`; raise
+    to its :func:`manifest_path`, each with :func:`write_atomic`; raise
     ``ValueError``, writing nothing, if ``path`` is its own sidecar."""
-    path = Path(path)
-    if path.with_suffix(".json") == path:
-        raise ValueError(f"{path} would be overwritten by its own .json manifest")
+    sidecar = manifest_path(path)
     write_atomic(path, "".join(line + "\n" for line in lines))
-    write_atomic(path.with_suffix(".json"), json.dumps(manifest, indent=2) + "\n")
+    write_atomic(sidecar, json.dumps(manifest, indent=2) + "\n")

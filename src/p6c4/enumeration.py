@@ -6,9 +6,9 @@ admissible neighbourhood, so every graph generated is connected.
 Forbidden patterns are hereditary, so a child is checked only around w.
 Every connected graph in the target family is reachable this way —
 deleting any non-cut vertex of a connected family member leaves a smaller
-connected family member.  Both searches build every level with one rule,
-canonical deletion (below), which accepts each class of the level from
-exactly one parent, so no level is ever deduplicated.  The level loop
+connected family member.  Every level is built with one rule, canonical
+deletion (below), which accepts each class of the level from exactly one
+parent, so no level is ever deduplicated.  The level loop
 (:func:`_grow`) stops at ``n_max`` or at a level with nothing to extend.
 
 Each parent is analysed once.  A table indexed by neighbourhood mask
@@ -36,33 +36,34 @@ the parent's automorphisms (kept by :mod:`p6c4.canon`) skip every mask
 in the orbit of one already taken: its child is isomorphic to an earlier
 child of the same parent.
 
-The obstruction search additionally never extends a graph that is not
-k-colorable: such a graph either is a minimal obstruction (recorded) or
-properly contains one, and then no extension of it can be minimal.  So
-the parents of its levels are the k-colorable connected family members,
-one per class, each with a k-coloring, and each child inherits one when
-its mask misses a color class: the new vertex takes the smallest such
-color.  Only the other children (masks that meet all k classes) cost a
-coloring search.  The family search colors nothing; its parents are all
-the connected family members, one per class.
+The search never extends a graph that is not k-colorable: such a graph
+either is a minimal obstruction (recorded) or properly contains one, and
+then no extension of it can be minimal.  So the parents of its levels are
+the k-colorable connected family members, one per class, each with a
+k-coloring, and each child inherits one when its mask misses a color
+class: the new vertex takes the smallest such color.  Only the other
+children (masks that meet all k classes) cost a coloring search.  The
+family search is this search with k = ``n_max``: a parent, on at most
+``n_max - 1`` vertices, leaves a color class empty, so every child
+inherits a coloring and every connected family member is a parent.
 
 **Canonical deletion** (McKay, "Isomorph-free exhaustive generation",
 J. Algorithms 26, 1998; :func:`_extend_parent`).  For a child X = P + w,
-D(X) is the set of vertices v with X - v connected and, in the
-obstruction search, k-colorable: exactly the v for which X - v is a
-parent, so D(X) holds w and is invariant under isomorphism.
+D(X) is the set of vertices v with X - v connected and k-colorable:
+exactly the v for which X - v is a parent, so D(X) holds w and is
+invariant under isomorphism.
 
 - **D(X) without coloring.**  Every minimal obstruction with fewer
   vertices than X is found by then, and P is k-colorable, so every copy
   of one in X goes through w, and X - v is k-colorable iff v lies on
   every such copy.  ``core[M]`` (:func:`_core_masks`, built per parent
   like :func:`_bad_masks` from the obstructions minus one vertex) is the
-  intersection of those copies, or every vertex when there is none (as
-  always in the family search), and D(X) is the non-cut vertices of X in
-  ``core[M]``.  Whether v of P is a cut vertex of X needs no X either:
-  the cut table (:func:`_cut_tables`, per parent) lists the components of
-  P - v, and X - v is connected iff w meets each of them.  So X is built
-  only for a search, a kept child or a coloring search.
+  intersection of those copies, or every vertex when there is none, and
+  D(X) is the non-cut vertices of X in ``core[M]``.  Whether v of P is a
+  cut vertex of X needs no X either: the cut table (:func:`_cut_tables`,
+  per parent) lists the components of P - v, and X - v is connected iff
+  w meets each of them.  So X is built only for a search, a kept child or
+  a coloring search.
 - **The canonical deletion.**  m(X) is the vertex of D(X) with the
   largest invariant (its degree, then the sum of its neighbours'
   degrees), and on a tie the tied vertex at the least position of X's
@@ -102,29 +103,28 @@ parent, so D(X) holds w and is invariant under isomorphism.
   reported in canonical form (:func:`p6c4.canon.canonical_form`).
 
 **Kept levels.**  A level below ``n_max`` is kept as the next level's
-parents, and so is the last level of the family search, and that of the
-obstruction search when a checkpoint must list it; otherwise the last
-level is only counted.  Each accepted child that is kept is materialised
-as P + w, P being its canonical parent, with its canonical search result
-(one search from the parent automorphisms that fix its mask, or the one
-its tie already ran), its coloring, and P's forbidden-mask table, from
-which its own is built.  A level is expanded in chunks of parents (the
-whole level in a serial run, about four chunks per worker with a pool);
-the chunks' children are concatenated and sorted by code, so the level is
-the same whatever the worker count.  Graphs cross the process boundary
-pickled with their search results, so no worker searches a parent again.
+parents, and so is the last one when the caller lists it (the family
+search; an obstruction search with a checkpoint); otherwise it is only
+counted.  Each accepted child that is kept is materialised as P + w, P
+being its canonical parent, with its canonical search result (one search
+from the parent automorphisms that fix its mask, or the one its tie
+already ran), its coloring, and P's forbidden-mask table, from which its
+own is built.  A level is one map of :func:`_extend_parent` over its
+parents (in about four chunks per worker with a pool), sorted by code,
+so it is the same whatever the worker count.  Graphs cross the process
+boundary pickled with their search results, so no worker searches a
+parent again.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from operator import itemgetter
+from itertools import combinations, repeat
 from pathlib import Path
 from typing import Iterator
 
@@ -154,9 +154,11 @@ def p6c4_config(**kw) -> SearchConfig:
     return SearchConfig(**kw)
 
 
-# A kept child: its canonical code, the child, its k-coloring (None in the
-# family search) and the forbidden-mask table of the parent that produced it.
-Kid = tuple[bytes, Graph, bytes | None, bytearray]
+# A kept child (its code is ``child._canon[0]``), its k-coloring and the
+# forbidden-mask table of the parent that produced it (None if not known).
+Kid = tuple[Graph, bytes, bytearray | None]
+
+
 @lru_cache(maxsize=64)
 def _vertex_deleted(pat: Graph) -> tuple[tuple[Graph, int], ...]:
     """``(H - x, N_H(x) as a mask of H - x)`` for one ``x`` per orbit of the
@@ -264,7 +266,7 @@ class _MaskWalk:
     parent's ``colors``.
     """
 
-    def __init__(self, parent: Graph, cfg: SearchConfig, base=None, colors=None):
+    def __init__(self, parent: Graph, cfg: SearchConfig, base: bytearray | None, colors: bytes):
         self.n = n = parent.n
         self.bad = _bad_masks(parent, cfg.forbidden, base)
         gens = canon.automorphism_generators(parent)
@@ -272,11 +274,10 @@ class _MaskWalk:
         self.fixing_w = [s + (n,) for s in gens]  # each extended by w -> w
         # Each color class as a vertex mask, with the coloring a child gets
         # when its new vertex takes that color (one object for all of them).
-        self.palette = []
-        if colors is not None:
-            for color in range(1, cfg.k + 1):
-                members = mask_of(v for v, c in enumerate(colors) if c == color)
-                self.palette.append((members, colors + bytes((color,))))
+        members = [0] * (cfg.k + 1)
+        for v, c in enumerate(colors):
+            members[c] |= 1 << v
+        self.palette = [(members[c], colors + bytes((c,))) for c in range(1, cfg.k + 1)]
 
     def __iter__(self) -> Iterator[int]:
         bad, images = self.bad, self.images
@@ -311,16 +312,7 @@ def _cut_tables(parent: Graph) -> list[tuple[int, ...]]:
     connected iff M meets each of them (for a one-vertex parent there are
     none, and X - v = {w})."""
     full = parent.full_mask()
-    cuts = []
-    for v in range(parent.n):
-        within = rest = full & ~(1 << v)
-        parts = []
-        while rest:
-            part = parent.component_mask((rest & -rest).bit_length() - 1, within)
-            parts.append(part)
-            rest &= ~part
-        cuts.append(tuple(parts))
-    return cuts
+    return [tuple(parent.components(full & ~(1 << v))) for v in range(parent.n)]
 
 
 def _twins_of_w(rows: tuple[int, ...], mask: int, ties: list[int]) -> bool:
@@ -350,24 +342,23 @@ def _coloring_of(g: Graph, k: int) -> bytes | None:
 def _extend_parent(
     parent: Graph,
     cfg: SearchConfig,
-    found: list[Graph] | None,
+    found: list[Graph],
     keep: bool,
-    base: bytearray | None = None,
-    colors: bytes | None = None,
+    base: bytearray | None,
+    colors: bytes,
 ) -> tuple[int, list[Kid], list[Graph]]:
     """The classes of the next level whose canonical parent is ``parent``
     (see the module docstring): how many there are, the kept ones if
-    ``keep`` (each as ``(code, child, coloring, parent's forbidden-mask
+    ``keep`` (each as ``(child, coloring, parent's forbidden-mask
     table)``), and the new minimal obstructions among them.
 
     ``found`` holds every minimal obstruction with fewer vertices than a
-    child, or is None in the family search, which keeps every child and
-    colors none.  ``base`` is the forbidden-mask table of ``parent`` minus
-    its last vertex and ``colors`` a k-coloring of ``parent``, each or None.
+    child.  ``base`` is the forbidden-mask table of ``parent`` minus its
+    last vertex, or None, and ``colors`` a k-coloring of ``parent``.
     """
     n = parent.n
     walk = _MaskWalk(parent, cfg, base, colors)
-    core = _core_masks(parent, found or [])
+    core = _core_masks(parent, found)
     cuts = _cut_tables(parent)
     rows = parent.adj
     nbrs = [list(bits(row)) for row in rows]
@@ -418,115 +409,76 @@ def _extend_parent(
             count += 1
             if core[mask] != -1:
                 continue  # X contains a smaller obstruction
-            col = None
-            if found is not None:
-                col = walk.coloring(mask)
+            col = walk.coloring(mask)
+            if col is None:
+                x = x or parent.add_vertex(mask)
+                col = _coloring_of(x, cfg.k)
                 if col is None:
-                    x = x or parent.add_vertex(mask)
-                    col = _coloring_of(x, cfg.k)
-                    if col is None:
-                        obstructions.append(x)
-                        continue
+                    obstructions.append(x)
+                    continue
             if keep:
                 x = x or parent.add_vertex(mask)
                 if x._canon is None:
                     x._canon = search(x, mask)
-                kept.append((x._canon[0], x, col, walk.bad))
+                kept.append((x, col, walk.bad))
     return count, kept, obstructions
-
-
-def _extend_chunk(
-    parents, bases, colorings, cfg, found, keep
-) -> tuple[int, list[Kid], list[Graph]]:
-    """:func:`_extend_parent` on each of ``parents``, with its forbidden-mask
-    base table and coloring, the results summed."""
-    count, kept, obstructions = 0, [], []
-    for parent, base, colors in zip(parents, bases, colorings):
-        more, kids, new = _extend_parent(parent, cfg, found, keep, base, colors)
-        count += more
-        kept += kids
-        obstructions += new
-    return count, kept, obstructions
-
-
-def _build_level(parents, bases, colorings, cfg, pool, found, keep):
-    """One level from ``parents`` (with their base tables and colorings, as
-    in :func:`_extend_chunk`): its size, its kept children sorted by code,
-    and its new minimal obstructions.  Without a pool the whole level is one
-    chunk, the lists themselves (a copy would raise the peak memory); a
-    pool takes about four chunks per worker."""
-    if pool:
-        size = max(1, len(parents) // (cfg.workers * 4))
-        chunks = lambda xs: [xs[i : i + size] for i in range(0, len(parents), size)]
-        results = pool.map(
-            _extend_chunk,
-            chunks(parents),
-            chunks(bases),
-            chunks(colorings),
-            itertools.repeat(cfg),
-            itertools.repeat(found),
-            itertools.repeat(keep),
-        )
-    else:
-        results = [_extend_chunk(parents, bases, colorings, cfg, found, keep)]
-    total, kids, new = 0, [], []
-    for count, kept, obstructions in results:
-        total += count
-        kids += kept
-        new += obstructions
-    kids.sort(key=itemgetter(0))
-    return total, kids, new
 
 
 def _seeds(cfg: SearchConfig) -> list[Graph]:
-    empty = Graph(0, ())
-    # Every graph contains K0, which has no vertex to delete for the table.
-    if any(pat.n == 0 for pat in cfg.forbidden) or _bad_masks(empty, cfg.forbidden)[0]:
+    """K1, unless a forbidden pattern has at most one vertex: K1 contains it."""
+    if any(pat.n <= 1 for pat in cfg.forbidden):
         return []
-    return [empty.add_vertex(0)]
+    return [Graph(1, (0,))]
 
 
 def _grow(
     cfg: SearchConfig,
-    parents: list[Graph],
-    colorings: list,
+    level: list[Kid],
     start_n: int,
-    found: list[tuple[bytes, Graph]] | None = None,
+    found: list[tuple[bytes, Graph]],
     keep_last: bool = True,
-) -> Iterator[tuple[int, int, list[Graph], list[Graph]]]:
-    """The level loop: from ``parents`` on ``start_n`` vertices, with their
-    ``colorings`` (None each in the family search), build each level up to
-    ``n_max`` and yield ``(n, level size, kept graphs, new minimal
-    obstructions)``.  The kept graphs are the next level's parents.
+) -> Iterator[tuple[int, int, list[Kid], list[Graph]]]:
+    """The level loop: from the parents of ``level``, on ``start_n``
+    vertices, build each level up to ``n_max`` and yield ``(n, level size,
+    kept children, new minimal obstructions)``.  The kept children are the
+    next level's parents.
 
-    ``found`` is None in the family search; in the obstruction search it is
-    read as each level starts, so the obstructions the caller records in it
-    while handling a yield count for the next level.  The level at
-    ``n_max`` is kept only with ``keep_last``.  The loop stops before it
-    would build a level from no parents.  One worker builds the levels in
-    this process, without a pool."""
-    bases: list[bytearray | None] = [None] * len(parents)
+    ``found`` is read as each level starts, so the obstructions the caller
+    records in it while handling a yield count for the next level.  The
+    level at ``n_max`` is kept only with ``keep_last``.  The loop stops
+    before it would build a level from no parents.  One worker builds the
+    levels in this process, without a pool."""
     with ProcessPoolExecutor(cfg.workers) if cfg.workers > 1 else contextlib.nullcontext() as pool:
         for n in range(start_n + 1, cfg.n_max + 1):
-            if not parents:
+            if not level:
                 return
-            older = None if found is None else [g for _, g in found]
             keep = keep_last or n < cfg.n_max
-            size, kids, new = _build_level(parents, bases, colorings, cfg, pool, older, keep)
-            parents = [kid[1] for kid in kids]
-            colorings = [kid[2] for kid in kids]
-            bases = [kid[3] for kid in kids]
-            del kids
-            yield n, size, parents, new
+            older = [g for _, g in found]
+            parents, colorings, bases = zip(*level)
+            args = (parents, repeat(cfg), repeat(older), repeat(keep), bases, colorings)
+            if pool:
+                chunk = max(1, len(parents) // (cfg.workers * 4))
+                results = pool.map(_extend_parent, *args, chunksize=chunk)
+            else:
+                results = map(_extend_parent, *args)
+            size, level, new = 0, [], []
+            for count, kept, obstructions in results:
+                size += count
+                level += kept
+                new += obstructions
+            level.sort(key=lambda kid: kid[0]._canon[0])
+            yield n, size, level, new
 
 
 def enumerate_family(cfg: SearchConfig) -> Iterator[Graph]:
     """Every connected pattern-free graph with 1 <= n <= n_max, one per
-    isomorphism class, in (order, canonical code) order."""
+    isomorphism class, in (order, canonical code) order: the levels of the
+    obstruction search with ``n_max`` colors (see the module docstring)."""
     seeds = _seeds(cfg)
     yield from seeds
-    for _, _, level, _ in _grow(cfg, seeds, [None] * len(seeds), 1):
-        yield from level
+    n_max_colors = replace(cfg, k=cfg.n_max)
+    for _, _, level, _ in _grow(n_max_colors, [(g, b"\x01", None) for g in seeds], 1, []):
+        yield from (g for g, _, _ in level)
 
 
 def is_minimal_obstruction(g: Graph, k: int) -> bool:
@@ -557,21 +509,20 @@ def enumerate_critical(
     """
     state = _load_checkpoint(checkpoint, cfg) if checkpoint else None
     if state is None:
-        extendable = _seeds(cfg)
-        colorings = [_coloring_of(g, cfg.k) for g in extendable]
+        level = [(g, _coloring_of(g, cfg.k), None) for g in _seeds(cfg)]
         found: list[tuple[bytes, Graph]] = []
         start_n = 1
-        level_sizes: dict[int, int] = {1: len(extendable)}
+        level_sizes: dict[int, int] = {1: len(level)}
     else:
-        extendable, colorings, found, start_n, level_sizes = state
+        level, found, start_n, level_sizes = state
         if log:
             log(f"resumed at level {start_n}")
 
     t0 = time.monotonic()
     # A checkpoint lists the graphs of its level, so with one the last level
     # is kept; otherwise it is only counted.
-    levels = _grow(cfg, extendable, colorings, start_n, found, keep_last=bool(checkpoint))
-    for n, size, extendable, new in levels:
+    levels = _grow(cfg, level, start_n, found, keep_last=bool(checkpoint))
+    for n, size, level, new in levels:
         for x in new:
             g = canon.canonical_form(x)
             assert g.min_degree() >= cfg.k, "minimal obstruction with a vertex of low degree"
@@ -585,7 +536,7 @@ def enumerate_critical(
                 f"({time.monotonic() - t0:.1f}s)"
             )
         if checkpoint:
-            _save_checkpoint(checkpoint, cfg, extendable, found, n, level_sizes)
+            _save_checkpoint(checkpoint, cfg, [g for g, _, _ in level], found, n, level_sizes)
         t0 = time.monotonic()
 
     found.sort(key=lambda cg: cg[0])
@@ -647,13 +598,13 @@ _CHECKPOINT_FIELDS = {
 
 
 def _load_checkpoint(path, cfg):
-    """The state a checkpoint resumes: its level's graphs to extend, a
-    k-coloring of each, the obstructions found, the level and the level
-    sizes; None if there is no checkpoint yet.  Raises ``ValueError`` for
-    a checkpoint that another search wrote or that the search could not
-    have written: canonical deletion would count a duplicate parent twice,
-    and a missing one not at all, so the digest of the level's classes
-    must match."""
+    """The state a checkpoint resumes: its level's graphs to extend, each
+    with a k-coloring and no forbidden-mask table, the obstructions found,
+    the level and the level sizes; None if there is no checkpoint yet.
+    Raises ``ValueError`` for a checkpoint that another search wrote or
+    that the search could not have written: canonical deletion would count
+    a duplicate parent twice, and a missing one not at all, so the digest
+    of the level's classes must match."""
     path = Path(path)
     if not path.exists():
         return None
@@ -710,7 +661,7 @@ def _load_checkpoint(path, cfg):
             raise ValueError(f"checkpoint field {name!r} lists a class twice")
     if payload["digest"] != _level_digest(level_codes):
         raise ValueError("checkpoint field 'digest' does not match the classes in 'extendable'")
-    return extendable, colorings, found, level, level_sizes
+    return list(zip(extendable, colorings, repeat(None))), found, level, level_sizes
 
 
 # -- nice critical graphs ----------------------------------------------------
@@ -740,7 +691,7 @@ def nice_check(h: Graph, k: int) -> NiceWitness | None:
     omega = len(detect.max_clique(h))
     if omega != k - 1:
         return None
-    for triple in itertools.combinations(range(h.n), 3):
+    for triple in combinations(range(h.n), 3):
         if is_nice_triple(h, triple, omega):
             return NiceWitness(triple, omega)
     return None

@@ -156,11 +156,18 @@ class Graph:
             seen |= frontier
         return seen
 
+    def components(self, within: int = -1) -> list[int]:
+        """The components of the subgraph induced by ``within`` (default:
+        every vertex) as vertex masks, in order of their lowest vertex."""
+        parts, rest = [], within & self.full_mask()
+        while rest:
+            parts.append(self.component_mask((rest & -rest).bit_length() - 1, rest))
+            rest &= ~parts[-1]
+        return parts
+
     def is_connected(self) -> bool:
         """Whether the graph has at most one component (vacuously true for n = 0)."""
-        if self.n <= 1:
-            return True
-        return self.component_mask(0) == self.full_mask()
+        return len(self.components()) <= 1
 
     def is_clique(self, vertex_mask: int) -> bool:
         for v in bits(vertex_mask):

@@ -521,14 +521,10 @@ def _clique_separators(g: Graph) -> list[int]:
     (:func:`mcs_m_separators`) yields them all, whatever its tie-breaks,
     without enumerating the minimal separators of ``g`` itself.
     """
-    found = set()
-    rest = g.full_mask()
-    while rest:
-        comp = g.component_mask(_lowest(rest), rest)
-        found.update(mcs_m_separators(g, comp))
-        rest &= ~comp
-        if rest:  # a second component: the empty clique separates
-            found.add(0)
+    comps = g.components()
+    found = {sep for comp in comps for sep in mcs_m_separators(g, comp)}
+    if len(comps) > 1:  # the empty clique separates
+        found.add(0)
     return sorted(filter(g.is_clique, found), key=lambda m: (m.bit_count(), list(bits(m))))
 
 
@@ -598,10 +594,7 @@ def _split(g: Graph, seps: list[int], piece: int, start: int):
         cut = seps[i]
         if cut & ~piece:
             continue
-        comps, rest = [], piece & ~cut
-        while rest:
-            comps.append(g.component_mask(_lowest(rest), rest))
-            rest &= ~comps[-1]
+        comps = g.components(piece & ~cut)
         if sum(all(g.adj[t] & c for t in bits(cut)) for c in comps) > 1:
             return i, comps
     return None, ()

@@ -210,14 +210,16 @@ def test_enumerate_critical_writes_files_idempotently(tmp_path, capsys):
 
 def test_enumerate_refuses_an_out_path_that_is_its_own_manifest(tmp_path, capsys):
     """``--out x.json`` would have the manifest overwrite the graph6 file,
-    so it exits 65 and writes nothing."""
-    out = tmp_path / "x.json"
-    argv = ["enumerate", "--mode", "critical", "--k", "3", "--max-n", "6", "--out", str(out)]
-    code = main(argv)
+    so it exits 65 and writes nothing, and it is refused before the search:
+    no level is logged, as one is for a path it takes."""
+    argv = ["enumerate", "--mode", "critical", "--k", "3", "--max-n", "6", "--out"]
+    code = main(argv + [str(tmp_path / "x.json")])
     captured = capsys.readouterr()
     assert code == 65 and captured.out == ""
-    assert "manifest" in captured.err
+    assert "manifest" in captured.err and "level" not in captured.err
     assert list(tmp_path.iterdir()) == []
+    assert main(argv + [str(tmp_path / "x.g6")]) == 0
+    assert "level 6:" in capsys.readouterr().err
 
 
 def test_enumerate_output_does_not_depend_on_workers(tmp_path, capsys):

@@ -70,6 +70,39 @@ def test_family_with_single_forbidden_pattern():
     )
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_triangle_free_family_counts_match_oeis(workers):
+    """Connected triangle-free graphs on n = 1..8 vertices, OEIS A024607."""
+    cfg = SearchConfig(n_max=8, forbidden=(families.complete_graph(3),), workers=workers)
+    levels = by_order(enumerate_family(cfg))
+    assert [len(levels[n]) for n in range(1, 9)] == [1, 1, 1, 3, 6, 19, 59, 267]
+
+
+def test_family_search_runs_no_coloring_search(monkeypatch):
+    """The family search is the obstruction search with ``n_max`` colors:
+    every child inherits a coloring, so ``k_color`` never runs, while every
+    kept graph carries a proper coloring."""
+    calls = count_calls(monkeypatch, coloring, "k_color")
+    levels = _recorded_levels(monkeypatch, kids=True)
+    family = list(enumerate_family(p6c4_config(n_max=8)))
+    assert calls == [] and len(family) == 1 + sum(len(kids) for _, _, kids, _ in levels)
+    for g, col, _ in (kid for level in levels for kid in level[2]):
+        assert coloring.verify_coloring(g, coloring.Coloring(8, tuple(col))) == (True, None)
+
+
+@pytest.mark.parametrize("pattern", [Graph(0, ()), Graph(1, (0,))])
+def test_a_pattern_on_at_most_one_vertex_leaves_no_seed(pattern):
+    """K1 contains a pattern on at most one vertex, so nothing is free of
+    it: neither search finds a graph, and a search forbidding K2 finds K1
+    only."""
+    cfg = SearchConfig(k=3, n_max=5, forbidden=(pattern, families.complete_graph(2)))
+    assert list(enumerate_family(cfg)) == []
+    run = enumerate_critical(cfg)
+    assert run.obstructions == [] and run.level_sizes == {1: 0}
+    k2_free = list(enumerate_family(SearchConfig(n_max=5, forbidden=(families.complete_graph(2),))))
+    assert k2_free == [Graph(1, (0,))]
+
+
 def test_family_levels_are_deduplicated_and_sorted():
     for n, gs in by_order(enumerate_family(p6c4_config(n_max=6))).items():
         codes = [canon.canonical_code(g) for g in gs]
@@ -213,6 +246,14 @@ def _reference_expand(parent, forbidden):
     return out
 
 
+def _walk(parent):
+    """The masks the walk over ``parent`` takes for the (P6,C4) family.  A
+    walk carries a coloring for its children, which does not change its
+    masks; this one gives each vertex its own color."""
+    colors = bytes(range(1, parent.n + 1))
+    return list(enumeration._MaskWalk(parent, p6c4_config(k=parent.n), None, colors))
+
+
 def _first_occurrences(pairs) -> dict[bytes, tuple[int, ...]]:
     first: dict[bytes, tuple[int, ...]] = {}
     for code, child in pairs:
@@ -224,22 +265,22 @@ def test_orbit_pruning_keeps_every_first_occurrence():
     """The mask walk takes one mask per orbit of the parent's generators, and
     per class its children are the first children of a walk over every
     mask."""
-    cfg = p6c4_config(n_max=7)
-    for parent in enumerate_family(cfg):
-        walk = enumeration._MaskWalk(parent, cfg)
-        kept = [(canon.canonical_code(child), child) for child in map(parent.add_vertex, walk)]
+    for parent in enumerate_family(p6c4_config(n_max=7)):
+        children = map(parent.add_vertex, _walk(parent))
+        kept = [(canon.canonical_code(child), child) for child in children]
         assert _first_occurrences(kept) == _first_occurrences(_reference_expand(parent, P6C4))
 
 
-def _recorded_levels(monkeypatch) -> list:
+def _recorded_levels(monkeypatch, kids=False) -> list:
     """Wrap ``enumeration._grow`` so that each level it yields, ``(n, size,
-    kept graphs, new obstructions)``, is appended to the returned list."""
+    kept children, new obstructions)``, is appended to the returned list,
+    with only the graphs of the kept children unless ``kids``."""
     levels, real = [], enumeration._grow
 
     def grow(*args, **kw):
-        for level in real(*args, **kw):
-            levels.append(level)
-            yield level
+        for n, size, kept, new in real(*args, **kw):
+            levels.append((n, size, kept if kids else [g for g, _, _ in kept], new))
+            yield n, size, kept, new
 
     monkeypatch.setattr(enumeration, "_grow", grow)
     return levels
@@ -301,7 +342,7 @@ def _reference_accepted(parent, k):
     vertex with the largest (degree, sum of neighbour degrees), ties going
     to the least canonical position."""
     out = []
-    for mask in enumeration._MaskWalk(parent, p6c4_config(k=k)):
+    for mask in _walk(parent):
         x = parent.add_vertex(mask)
         key = lambda v: (x.degree(v), sum(x.degree(u) for u in x.neighbors(v)))
         deletable = _deletable(x, k)
@@ -334,7 +375,7 @@ def test_invariant_prefilter_only_saves_labelling(k, monkeypatch, tmp_path):
     for parent, (count, kept, new) in calls:
         want = _reference_accepted(parent, k)
         assert count == len(want), parent.adj
-        masks = sorted(g.adj[-1] for g in [kid[1] for kid in kept] + new)
+        masks = sorted(g.adj[-1] for g in [kid[0] for kid in kept] + new)
         assert masks == [m for m in want if _colorable_deletions(parent.add_vertex(m), k)]
 
 
@@ -421,28 +462,21 @@ def test_k_color_runs_only_where_no_coloring_was_inherited(k, monkeypatch, tmp_p
         return col
 
     monkeypatch.setattr(enumeration._MaskWalk, "coloring", spy)
-    built, real_build = [], enumeration._build_level
-
-    def build(*args):
-        out = real_build(*args)
-        built.append(out)
-        return out
-
-    monkeypatch.setattr(enumeration, "_build_level", build)
+    built = _recorded_levels(monkeypatch, kids=True)
     calls = count_calls(monkeypatch, coloring, "k_color")
     enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / "ck.json")
     calls, graphs = list(calls), [g for g, _ in calls[1:]]
     assert calls[0][0].n == 1 and all(g.n > 1 for g in graphs)
-    assert len(offered) == sum(len(kids) + len(new) for _, kids, new in built)
+    assert len(offered) == sum(len(kids) + len(new) for _, _, kids, new in built)
     assert [g.adj[-1] for g in graphs] == [mask for mask, col in offered if col is None]
     assert graphs and len(graphs) < len(offered)
     assert all(_colorable_deletions(g, k) for g in graphs)
 
     built.clear()
     enumerate_critical(p6c4_config(k=k, n_max=8, workers=2), checkpoint=tmp_path / "ck2.json")
-    kids = [kid for _, level, _ in built for kid in level]
+    kids = [kid for _, _, level, _ in built for kid in level]
     assert len(kids) > 500
-    for _, g, col, _ in kids:
+    for g, col, _ in kids:
         assert coloring.verify_coloring(g, coloring.Coloring(k, tuple(col))) == (True, None)
 
 
@@ -530,22 +564,26 @@ def test_worker_count_does_not_change_results_at_k4():
 
 def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
     """A parent that crossed a process boundary keeps its canonical search
-    result: extending a chunk of parents runs one search per tie and kept
-    child and none for a parent, the same searches as on the parents that
-    never left, and each child's result comes back with it through a
-    pickle round trip.  A parent without its result runs one more search."""
+    result: extending parents runs one search per tie and kept child and
+    none for a parent, the same searches as on the parents that never
+    left, and each child's result comes back with it through a pickle
+    round trip.  A parent without its result runs one more search."""
     cfg = p6c4_config(k=4, n_max=6)
-    seeds, found = enumeration._seeds(cfg), []
-    for _, _, parents, new in enumeration._grow(cfg, seeds, [b"\x01"], 1, found):
+    seeds, found = [(g, b"\x01", None) for g in enumeration._seeds(cfg)], []
+    for _, _, level, new in enumeration._grow(cfg, seeds, 1, found):
         found += [(canon.canonical_code(g), g) for g in new]
+    parents, colorings, _ = zip(*level)
     n = parents[0].n
     assert n == 6 and all(g._canon for g in parents) and all(g.n == n for g in parents)
-    none = [None] * len(parents)
+    older = [g for _, g in found]
 
     def expand(graphs):
         with monkeypatch.context() as m:
             calls = count_calls(m, canon, "_search")
-            out = enumeration._extend_chunk(graphs, none, none, cfg, [g for _, g in found], True)
+            out = [
+                enumeration._extend_parent(g, cfg, older, True, None, col)
+                for g, col in zip(graphs, colorings)
+            ]
         return out, [(args[0], args[1]) for args in calls]
 
     home, home_searches = expand(parents)
@@ -556,15 +594,16 @@ def test_pickled_parents_need_no_search_for_their_automorphisms(monkeypatch):
     assert sum(size == n for size, _ in bare_searches) == len(parents)
     assert [size for size, _ in bare_searches].count(n + 1) == len(home_searches)
 
-    def children(chunk):
-        return [(code, child, child._canon) for code, child, _, _ in chunk[1]]
+    def children(results):
+        return [child for _, kept, _ in results for child, _, _ in kept]
 
     returned = children(pickle.loads(pickle.dumps(trip)))
-    assert [(c, g.adj, r) for c, g, r in returned] == [(c, g.adj, r) for c, g, r in children(home)]
-    assert [(c, g.adj) for c, g, _ in children(bare)] == [(c, g.adj) for c, g, _ in children(home)]
-    for code, child, result in returned:
-        assert result[0] == code
-        assert result[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
+    assert [(g.adj, g._canon) for g in returned] == [(g.adj, g._canon) for g in children(home)]
+    assert [(g._canon[0], g.adj) for g in children(bare)] == [
+        (g._canon[0], g.adj) for g in children(home)
+    ]
+    for child in returned:
+        assert child._canon[:2] == canon._canonical(Graph(child.n, child.adj))[:2]
 
 
 # -- the counted last level -------------------------------------------------------
@@ -713,8 +752,8 @@ def test_cut_tables_give_the_deletable_vertices(k, n_max, monkeypatch):
     for parent, _, found, *_ in walked:
         n = parent.n
         cuts = enumeration._cut_tables(parent)
-        core = enumeration._core_masks(parent, found or [])
-        for mask in enumeration._MaskWalk(parent, p6c4_config()):
+        core = enumeration._core_masks(parent, found)
+        for mask in _walk(parent):
             got = [v for v in bits(core[mask] & ((1 << n) - 1)) if all(mask & c for c in cuts[v])]
             x = parent.add_vertex(mask)
             assert got + [n] == _deletable(x, k or x.n), (parent.adj, mask)

@@ -2,6 +2,7 @@
 
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +40,25 @@ def test_components_and_connectivity():
     assert not g.is_connected()
     assert families.path_graph(1).is_connected()
     assert Graph.from_edges(0, []).is_connected()
+
+
+def test_components_match_networkx_on_random_graphs_and_masks():
+    """``Graph.components(within)`` gives the components of the subgraph
+    induced by ``within`` in order of their lowest vertex, as networkx
+    finds them; with no mask, those of the whole graph."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randrange(0, 13)
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.2])
+        within = rng.randrange(1 << n)
+        for mask, got in ((within, g.components(within)), (g.full_mask(), g.components())):
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(range(n))
+            want = nx.connected_components(h.subgraph(bits(mask)))
+            lowest_first = sorted(map(mask_of, want), key=lambda m: m & -m)
+            assert got == lowest_first, (g.adj, mask)
 
 
 def test_clique_and_independent_masks():
