@@ -27,7 +27,10 @@ drops a placement that leaves a later pattern vertex no host vertex, and
 first peels the host to the pattern's degree core.  No prune changes an
 answer (see each docstring).  The conditions of :func:`symmetry_conditions`
 make the matcher find one copy per vertex set and image of a marked set
-(Grochow & Kellis, RECOMB 2007).
+(Grochow & Kellis, RECOMB 2007).  A :class:`CopyPlan` runs the same loop
+(:func:`_placements`) over many such marked patterns at once, with their
+runs and conditions compiled once and the host prepared once per degree
+bound, and gives each copy as that pair of vertex masks.
 
 :func:`find_induced_copy` is the one entry point for whole-graph pattern
 searches.  It classifies the pattern once (cached), sends a path or cycle
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Graph, bits, mask_of
 
@@ -363,28 +366,54 @@ def iter_induced_copies(
     runs = _runs(pattern, conditions, top is not None)
     if not runs:
         return
-    adj = g.adj
+    alive, fits, starts = _prepare(g.adj, domain, first, min(runs[0][2]), p)
+    if alive.bit_count() < p or not alive & first:
+        return
+    for run, assign in _placements(g.adj, p, runs, fits, starts):
+        pos = run[0]
+        yield Embedding(p, tuple(assign) if pos is None else tuple([assign[j] for j in pos]))
+
+
+def _prepare(adj: tuple[int, ...], domain: int, first: int, least: int, size: int) -> tuple:
+    """The host side of a search on the host rows ``adj``, for patterns of
+    minimum degree ``least`` on at most ``size`` vertices, whose first
+    position takes a vertex of ``first`` and every other one a vertex of
+    ``domain``: ``(alive, fits, starts)``.  ``alive`` is ``domain | first``,
+    peeled to its ``least``-core if ``least >= 2``, and ``fits[d]`` and
+    ``starts[d]``, for d < ``size``, the vertices of ``domain`` and of
+    ``first`` with at least d neighbours alive."""
     alive = domain | first
-    least = min(runs[0][2])
     if least >= 2:
         alive = _core(adj, alive, least)
-        if alive.bit_count() < p or not alive & first:
-            return
-        domain &= alive
-        first &= alive
-    at_least = [0] * p  # host vertices with at least d neighbours alive, d < p
-    for v, row in enumerate(adj):
-        d = (row & alive).bit_count()
-        at_least[d if d < p else p - 1] |= 1 << v
-    for d in range(p - 2, -1, -1):
+    at_least = [0] * size
+    rest = alive
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (adj[low.bit_length() - 1] & alive).bit_count()
+        at_least[d if d < size else size - 1] |= low
+    for d in range(size - 2, -1, -1):
         at_least[d] |= at_least[d + 1]
-    fits = [m & domain for m in at_least]
+    return alive, [m & domain for m in at_least], [m & first for m in at_least]
+
+
+def _placements(adj: tuple[int, ...], p: int, runs, fits: list[int], starts: list[int]):
+    """The matcher loop of :func:`iter_induced_copies` and
+    :meth:`CopyPlan.pairs`: for each run ``(pos, steps, degrees, bound,
+    ...)`` of a ``p``-vertex pattern (see :func:`_runs`), yields ``(run,
+    assign)`` once per copy, ``assign[i]`` the host vertex of position i
+    (one list, overwritten by the next copy).  Position i may take the
+    vertices of ``fits[degrees[i]]``, and position 0 only those of
+    ``starts[degrees[0]]``; see :func:`_prepare`."""
     assign = [0] * p
     cand = [0] * p  # untried host vertices for each assigned position
     room = [[0] * p for _ in range(p)]
-    for pos, padj, pdeg, bound in runs:
-        room[0][:] = [fits[d] for d in pdeg]
-        cand[0] = at_least[pdeg[0]] & first
+    for run in runs:
+        steps, pdeg, bound = run[1], run[2], run[3]
+        cand[0] = starts[pdeg[0]]
+        if not cand[0]:
+            continue
+        room[0] = [fits[d] for d in pdeg]
         i = 0
         while i >= 0:
             c = cand[i]
@@ -395,14 +424,13 @@ def iter_induced_copies(
             cand[i] = c ^ low
             v = assign[i] = low.bit_length() - 1
             if i + 1 == p:
-                vmap = tuple(assign) if pos is None else tuple([assign[j] for j in pos])
-                yield Embedding(p, vmap)
+                yield run, assign
                 continue
             row = adj[v]
             miss = ~row ^ low
             now, after = room[i], room[i + 1]
-            for k in range(i + 1, p):
-                left = now[k] & (row if padj[k] >> i & 1 else miss)
+            for k, edge in steps[i]:
+                left = now[k] & (row if edge else miss)
                 if not left:
                     break
                 after[k] = left
@@ -415,6 +443,80 @@ def iter_induced_copies(
                 else:
                     i += 1
                     cand[i] = after[i]
+
+
+class CopyPlan:
+    """Pattern pieces compiled for :meth:`pairs`.  A piece is a pattern H
+    and a vertex mask ``marked`` of H; a copy of H in a host matters here
+    only through its vertex set S and the image R of ``marked``.
+
+    A piece's symmetry conditions (:func:`symmetry_conditions`) and its
+    runs (:func:`_runs`), each run with the positions ``marked`` takes in
+    it, are worked out on the first host that can hold the piece, and kept
+    for every later host; rooted and unrooted runs are compiled apart.
+    The plan holds nothing of a host.
+    """
+
+    def __init__(self, pieces: Iterable[tuple[Graph, int]]):
+        self.pieces = tuple(pieces)
+        self._largest = max((sub.n for sub, _ in self.pieces), default=0)
+        self._compiled: dict[tuple[int, bool], tuple] = {}
+
+    def _compile(self, index: int, rooted: bool) -> tuple:
+        """``(least, runs)``: the piece's minimum degree, or 0 if it is below
+        2 and no host is peeled for it, and its runs under its conditions,
+        each run extended by the positions of ``marked``."""
+        sub, marked = self.pieces[index]
+        runs = _runs(sub, symmetry_conditions(sub, marked), rooted)
+        out = []
+        for run in runs:
+            pos = run[0]
+            at = bits(marked) if pos is None else (pos[x] for x in bits(marked))
+            out.append((*run, tuple(at)))
+        least = min(runs[0][2])
+        compiled = self._compiled[index, rooted] = (least if least >= 2 else 0, tuple(out))
+        return compiled
+
+    def pairs(self, g: Graph, top: int | None = None) -> Iterator[tuple[int, int]]:
+        """``(S, R)`` as vertex masks for every induced copy of a piece in
+        ``g`` (with ``top``, for every copy whose largest vertex is ``top``),
+        piece by piece: one copy per pair of each piece (the pieces'
+        conditions), but a pair two pieces share comes once from each.
+
+        The copies are :func:`iter_induced_copies`' under the conditions,
+        from the same loop; the host is prepared (:func:`_prepare`) once per
+        distinct core it is peeled to, not once per piece."""
+        rooted = top is not None
+        if rooted:
+            size, domain, first = top + 1, (1 << top) - 1, 1 << top
+        else:
+            size, domain, first = g.n, g.full_mask(), g.full_mask()
+        adj = g.adj
+        cap = min(size, self._largest)
+        hosts = {}
+        for index, (sub, _) in enumerate(self.pieces):
+            p = sub.n
+            if p > size:
+                continue  # no copy, so nothing to compile
+            if not p:
+                if not rooted:
+                    yield 0, 0
+                continue
+            least, runs = self._compiled.get((index, rooted)) or self._compile(index, rooted)
+            host = hosts.get(least)
+            if host is None:
+                alive, fits, starts = _prepare(adj, domain, first, least, cap)
+                host = hosts[least] = (alive.bit_count(), alive & first, fits, starts)
+            count, start, fits, starts = host
+            if count < p or not start:
+                continue
+            for run, assign in _placements(adj, p, runs, fits, starts):
+                s = r = 0
+                for v in assign:
+                    s |= 1 << v
+                for i in run[4]:
+                    r |= 1 << assign[i]
+                yield s, r
 
 
 def _core(adj: tuple[int, ...], alive: int, d: int) -> int:
@@ -436,14 +538,15 @@ def _core(adj: tuple[int, ...], alive: int, d: int) -> int:
 @lru_cache(maxsize=256)
 def _runs(pattern: Graph, conditions: tuple[tuple[int, int], ...], rooted: bool) -> tuple:
     """The runs of :func:`iter_induced_copies` over ``pattern``, each as
-    ``(pos, rows, degrees, bound)``: the pattern in its own labels (``pos``
+    ``(pos, steps, degrees, bound)``: the pattern in its own labels (``pos``
     None), or with ``rooted`` one run per pattern vertex y that no
     condition puts below another, relabelled in BFS order from y
     (continuing from the least unvisited vertex if it is disconnected) with
     ``pos[x]`` the new label of vertex x, so that every later position
-    meets an earlier one where it can.  ``bound[i]`` lists the later
-    positions k that a condition puts above (``(k, True)``) or below
-    (``(k, False)``) position i."""
+    meets an earlier one where it can.  ``steps[i]`` lists ``(k, edge)``
+    for each later position k, ``edge`` 1 iff positions i and k are
+    adjacent, and ``bound[i]`` the later positions k that a condition puts
+    above (``(k, True)``) or below (``(k, False)``) position i."""
     n = pattern.n
     out = []
     for y in range(n) if rooted else (None,):
@@ -469,12 +572,13 @@ def _runs(pattern: Graph, conditions: tuple[tuple[int, int], ...], rooted: bool)
                 pos[x] = label
             pos = tuple(pos)
         rows = pattern.adj if pos is None else pattern.relabel(pos).adj
+        steps = tuple(tuple((k, rows[k] >> i & 1) for k in range(i + 1, n)) for i in range(n))
         at = pos or range(n)
         bound = [[] for _ in range(n)]
         for a, b in conditions:
             i, k = sorted((at[a], at[b]))
             bound[i].append((k, k == at[b]))
-        out.append((pos, rows, tuple(row.bit_count() for row in rows), tuple(map(tuple, bound))))
+        out.append((pos, steps, tuple(row.bit_count() for row in rows), tuple(map(tuple, bound))))
     return tuple(out)
 
 

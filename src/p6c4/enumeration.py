@@ -16,12 +16,17 @@ Each parent is analysed once.  A table indexed by neighbourhood mask
 the new vertex; it is built from the induced copies of each pattern minus
 one vertex in the parent, so it is exact for any pattern.  A copy of such
 a piece (H - x, N_H(x)) matters only through its vertex set S and the
-image R of N_H(x), so the matcher finds one copy per pair (S, R), under
-the piece's symmetry conditions (:func:`p6c4.detect.symmetry_conditions`),
-and in the parent peeled to its δ-core, δ the piece's minimum degree.
-The obstruction pieces behind :func:`_core_masks` have δ >= k - 1 (a
-minimal obstruction has minimum degree at least k), so most of their
-searches end there.  The table of a parent P = G + b, with b its last
+image R of N_H(x).  The pieces of the forbidden patterns, and those of
+the obstructions found so far, are compiled once per search and once per
+level into a plan (:func:`_plan`, a :class:`p6c4.detect.CopyPlan`) whose
+runs and symmetry conditions (:func:`p6c4.detect.symmetry_conditions`)
+are worked out on the first parent that can hold each piece.  Per parent
+the plan prepares the host once per distinct minimum degree δ of the
+pieces, peeled to its δ-core, and streams one copy per pair (S, R) of
+each piece, as two vertex masks, straight into the table.  The
+obstruction pieces behind :func:`_core_masks` have δ >= k - 1 (a minimal
+obstruction has minimum degree at least k), so most of their searches
+end at the peel.  The table of a parent P = G + b, with b its last
 vertex, comes from the table of the parent G that produced it: a copy in
 P that avoids b is a copy in G and makes mask M bad exactly when it makes
 M minus b bad for G, so P's table is G's table twice over (the second
@@ -69,7 +74,10 @@ invariant under isomorphism.
   degrees), and on a tie the tied vertex at the least position of X's
   canonical order.  X is accepted iff w lies in the orbit of m(X) under
   Aut(X).  A child whose w some vertex of D(X) beats is rejected, and one
-  whose w is the unique maximum accepted, both without labelling.  So is
+  whose w is the unique maximum accepted, both without labelling.  Only
+  the vertices v of P with deg_P(v) + 1 >= deg(w) can tie with or beat w,
+  so only they are compared (:func:`_rivals`), and w's neighbour-degree
+  sum is worked out only on a degree tie.  So is
   a tie whose tied vertices are all twins of w (:func:`_twins_of_w`: the
   parent's row of t is M minus t): swapping t and w then fixes every
   other adjacency, so it is an automorphism of X, every tied vertex and
@@ -174,6 +182,14 @@ def _vertex_deleted(pat: Graph) -> tuple[tuple[Graph, int], ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=32)
+def _plan(patterns: tuple[Graph, ...]) -> detect.CopyPlan:
+    """The pieces of ``patterns`` (:func:`_vertex_deleted`), compiled once
+    for every parent of a search (the forbidden patterns) or of a level
+    (the obstructions found so far)."""
+    return detect.CopyPlan(piece for pat in patterns for piece in _vertex_deleted(pat))
+
+
 def _bad_masks(
     parent: Graph, forbidden: tuple[Graph, ...], base: bytearray | None = None
 ) -> bytearray:
@@ -195,15 +211,15 @@ def _bad_masks(
     pattern has one vertex), so each copy is counted once, at its largest
     vertex.
     """
-    pieces = [piece for pat in forbidden for piece in _vertex_deleted(pat)]
+    plan = _plan(tuple(forbidden))
     if base is None:
-        bad, start = bytearray([any(sub.n == 0 for sub, _ in pieces)]), 0
+        bad, start = bytearray([any(sub.n == 0 for sub, _ in plan.pieces)]), 0
     else:
         bad, start = base, parent.n - 1
     for b in range(start, parent.n):
         bad = bad + bad  # a new table: ``base`` is shared by its siblings
         full = (2 << b) - 1
-        for s_mask, r_mask in _copy_pairs(parent, pieces, b):
+        for s_mask, r_mask in plan.pairs(parent, b):
             rest = full & ~s_mask
             sub = rest
             while True:
@@ -214,24 +230,7 @@ def _bad_masks(
     return bad
 
 
-def _copy_pairs(parent: Graph, pieces, top: int | None = None) -> set[tuple[int, int]]:
-    """``(S, R)`` as vertex masks for every induced copy of a piece ``(H -
-    x, N_H(x))`` in ``parent`` (with ``top``, only the copies whose largest
-    vertex is ``top``): S the copy's vertices, R the image of N_H(x).  The
-    matcher finds each pair once, under the piece's symmetry conditions."""
-    pairs = set()
-    fits = parent.n if top is None else top + 1
-    for sub, nbrs in pieces:
-        if sub.n > fits:
-            continue  # no copy, so no conditions to work out
-        breaks = detect.symmetry_conditions(sub, nbrs)
-        for emb in detect.iter_induced_copies(parent, sub, top, breaks):
-            vmap = emb.vmap
-            pairs.add((mask_of(vmap), mask_of(vmap[i] for i in bits(nbrs))))
-    return pairs
-
-
-def _core_masks(parent: Graph, obstructions: list[Graph]) -> list[int]:
+def _core_masks(parent: Graph, obstructions: tuple[Graph, ...]) -> list[int]:
     """``core[M]`` is the set of vertices, as a mask, that lie on every
     induced copy of an obstruction in ``X = parent.add_vertex(M)`` through
     its new vertex ``w``, or -1 (every vertex) where there is no such copy.
@@ -241,9 +240,8 @@ def _core_masks(parent: Graph, obstructions: list[Graph]) -> list[int]:
     as in :func:`_bad_masks`; its vertex set is S plus ``w``."""
     n = parent.n
     wbit = 1 << n
-    pieces = [piece for g in obstructions for piece in _vertex_deleted(g)]
     core = [-1] * wbit
-    for s_mask, r_mask in _copy_pairs(parent, pieces):
+    for s_mask, r_mask in _plan(tuple(obstructions)).pairs(parent):
         keep = s_mask | wbit
         rest = (wbit - 1) & ~s_mask
         sub = rest
@@ -332,6 +330,15 @@ def _mask_images(perm: tuple[int, ...]) -> list[int]:
     return img
 
 
+def _rivals(deg: list[int]) -> list[tuple[int, ...]]:
+    """``rivals[d]`` lists the parent vertices that can tie with or beat a
+    new vertex of degree d in the child, in non-increasing parent degree:
+    a vertex v has degree at most ``deg[v] + 1`` there, so the list stops
+    before the first v with ``deg[v] + 1 < d``."""
+    order = sorted(range(len(deg)), key=deg.__getitem__, reverse=True)
+    return [tuple(v for v in order if deg[v] + 1 >= d) for d in range(len(deg) + 1)]
+
+
 def _coloring_of(g: Graph, k: int) -> bytes | None:
     """A k-coloring of ``g`` (``col[v]`` the color of ``v``, in 1..k), or
     None if it has none."""
@@ -342,7 +349,7 @@ def _coloring_of(g: Graph, k: int) -> bytes | None:
 def _extend_parent(
     parent: Graph,
     cfg: SearchConfig,
-    found: list[Graph],
+    found: tuple[Graph, ...],
     keep: bool,
     base: bytearray | None,
     colors: bytes,
@@ -364,7 +371,7 @@ def _extend_parent(
     nbrs = [list(bits(row)) for row in rows]
     deg = [row.bit_count() for row in rows]
     deg_sum = [sum(deg[u] for u in bits(row)) for row in rows]
-    wbit = 1 << n
+    rivals = _rivals(deg)
 
     def search(x: Graph, mask: int):
         child_nbrs = nbrs[:]
@@ -378,15 +385,20 @@ def _extend_parent(
         # X = parent + w; the invariant of a vertex is its degree in X, then
         # the sum of its neighbours' degrees in X.
         dw = mask.bit_count()
-        sw = sum(deg[u] for u in bits(mask)) + dw
+        deletable = core[mask]
+        sw = -1  # w's neighbour-degree sum, once a degree tie needs it
         x, ties = None, []
-        for v in bits(core[mask] & (wbit - 1)):
+        for v in rivals[dw]:
+            if not deletable >> v & 1:
+                continue
             inside = mask >> v & 1
             d = deg[v] + inside
             if d < dw:
                 continue
             tie = d == dw
             if tie:
+                if sw < 0:
+                    sw = sum(deg[u] for u in bits(mask)) + dw
                 s = deg_sum[v] + (rows[v] & mask).bit_count() + dw * inside
                 if s < sw:
                     continue
@@ -407,7 +419,7 @@ def _extend_parent(
                 if label[first] != label[n]:
                     continue
             count += 1
-            if core[mask] != -1:
+            if deletable != -1:
                 continue  # X contains a smaller obstruction
             col = walk.coloring(mask)
             if col is None:
@@ -453,7 +465,7 @@ def _grow(
             if not level:
                 return
             keep = keep_last or n < cfg.n_max
-            older = [g for _, g in found]
+            older = tuple(g for _, g in found)
             parents, colorings, bases = zip(*level)
             args = (parents, repeat(cfg), repeat(older), repeat(keep), bases, colorings)
             if pool:

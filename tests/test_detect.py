@@ -3,6 +3,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -645,12 +646,9 @@ def _pairs(copies, nbrs):
     return [(mask_of(e.vmap), mask_of(e.vmap[i] for i in bits(nbrs))) for e in copies]
 
 
-def test_symmetry_conditions_leave_one_copy_per_pair():
-    """For every piece (H - x, N_H(x)) of P6, C4, K4, K5, C5, W5, the shipped
-    catalog entries, 3K2 (whose pieces are disconnected) and 4K1, on random
-    hosts with at most 10 vertices, with and without ``top``: the search
-    under the piece's symmetry conditions finds the same (S, R) pairs as
-    the plain search, each from exactly one copy."""
+def _marked_pieces():
+    """Every piece (H - x, N_H(x)) of P6, C4, K4, K5, C5, W5, the shipped
+    catalog entries, 3K2 (whose pieces are disconnected) and 4K1."""
     patterns = [
         families.path_graph(6),
         families.cycle_graph(4),
@@ -665,6 +663,15 @@ def test_symmetry_conditions_leave_one_copy_per_pair():
         patterns += [e.graph for e in coloring.catalog_load(coloring.default_catalog_path(k))]
     pieces = [piece for pattern in patterns for piece in enumeration._vertex_deleted(pattern)]
     assert any(not sub.is_connected() for sub, _ in pieces)
+    return pieces
+
+
+def test_symmetry_conditions_leave_one_copy_per_pair():
+    """For every piece of :func:`_marked_pieces`, on random hosts with at
+    most 10 vertices, with and without ``top``: the search under the
+    piece's symmetry conditions finds the same (S, R) pairs as the plain
+    search, each from exactly one copy."""
+    pieces = _marked_pieces()
     rng = random.Random(2607)
     broken = total = 0
     for _ in range(60):
@@ -679,6 +686,29 @@ def test_symmetry_conditions_leave_one_copy_per_pair():
                 broken += len(every) - len(once)
                 total += len(once)
     assert total and broken
+
+
+def test_copy_plan_streams_one_copy_per_pair_of_each_piece():
+    """One :class:`detect.CopyPlan` over every piece of
+    :func:`_marked_pieces` (and K1's, the empty piece), on random hosts
+    with at most 12 vertices, unrooted and rooted at every ``top``: piece
+    by piece it streams the (S, R) pairs of the plain per-piece search
+    with no conditions, each pair of each piece exactly once."""
+    pieces = _marked_pieces() + list(enumeration._vertex_deleted(empty_graph(1)))
+    plan = detect.CopyPlan(pieces)
+    rng = random.Random(2903)
+    shared = total = 0
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(1, 12), rng.choice((0.2, 0.4, 0.6, 0.8, 0.95)))
+        for top in (None, *range(g.n)):
+            want = Counter()
+            for sub, nbrs in pieces:
+                want.update(set(_pairs(detect.iter_induced_copies(g, sub, top), nbrs)))
+            got = Counter(plan.pairs(g, top))
+            assert got == want, (g.adj, top)
+            shared += sum(count > 1 for count in got.values())
+            total += got.total()
+    assert total and shared
 
 
 def test_symmetry_conditions_break_the_marked_stabilizer():

@@ -380,6 +380,51 @@ def test_invariant_prefilter_only_saves_labelling(k, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("k", [3, 4])
+def test_rival_scan_stop_only_saves_checks(k, monkeypatch, tmp_path):
+    """Ablation of the rival scan's stop: with w compared against every
+    parent vertex in ascending order (``_rivals`` giving all of them for
+    every degree of w), each ``_extend_parent`` call of the search to n <=
+    8, kept to its last level by a checkpoint, counts the same children,
+    keeps the same graphs with the same canonical search results and
+    colorings, and finds the same obstructions.  w's neighbour-degree sum
+    is only read on a degree tie and is worked out before the first read,
+    so the scan order and the stop are all there is to ablate.  A counter
+    of the vertices compared shows that the stop skips some."""
+
+    def run(scan_all):
+        checks, calls = [0], []
+        real_rivals, real_extend = enumeration._rivals, enumeration._extend_parent
+
+        class Counted(tuple):
+            def __iter__(self):
+                for v in tuple.__iter__(self):
+                    checks[0] += 1
+                    yield v
+
+        def rivals(deg):
+            every = [tuple(range(len(deg)))] * (len(deg) + 1)
+            return [Counted(r) for r in (every if scan_all else real_rivals(deg))]
+
+        def extend(parent, *args):
+            count, kept, new = real_extend(parent, *args)
+            kids = [(g.adj, g._canon, col) for g, col, _ in kept]
+            calls.append((parent.adj, count, kids, [g.adj for g in new]))
+            return count, kept, new
+
+        with monkeypatch.context() as m:
+            m.setattr(enumeration, "_rivals", rivals)
+            m.setattr(enumeration, "_extend_parent", extend)
+            enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=tmp_path / f"ck{scan_all}.json")
+        return calls, checks[0]
+
+    (stop, stop_checks), (every, every_checks) = run(False), run(True)
+    assert stop == every and len(stop) > 100
+    assert any(new for *_, new in stop)
+    assert any(len(adj) == 8 for _, _, kids, _ in stop for adj, _, _ in kids)
+    assert 0 < stop_checks < every_checks
+
+
+@pytest.mark.parametrize("k", [3, 4])
 def test_inherited_automorphisms_keep_every_child(k, monkeypatch, tmp_path):
     """Ablation of the automorphisms a child inherits from its parent: with
     them withheld from every canonical search, the search to n <= 8, kept to
@@ -960,36 +1005,32 @@ def test_find_nice_critical_small():
 def test_symmetry_conditions_and_peeling_only_save_copies(k, monkeypatch, tmp_path):
     """Ablation of the copy search behind the mask tables: with every
     piece's symmetry conditions set to () and no degree-core peeling, the
-    search to n <= 8 gets the same (S, R) pairs from each ``_copy_pairs``
-    call, builds the same levels, keeps the same graphs with the same
-    search results and finds the same obstructions, with and without a
-    checkpoint.  With the conditions, each call meets exactly one copy per
-    pair; without them, strictly more copies than pairs."""
+    search to n <= 8 gets the same (S, R) pairs from each
+    ``CopyPlan.pairs`` call, builds the same levels, keeps the same graphs
+    with the same search results and finds the same obstructions, with and
+    without a checkpoint.  With the conditions, each call meets exactly
+    one copy per pair; without them, strictly more copies than pairs."""
 
     def run(plain, checkpoint):
-        copies_seen, calls = [], []
-        real_copies, real_pairs = detect.iter_induced_copies, enumeration._copy_pairs
+        calls = []
+        real_pairs = detect.CopyPlan.pairs
 
-        def copies(*args):
-            for emb in real_copies(*args):
-                if len(args) == 4:  # from ``_copy_pairs``, not a self-match
-                    copies_seen[-1] += 1
-                yield emb
+        def pairs(plan, g, top=None):
+            copies = list(real_pairs(plan, g, top))
+            calls.append((len(copies), set(copies)))
+            return iter(copies)
 
-        def pairs(parent, pieces, top=None):
-            copies_seen.append(0)
-            out = real_pairs(parent, pieces, top)
-            calls.append((copies_seen.pop(), out))
-            return out
-
+        # A plan compiles its pieces' conditions once, so each run starts
+        # from plans of its own and leaves none behind.
+        enumeration._plan.cache_clear()
         with monkeypatch.context() as m:
             if plain:
                 m.setattr(detect, "symmetry_conditions", lambda pattern, marked: ())
                 m.setattr(detect, "_core", lambda adj, alive, d: alive)
-            m.setattr(detect, "iter_induced_copies", copies)
-            m.setattr(enumeration, "_copy_pairs", pairs)
+            m.setattr(detect.CopyPlan, "pairs", pairs)
             levels = _recorded_levels(m)
             result = enumerate_critical(p6c4_config(k=k, n_max=8), checkpoint=checkpoint)
+        enumeration._plan.cache_clear()
         kept = [(n, size, [(g.adj, g._canon) for g in graphs]) for n, size, graphs, _ in levels]
         new = [[g.adj for g in level[3]] for level in levels]
         return (kept, new, _run_lines(result), [out for _, out in calls]), calls
@@ -1004,9 +1045,9 @@ def test_symmetry_conditions_and_peeling_only_save_copies(k, monkeypatch, tmp_pa
         assert len(broken_calls) > 300 and broken[2][1]
 
 
-def test_copy_pairs_skips_pieces_larger_than_the_host(monkeypatch):
+def test_copy_plan_skips_pieces_larger_than_the_host(monkeypatch):
     """A piece with more vertices than the parent (or than ``top`` + 1) has
-    no copy there, so ``_copy_pairs`` never works out its conditions: the
+    no copy there, so a ``CopyPlan`` never works out its conditions: the
     piece (K10, all) of K11, whose conditions cost 10! self-copies, is not
     looked at in a 5-vertex parent."""
     asked = []
@@ -1017,7 +1058,11 @@ def test_copy_pairs_skips_pieces_larger_than_the_host(monkeypatch):
     pieces = [(families.complete_graph(10), (1 << 10) - 1), (families.complete_graph(2), 0b11)]
     host = families.complete_graph(5)
     edges = {mask_of(e) for e in itertools.combinations(range(5), 2)}
-    assert enumeration._copy_pairs(host, pieces) == {(m, m) for m in edges}
-    assert enumeration._copy_pairs(host, pieces, 1) == {(0b11, 0b11)}
-    assert enumeration._copy_pairs(host, pieces, 0) == set()
+
+    def pairs(*top):
+        return set(detect.CopyPlan(pieces).pairs(host, *top))
+
+    assert pairs() == {(m, m) for m in edges}
+    assert pairs(1) == {(0b11, 0b11)}
+    assert pairs(0) == set()
     assert asked == [2, 2]
